@@ -6,6 +6,7 @@ here touches global RNG state.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -24,7 +25,7 @@ def _sieve_upto(bound: int) -> list[int]:
     for p in range(2, math.isqrt(bound) + 1):
         if flags[p]:
             flags[p * p :: p] = b"\x00" * ((bound - p * p) // p + 1)
-    return [i for i, f in enumerate(flags) if f]
+    return list(itertools.compress(range(bound + 1), flags))
 
 
 _SMALL_PRIMES = tuple(_sieve_upto(_SMALL_LIMIT))
@@ -54,6 +55,41 @@ def isqrt(n: int) -> int:
     if n < 0:
         raise ValueError("isqrt of a negative number")
     return math.isqrt(n)
+
+
+def sqrt_mod_prime(c: int, p: int) -> tuple[int, ...]:
+    """All x in [0, p) with x*x = c (mod p), ascending, for prime p.
+
+    One root when p = 2 or c = 0 (mod p), none when c is a non-residue,
+    otherwise the pair r, p - r (Tonelli-Shanks).
+    """
+    if p < 2:
+        raise ValueError("p must be a prime")
+    c %= p
+    if c == 0 or p == 2:
+        return (c,)
+    if pow(c, (p - 1) >> 1, p) != 1:
+        return ()
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q >>= 1
+        s += 1
+    z = next((z for z in range(2, p) if pow(z, (p - 1) >> 1, p) == p - 1), None)
+    if z is None:
+        raise ValueError(f"{p} is not a prime")
+    m, w, t, r = s, pow(z, q, p), pow(c, q, p), pow(c, (q + 1) >> 1, p)
+    while t != 1:
+        # least i with t**(2**i) = 1; for prime p it is below m, so m falls each step
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+            if i == m:
+                raise ValueError(f"{p} is not a prime")
+        f = pow(w, 1 << (m - i - 1), p)
+        m, w = i, f * f % p
+        t, r = t * w % p, r * f % p
+    return (r, p - r) if r < p - r else (p - r, r)
 
 
 def _miller_rabin(n: int, rounds: int, rng: random.Random) -> bool:

@@ -96,8 +96,9 @@ class RandomGroup:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.max_product_bits < 4:
-            raise ValueError("max_product_bits must be >= 4")
+        if self.max_product_bits < 5:
+            # below 5 bits the only admissible pair would be 2-bit times 2-bit: 3 * 3
+            raise ValueError("max_product_bits must be >= 5")
 
 
 @dataclass(frozen=True)
@@ -147,20 +148,26 @@ def random_semiprime(p_bits: int, q_bits: int, n_bits: int, rng: random.Random) 
 
 def _random_semiprime_loose(p_bits: int, q_bits: int, rng: random.Random) -> Semiprime:
     """Distinct primes of the requested widths; the product width falls where it may."""
-    while True:
+    for _ in range(MAX_RESAMPLE_ATTEMPTS):
         p = random_prime(p_bits, rng)
         q = random_prime(q_bits, rng)
         if p != q:
             return make_semiprime(p, q)
+    raise GenerationError(
+        f"no distinct {p_bits}/{q_bits}-bit primes after {MAX_RESAMPLE_ATTEMPTS} attempts"
+    )
 
 
 def _admissible_pairs(max_product_bits: int) -> list[tuple[int, int]]:
-    """(p_bits, q_bits) pairs whose product can never exceed max_product_bits."""
+    """(p_bits, q_bits) pairs whose product can never exceed max_product_bits.
+
+    (2, 2) is left out: 3 is the only 2-bit prime, so it has no distinct pair.
+    """
     return [
         (pb, qb)
         for pb in range(2, max_product_bits - 1)
         for qb in range(2, max_product_bits - 1)
-        if pb + qb <= max_product_bits
+        if pb + qb <= max_product_bits and (pb, qb) != (2, 2)
     ]
 
 

@@ -9,10 +9,16 @@ is degenerate. When no split falls out, the smooth bound and the scan
 window both grow by fixed increments and the process repeats.
 
 `collect_relations` is the plain reference scan for one (base, window)
-setting. `qs_factor` runs the retry loop on top of an incremental scanner
-that caches each candidate's undivided residual between rounds, dividing
-only by newly admitted primes; the per-round relation sets are identical
-to fresh rescans (the tests check this), only cheaper.
+setting: it trial-divides every candidate by every base prime. `qs_factor`
+runs the retry loop on top of a root-indexed sieve that keeps each
+candidate's undivided residual between rounds. Each base prime's square
+roots of n are found once (Tonelli-Shanks), and the prime then divides only
+the candidates b = +-r (mod p) where it must divide a: over the whole
+window when it is newly admitted, over the newly added tail after that.
+Primes of which n is a quadratic non-residue never divide a and so touch
+no candidate. The factor base is still every prime up to the bound, and
+the per-round relation sets are identical to fresh reference scans (the
+tests check this), only far cheaper.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import bisect
 import time
 from dataclasses import dataclass
 
-from .arith import abs_diff, gcd, isqrt
+from .arith import _sieve_upto, abs_diff, gcd, isqrt, sqrt_mod_prime
 from .errors import BudgetExceeded, PerfectSquare, RoundsExhausted
 from .gf2 import BitMatrix, Dependency, eliminate
 
@@ -81,12 +87,7 @@ def build_factor_base(bound: int) -> FactorBase:
     """Sieve of Eratosthenes up to the smooth bound."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
-    flags = bytearray(b"\x01") * (bound + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, isqrt(bound) + 1):
-        if flags[p]:
-            flags[p * p :: p] = b"\x00" * ((bound - p * p) // p + 1)
-    return FactorBase(bound, tuple(i for i, f in enumerate(flags) if f))
+    return FactorBase(bound, tuple(_sieve_upto(bound)))
 
 
 def smooth_decompose(a: int, fb: FactorBase) -> list[int] | None:
@@ -180,99 +181,96 @@ def extract_factor(
 
 
 class _RelationScanner:
-    """Incremental candidate scan shared across retry rounds.
+    """Root-indexed exact sieve shared across retry rounds.
 
-    Every candidate keeps the residual of a after dividing out all primes
-    admitted so far, so growing the base only costs divisions by the new
-    primes. Promoted relations are stored in candidate order with their
-    exponent vector frozen at promotion width (later primes cannot divide
-    an already-smooth residue, so the tail is always zero padding).
+    `rem[i]` is what is left of a = b*b mod n, b = ceil(sqrt(n)) + i, after
+    dividing out the full power of every admitted prime that divides it.
+    Writing a = b*b - k*n with k = b*b // n, a prime p divides a exactly
+    where b*b = k*n (mod p), i.e. on the progressions b = +-r (mod p) of the
+    roots r of k*n mod p, and p**e can only divide a there too. So each
+    prime visits just its progressions: a newly admitted prime walks the
+    whole window, an older one only the tail added this round. Primes with
+    no root never touch a candidate. k is constant on runs of consecutive
+    candidates (`seg_starts`/`seg_ks`); for n of 40 bits and more at the
+    default windows it is always 1.
+
+    A candidate whose residual reaches 1 is smooth; its exponent vector is
+    rebuilt from a by trial division over the base of that round and frozen
+    at that width (later primes cannot divide an already-smooth residue,
+    so the tail is always zero padding). The per-round relation sets equal
+    `collect_relations` over the same base and window.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.start_b = _ceil_sqrt(n)
-        self.next_b = self.start_b
-        self.pending: list[list] = []  # [b, a, rem, fac] with rem > 1
-        self.smooth: list[list] = []  # [b, a, fac, exps, parity_mask], b ascending
+        self.rem: list[int] = []  # 0 marks a = 0, which is never a relation
+        self.seg_starts: list[int] = []  # index where each run of equal k begins
+        self.seg_ks: list[int] = []
+        self.offsets: dict[int, list[tuple[int, ...]]] = {}  # k -> per base prime, hit indices mod p
+        self.smooth: list[tuple] = []  # (b, a, exps, parity_mask), b ascending
         self.primes_done = 0
 
     def advance(self, primes: tuple[int, ...], m_count: int, deadline: float | None) -> None:
-        n = self.n
-        new_primes = primes[self.primes_done :]
-        index = {p: i for i, p in enumerate(primes)}
-        if new_primes and self.pending:
-            still = []
-            ticker = 0
-            for entry in self.pending:
-                ticker += 1
-                if ticker >= 256:
-                    ticker = 0
-                    self._check(deadline)
-                rem = entry[2]
-                fac = entry[3]
-                for p in new_primes:
-                    if rem == 1:
-                        break
-                    while rem % p == 0:
-                        rem //= p
-                        fac[p] = fac.get(p, 0) + 1
-                entry[2] = rem
-                if rem == 1:
-                    self._promote(entry[0], entry[1], fac, index, len(primes))
-                else:
-                    still.append(entry)
-            self.pending = still
-        target_b = self.start_b + m_count
-        b = self.next_b
-        while b < target_b:
-            self._check(deadline)
-            a = b * b % n
-            if a != 0:
-                rem = a
-                fac: dict[int, int] = {}
-                for p in primes:
-                    if rem == 1:
-                        break
-                    if p * p > rem:
-                        # prime residual: either a base prime or a dead end for now
-                        j = index.get(rem)
-                        if j is not None:
-                            fac[rem] = fac.get(rem, 0) + 1
-                            rem = 1
-                        break
-                    while rem % p == 0:
-                        rem //= p
-                        fac[p] = fac.get(p, 0) + 1
-                if rem == 1:
-                    self._promote(b, a, fac, index, len(primes))
-                else:
-                    self.pending.append([b, a, rem, fac])
-            b += 1
-        self.next_b = b
+        old_m, done = len(self.rem), self.primes_done
+        fresh: list[int] = []  # indices whose residual reached 1 in this call
+        self._extend(m_count, deadline, fresh)
+        n, s, rem = self.n, self.start_b, self.rem
+        ends = self.seg_starts[1:] + [len(rem)]
+        for seg_lo, seg_hi, k in zip(self.seg_starts, ends, self.seg_ks):
+            offsets = self.offsets.setdefault(k, [])
+            for p in primes[len(offsets) :]:
+                offsets.append(tuple((r - s) % p for r in sqrt_mod_prime(k * n, p)))
+            # the old primes have walked this run of k up to old_m already
+            for j in range(done if seg_hi <= old_m else 0, len(primes)):
+                self._check(deadline)
+                p = primes[j]
+                lo = seg_lo if j >= done else max(seg_lo, old_m)
+                for o in offsets[j]:
+                    for i in range(lo + (o - lo) % p, seg_hi, p):
+                        r = rem[i]
+                        if r > 1:
+                            while r % p == 0:
+                                r //= p
+                            rem[i] = r
+                            if r == 1:
+                                fresh.append(i)
         self.primes_done = len(primes)
+        if fresh:
+            fb = FactorBase(primes[-1], primes)
+            for i in fresh:
+                b = s + i
+                a = b * b % n
+                exps = smooth_decompose(a, fb)
+                mask = sum(1 << j for j, e in enumerate(exps) if e & 1)
+                self.smooth.append((b, a, exps, mask))
+            self.smooth.sort(key=lambda entry: entry[0])
+
+    def _extend(self, m_count: int, deadline: float | None, fresh: list[int]) -> None:
+        n, rem = self.n, self.rem
+        for i in range(len(rem), m_count):
+            if i & 255 == 0:
+                self._check(deadline)
+            b = self.start_b + i
+            k, a = divmod(b * b, n)
+            if not self.seg_ks or self.seg_ks[-1] != k:
+                self.seg_starts.append(i)
+                self.seg_ks.append(k)
+            rem.append(a)
+            if a == 1:
+                fresh.append(i)
 
     def _check(self, deadline: float | None) -> None:
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded(f"relation scan over {self.n} ran past its deadline")
 
-    def _promote(self, b: int, a: int, fac: dict, index: dict, width: int) -> None:
-        exps = [0] * width
-        mask = 0
-        for p, e in fac.items():
-            i = index[p]
-            exps[i] = e
-            if e & 1:
-                mask |= 1 << i
-        bisect.insort(self.smooth, [b, a, fac, exps, mask], key=lambda e: e[0])
-
     def parity_masks(self) -> list[int]:
-        return [entry[4] for entry in self.smooth]
+        return [entry[3] for entry in self.smooth]
 
     def relations(self, fb: FactorBase) -> list[Relation]:
         width = len(fb.primes)
         out = []
-        for b, a, _, exps, _ in self.smooth:
+        for b, a, exps, _ in self.smooth:
             exp_t = tuple(exps) + (0,) * (width - len(exps))
             out.append(Relation(b=b, a=a, exponents=exp_t, parity=tuple(e & 1 for e in exp_t)))
         return out

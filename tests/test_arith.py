@@ -14,6 +14,7 @@ from factorbench.arith import (
     is_probable_prime,
     isqrt,
     mod_pow,
+    sqrt_mod_prime,
 )
 
 
@@ -130,6 +131,37 @@ class TestIsqrt:
     def test_bracketing(self, n):
         r = isqrt(n)
         assert r * r <= n < (r + 1) * (r + 1)
+
+
+class TestSqrtModPrime:
+    def test_examples(self):
+        assert sqrt_mod_prime(2, 7) == (3, 4)
+        assert sqrt_mod_prime(3, 7) == ()
+        assert sqrt_mod_prime(14, 7) == (0,)
+        assert sqrt_mod_prime(1, 2) == (1,)
+        assert sqrt_mod_prime(10, 13) == (6, 7)  # 13 = 1 (mod 4): the Tonelli-Shanks branch
+
+    def test_modulus_validated(self):
+        with pytest.raises(ValueError):
+            sqrt_mod_prime(1, 1)
+
+    def test_matches_brute_force_below_300(self):
+        for p in range(2, 300):
+            if not trial_division_is_prime(p):
+                continue
+            for c in range(p):
+                assert sqrt_mod_prime(c, p) == tuple(x for x in range(p) if x * x % p == c)
+
+    @given(st.integers(0, 10**18), st.sampled_from([1000003, 998244353]))
+    @settings(max_examples=200)
+    def test_large_primes(self, c, p):
+        # 1000003 = 3 (mod 4); 998244353 = 119 * 2**23 + 1 takes the longest Tonelli-Shanks chain
+        roots = sqrt_mod_prime(c, p)
+        assert all(r * r % p == c % p for r in roots)
+        if c % p == 0:
+            assert roots == (0,)
+        else:
+            assert len(roots) == (2 if pow(c, (p - 1) // 2, p) == 1 else 0)
 
 
 class TestIsProbablePrime:

@@ -12,6 +12,7 @@ from factorbench.primegen import (
     FixedGroup,
     RandomGroup,
     Semiprime,
+    _random_semiprime_loose,
     dataset_spec_from_dict,
     derive_seed,
     generate_dataset,
@@ -127,6 +128,25 @@ class TestGenerateDataset:
         assert len(rows) == 30
         assert all(r.n_bits <= 40 for r in rows)
         assert all(r.p != r.q for r in rows)
+
+    def test_seed_53_corpus_generates(self):
+        # the random-corpus script's default spec at seed 53 once drew the
+        # pair (2, 2), whose only prime is 3, and resampled forever
+        rows = generate_dataset(DatasetSpec(seed=53, random_groups=(RandomGroup(200, 70),)))
+        assert len(rows) == 200
+        assert all(r.n_bits <= 70 and r.p != r.q for r in rows)
+
+    def test_smallest_random_cap(self):
+        rows = generate_dataset(DatasetSpec(seed=0, random_groups=(RandomGroup(20, 5),)))
+        assert all(r.n_bits <= 5 and r.p != r.q for r in rows)
+
+    def test_random_cap_below_five_rejected(self):
+        with pytest.raises(ValueError):
+            RandomGroup(1, 4)
+
+    def test_loose_resampling_is_capped(self):
+        with pytest.raises(GenerationError):
+            _random_semiprime_loose(2, 2, random.Random(0))
 
     def test_fifteen_group_grid(self):
         groups = tuple(

@@ -3,9 +3,10 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from factorbench.arith import is_probable_prime
 from factorbench.errors import BudgetExceeded, PerfectSquare, RoundsExhausted
 from factorbench.gf2 import Dependency
 from factorbench.pollard import RhoConfig, pollard_factor
@@ -258,6 +259,36 @@ class TestScannerMatchesReference:
         rng = random.Random(seed)
         sp = random_semiprime(9, 11, 20, rng)
         self.check(sp.n, [(10, 60), (20, 160), (30, 260)])
+
+    def test_windows_past_twice_n(self):
+        # b*b mod n = b*b - k*n with k > 1 once b*b >= 2n; on n = 91 the
+        # window also reaches b = 91, 182, 273, where a = 0
+        self.check(10403, [(10, 200), (30, 1000), (50, 2000)])
+        self.check(91, [(5, 10), (10, 100), (20, 300)])
+
+    def test_base_prime_dividing_n_admitted_late(self):
+        self.check(10403, [(50, 200), (110, 400)])  # 101 and 103 join in round 2
+        self.check(7 * 1009, [(5, 100), (10, 200), (1020, 300)])
+
+    def test_a_equal_to_one(self):
+        n = 899  # 29 * 31 = 30**2 - 1, so b = 30 gives a = 1
+        self.check(n, [(2, 1), (5, 50), (20, 200)])
+        scanner = _RelationScanner(n)
+        scanner.advance((2,), 1, None)
+        assert scanner.relations(build_factor_base(2)) == [Relation(30, 1, (0,), (0,))]
+
+    @given(
+        st.integers(6, 10**6),
+        st.lists(st.tuples(st.integers(0, 40), st.integers(0, 400)), min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_random_schedules(self, n, steps):
+        assume(math.isqrt(n) ** 2 != n and not is_probable_prime(n))
+        bound, m_count, schedule = 2, 1, []
+        for db, dm in steps:
+            bound, m_count = bound + db, m_count + dm
+            schedule.append((bound, m_count))
+        self.check(n, schedule)
 
 
 class TestQsParams:
