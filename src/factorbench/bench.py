@@ -86,7 +86,9 @@ class BenchConfig:
             raise ValueError("workers must be >= 1")
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
         if bad or not self.algorithms:
-            raise ValueError(f"algorithms must be a nonempty subset of {ALGORITHMS}")
+            raise ValueError(
+                f"unknown algorithms {bad}; valid: a nonempty subset of {', '.join(ALGORITHMS)}"
+            )
 
 
 def run_attempt(
@@ -101,32 +103,27 @@ def run_attempt(
         raise ValueError(f"unknown algorithm {algorithm!r}")
     start = time.monotonic()
     factor = None
-    status = "error"
-    iterations = 0
-    b_param = None
-    m_param = None
     try:
         if algorithm == "pollard":
             factor, trace = pollard_factor(n, RhoConfig(seed=seed), budget_seconds)
-            iterations = trace.iterations
-            status = "success"
         else:
             factor, trace = qs_factor(n, qs_params, budget_seconds)
-            iterations = trace.rounds
-            b_param = trace.final_b
-            m_param = trace.final_m
-            status = "success"
+        status = "success"
     except errors.BudgetExceeded as exc:
-        status = "timeout"
-        iterations, b_param, m_param = _trace_counters(algorithm, exc.trace)
+        status, trace = "timeout", exc.trace
     except (errors.FactorError, ValueError) as exc:
-        status = "error"
-        iterations, b_param, m_param = _trace_counters(algorithm, getattr(exc, "trace", None))
+        status, trace = "error", getattr(exc, "trace", None)
     elapsed = time.monotonic() - start
     if factor is not None and not (1 < factor < n and n % factor == 0):
         # belt and braces: a bad factor is a bug, surface it as an error record
         factor = None
         status = "error"
+    iterations, b_param, m_param = 0, None, None
+    if trace is not None:
+        if algorithm == "pollard":
+            iterations = trace.iterations
+        else:
+            iterations, b_param, m_param = trace.rounds, trace.final_b, trace.final_m
     return FactorOutcome(
         algorithm=algorithm,
         n=n,
@@ -138,14 +135,6 @@ def run_attempt(
         iterations=iterations,
         seed=seed,
     )
-
-
-def _trace_counters(algorithm, trace):
-    if trace is None:
-        return 0, None, None
-    if algorithm == "pollard":
-        return trace.iterations, None, None
-    return trace.rounds, trace.final_b, trace.final_m
 
 
 def _run_indexed(task) -> tuple[int, int, BenchRecord]:

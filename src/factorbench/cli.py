@@ -1,7 +1,7 @@
 """Command-line entry point: factor, gen-dataset, bench, and report.
 
-Exit codes: 0 success, 1 usage or I/O error, 2 prime input, 3 timeout or
-exhausted search. A default seed can be supplied through the
+Exit codes: 0 success, 1 usage, I/O or verification error, 2 prime input,
+3 timeout or exhausted search. A default seed can be supplied through the
 FACTORBENCH_SEED environment variable when --seed is absent.
 """
 
@@ -16,10 +16,11 @@ from pathlib import Path
 from . import errors
 from .arith import is_probable_prime
 from .bench import (
-    ALGORITHMS,
+    STATUSES,
     BenchConfig,
     read_results_csv,
     run_bench,
+    verify_outcomes,
     write_results_csv,
 )
 from .pollard import RhoConfig, pollard_factor
@@ -47,12 +48,12 @@ def _default_seed(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get("FACTORBENCH_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(EXIT_USAGE)
-    return 0
+    if env is None:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"FACTORBENCH_SEED is not an integer: {env!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,17 +109,21 @@ def _cmd_factor(args) -> int:
     if n < 2:
         print(f"nothing to factor below 2: {n}", file=sys.stderr)
         return EXIT_USAGE
-    seed = _default_seed(args.seed)
+    try:
+        seed = _default_seed(args.seed)
+        qs_params = QsParams(
+            b_bound=args.b if args.b is not None else QsParams.b_bound,
+            m_count=args.m if args.m is not None else QsParams.m_count,
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     if is_probable_prime(n):
         print(f"{n} is prime")
         return EXIT_PRIME
     algo = args.algo
     if algo == "auto":
         algo = "pollard" if n.bit_length() < args.auto_threshold else "qs"
-    qs_params = QsParams(
-        b_bound=args.b if args.b is not None else QsParams.b_bound,
-        m_count=args.m if args.m is not None else QsParams.m_count,
-    )
     start = time.monotonic()
     try:
         if algo == "pollard":
@@ -151,16 +156,25 @@ def _cmd_gen_dataset(args) -> int:
         print(f"invalid dataset spec {args.spec}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rows = generate_dataset(spec)
-    write_dataset_csv(args.out, rows)
+    try:
+        write_dataset_csv(args.out, rows)
+    except OSError as exc:
+        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"{len(rows)} semiprimes written to {args.out}")
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
-    algos = tuple(a.strip() for a in args.algos.split(",") if a.strip())
-    bad = [a for a in algos if a not in ALGORITHMS]
-    if bad or not algos:
-        print(f"unknown algorithms {bad}; valid: {', '.join(ALGORITHMS)}", file=sys.stderr)
+    try:
+        cfg = BenchConfig(
+            budget_seconds=args.timeout,
+            algorithms=tuple(a.strip() for a in args.algos.split(",") if a.strip()),
+            seed=_default_seed(args.seed),
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_USAGE
     try:
         dataset = read_dataset_csv(args.dataset)
@@ -170,12 +184,6 @@ def _cmd_bench(args) -> int:
     if not dataset:
         print(f"dataset {args.dataset} has no rows", file=sys.stderr)
         return EXIT_USAGE
-    cfg = BenchConfig(
-        budget_seconds=args.timeout,
-        algorithms=algos,
-        seed=_default_seed(args.seed),
-        workers=args.workers,
-    )
     done = [0]
 
     def progress(record):
@@ -183,19 +191,23 @@ def _cmd_bench(args) -> int:
         if args.progress:
             o = record.outcome
             print(
-                f"[{done[0]}/{len(dataset) * len(algos)}] {o.algorithm} n={o.n} "
+                f"[{done[0]}/{len(dataset) * len(cfg.algorithms)}] {o.algorithm} n={o.n} "
                 f"{o.status} {o.elapsed_seconds:.3f}s",
                 flush=True,
             )
 
     records = run_bench(dataset, cfg, progress=progress)
+    violations = verify_outcomes(records)
+    if violations:
+        print("\n".join(violations), file=sys.stderr)
+        return EXIT_USAGE
     try:
         write_results_csv(args.out, records)
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    for algorithm in algos:
-        counts = {status: 0 for status in ("success", "timeout", "error")}
+    for algorithm in cfg.algorithms:
+        counts = dict.fromkeys(STATUSES, 0)
         for record in records:
             if record.outcome.algorithm == algorithm:
                 counts[record.outcome.status] += 1
@@ -207,19 +219,26 @@ def _cmd_bench(args) -> int:
 
 def _cmd_report(args) -> int:
     tables = tuple(t.strip() for t in args.tables.split(",") if t.strip())
-    bad = [t for t in tables if t not in TABLE_NAMES]
-    if bad or not tables:
-        print(f"unknown tables {bad}; valid: {', '.join(TABLE_NAMES)}", file=sys.stderr)
+    if not tables:
+        print(f"no tables given; valid: {', '.join(TABLE_NAMES)}", file=sys.stderr)
         return EXIT_USAGE
     try:
         records = read_results_csv(args.results)
     except (OSError, ValueError) as exc:
         print(f"cannot read results {args.results}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    document = render_report(records, tables)
-    Path(args.out).write_text(document, encoding="utf-8")
-    if args.points_csv:
-        Path(args.points_csv).write_text(points_csv(records), encoding="utf-8")
+    try:
+        document = render_report(records, tables)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        Path(args.out).write_text(document, encoding="utf-8")
+        if args.points_csv:
+            Path(args.points_csv).write_text(points_csv(records), encoding="utf-8")
+    except OSError as exc:
+        print(f"cannot write report output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"report written to {args.out}")
     return EXIT_OK
 

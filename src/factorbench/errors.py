@@ -4,18 +4,11 @@ from __future__ import annotations
 
 
 class FactorError(Exception):
-    """Base class for algorithm-level failures."""
-
-
-class NotComposite(FactorError):
-    """The input passed the primality test; there is nothing to factor."""
-
-
-class BudgetExceeded(FactorError):
-    """The per-call time budget ran out at a polling point.
+    """Base class for algorithm-level failures.
 
     Carries the partial trace (RhoTrace or QsTrace) when one exists, so the
-    harness can still record iteration/round counters for timed-out attempts.
+    harness can still record iteration/round counters for attempts that
+    stopped without a factor.
     """
 
     def __init__(self, message: str, trace=None):
@@ -23,20 +16,20 @@ class BudgetExceeded(FactorError):
         self.trace = trace
 
 
+class NotComposite(FactorError):
+    """The input passed the primality test; there is nothing to factor."""
+
+
+class BudgetExceeded(FactorError):
+    """The per-call time budget ran out at a polling point."""
+
+
 class RestartsExhausted(FactorError):
     """Every rho restart ended in a full cycle without a nontrivial gcd."""
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace
 
 
 class RoundsExhausted(FactorError):
     """The sieve ran out of retry rounds without finding a factor."""
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace
 
 
 class PerfectSquare(FactorError):

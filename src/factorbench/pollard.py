@@ -8,11 +8,12 @@ input would loop forever) and trial division by the ten smallest primes.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
 
-from .arith import abs_diff, first_ten_primes, gcd, is_probable_prime
+from .arith import first_ten_primes, is_probable_prime
 from .errors import BudgetExceeded, NotComposite, RestartsExhausted
 
 
@@ -75,7 +76,7 @@ def pollard_factor(
             y = (y * y + c) % n
             y = (y * y + c) % n
             trace.iterations += 1
-            d = gcd(abs_diff(x, y), n)
+            d = math.gcd(x - y, n)
             if d != 1:
                 if d != n:
                     return d, trace

@@ -24,10 +24,11 @@ tests check this), only far cheaper.
 from __future__ import annotations
 
 import bisect
+import math
 import time
 from dataclasses import dataclass
 
-from .arith import _sieve_upto, abs_diff, gcd, isqrt, sqrt_mod_prime
+from .arith import _sieve_upto, isqrt, sqrt_mod_prime
 from .errors import BudgetExceeded, PerfectSquare, RoundsExhausted
 from .gf2 import BitMatrix, Dependency, eliminate
 
@@ -171,10 +172,10 @@ def extract_factor(
     for j, e in enumerate(total):
         if e:
             y = y * pow(fb.primes[j], e >> 1, n) % n
-    g = gcd(abs_diff(x, y), n)
+    g = math.gcd(x - y, n)
     if 1 < g < n:
         return g
-    g = gcd(x + y, n)
+    g = math.gcd(x + y, n)
     if 1 < g < n:
         return g
     return None

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+import factorbench.cli
 from factorbench.cli import main
 
 
@@ -71,6 +73,25 @@ class TestFactorCommand:
         assert code == 0
         assert out.splitlines()[0] == "8051 = 83 * 97"
 
+    def test_invalid_env_seed_reported(self, capsys, monkeypatch):
+        monkeypatch.setenv("FACTORBENCH_SEED", "abc")
+        code, out, err = run_cli(capsys, "factor", "8051", "--algo", "pollard")
+        assert code == 1
+        assert out == ""
+        assert "FACTORBENCH_SEED" in err and "'abc'" in err
+
+    def test_smooth_bound_below_two_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "factor", "8051", "--algo", "qs", "--b", "1")
+        assert code == 1
+        assert out == ""
+        assert "b_bound" in err
+
+    def test_empty_window_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "factor", "8051", "--algo", "qs", "--m", "0")
+        assert code == 1
+        assert out == ""
+        assert "m_count" in err
+
 
 class TestGenDatasetCommand:
     def write_spec(self, tmp_path, doc):
@@ -111,6 +132,16 @@ class TestGenDatasetCommand:
             capsys, "gen-dataset", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.csv")
         )
         assert code == 1
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        spec = self.write_spec(
+            tmp_path, {"seed": 3, "groups": [{"count": 1, "p_bits": 8, "q_bits": 12, "n_bits": 20}]}
+        )
+        out_csv = tmp_path / "no-such-dir" / "x.csv"
+        code, out, err = run_cli(capsys, "gen-dataset", "--spec", spec, "--out", str(out_csv))
+        assert code == 1
+        assert out == ""
+        assert "cannot write" in err
 
 
 class TestBenchCommand:
@@ -161,6 +192,53 @@ class TestBenchCommand:
             capsys, "bench", "--dataset", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "r.csv")
         )
         assert code == 1
+
+    def test_empty_algorithm_list_rejected(self, capsys, tmp_path, dataset):
+        code, _, err = run_cli(
+            capsys, "bench", "--dataset", dataset, "--out", str(tmp_path / "r.csv"), "--algos", ","
+        )
+        assert code == 1
+        assert "unknown algorithms" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message", [("--workers", "0", "workers"), ("--timeout", "0", "budget")]
+    )
+    def test_invalid_config_rejected(self, capsys, tmp_path, dataset, flag, value, message):
+        results = tmp_path / "r.csv"
+        code, out, err = run_cli(
+            capsys, "bench", "--dataset", dataset, "--out", str(results), flag, value
+        )
+        assert code == 1
+        assert out == ""
+        assert message in err
+        assert not results.exists()
+
+    def test_invalid_env_seed_reported(self, capsys, tmp_path, dataset, monkeypatch):
+        monkeypatch.setenv("FACTORBENCH_SEED", "abc")
+        results = tmp_path / "r.csv"
+        code, _, err = run_cli(capsys, "bench", "--dataset", dataset, "--out", str(results))
+        assert code == 1
+        assert "FACTORBENCH_SEED" in err
+        assert not results.exists()
+
+    def test_violation_writes_nothing(self, capsys, tmp_path, dataset, monkeypatch):
+        real_run_bench = factorbench.cli.run_bench
+
+        def tampered_run_bench(*args, **kwargs):
+            records = real_run_bench(*args, **kwargs)
+            first = records[0]
+            bad = dataclasses.replace(first.outcome, factor=first.outcome.factor + 1)
+            return [dataclasses.replace(first, outcome=bad)] + records[1:]
+
+        monkeypatch.setattr(factorbench.cli, "run_bench", tampered_run_bench)
+        results = tmp_path / "r.csv"
+        code, out, err = run_cli(
+            capsys, "bench", "--dataset", dataset, "--out", str(results), "--algos", "pollard"
+        )
+        assert code == 1
+        assert "record 0" in err
+        assert "records written" not in out
+        assert not results.exists()
 
 
 class TestReportCommand:
@@ -216,6 +294,32 @@ class TestReportCommand:
         lines = open(points).read().splitlines()
         assert lines[0] == "n_bits,algorithm,elapsed_seconds,status"
         assert len(lines) == 7  # header + 3 semiprimes x 2 algorithms
+
+    def test_empty_table_list_rejected(self, capsys, tmp_path, results):
+        out_md = tmp_path / "r.md"
+        code, _, err = run_cli(
+            capsys, "report", "--results", results, "--out", str(out_md), "--tables", ","
+        )
+        assert code == 1
+        assert "failure-counts" in err
+        assert not out_md.exists()
+
+    def test_unwritable_out(self, capsys, tmp_path, results):
+        out_md = tmp_path / "no-such-dir" / "report.md"
+        code, out, err = run_cli(capsys, "report", "--results", results, "--out", str(out_md))
+        assert code == 1
+        assert out == ""
+        assert "cannot write" in err
+
+    def test_unwritable_points_csv(self, capsys, tmp_path, results):
+        points = tmp_path / "no-such-dir" / "points.csv"
+        code, out, err = run_cli(
+            capsys, "report", "--results", results, "--out", str(tmp_path / "r.md"),
+            "--points-csv", str(points),
+        )
+        assert code == 1
+        assert out == ""
+        assert "cannot write" in err
 
     def test_empty_results_file(self, capsys, tmp_path):
         from factorbench.bench import RESULTS_CSV_HEADER

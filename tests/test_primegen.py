@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -130,7 +131,7 @@ class TestGenerateDataset:
         assert all(r.p != r.q for r in rows)
 
     def test_seed_53_corpus_generates(self):
-        # the random-corpus script's default spec at seed 53 once drew the
+        # the random corpus (200 rows under a 70-bit cap) at seed 53 once drew the
         # pair (2, 2), whose only prime is 3, and resampled forever
         rows = generate_dataset(DatasetSpec(seed=53, random_groups=(RandomGroup(200, 70),)))
         assert len(rows) == 200
@@ -158,6 +159,27 @@ class TestGenerateDataset:
         rows = generate_dataset(DatasetSpec(seed=0, groups=groups))
         assert len(rows) == 30
         assert all(r.n_bits in (40, 50, 60) for r in rows)
+
+
+class TestCommittedSpecs:
+    SPECS = Path(__file__).resolve().parents[1] / "specs"
+
+    def test_bit_grid(self):
+        spec = load_dataset_spec(self.SPECS / "bit_grid.json")
+        grid = tuple(
+            FixedGroup(10, pb, nb - pb, nb)
+            for nb in (40, 50, 60)
+            for pb in range(5, nb // 2 + 1, 5)
+        )
+        assert len(grid) == 15
+        assert spec == DatasetSpec(seed=0, groups=grid)
+
+    def test_random_corpus(self):
+        spec = load_dataset_spec(self.SPECS / "random_corpus.json")
+        assert spec == DatasetSpec(seed=0, random_groups=(RandomGroup(200, 70),))
+        rows = generate_dataset(spec)
+        assert len(rows) == 200
+        assert all(r.n_bits <= 70 and r.p != r.q for r in rows)
 
 
 class TestSpecParsing:
