@@ -1,8 +1,9 @@
 """Command-line entry point: factor, gen-dataset, bench, and report.
 
-Exit codes: 0 success, 1 usage, I/O or verification error, 2 prime input,
-3 timeout or exhausted search. A default seed can be supplied through the
-FACTORBENCH_SEED environment variable when --seed is absent.
+Exit codes: 0 success, 1 usage, I/O, generation or verification error,
+2 prime input, 3 timeout or exhausted search. `factor` and `bench` take
+their seed from FACTORBENCH_SEED when --seed is absent, then 0;
+`gen-dataset` uses the spec's own seed unless --seed overrides it.
 """
 
 from __future__ import annotations
@@ -110,6 +111,8 @@ def _cmd_factor(args) -> int:
         print(f"nothing to factor below 2: {n}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        if args.timeout <= 0:
+            raise ValueError("timeout must be positive")
         seed = _default_seed(args.seed)
         qs_params = QsParams(
             b_bound=args.b if args.b is not None else QsParams.b_bound,
@@ -155,7 +158,11 @@ def _cmd_gen_dataset(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"invalid dataset spec {args.spec}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rows = generate_dataset(spec)
+    try:
+        rows = generate_dataset(spec)
+    except errors.GenerationError as exc:
+        print(f"cannot generate {args.spec}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         write_dataset_csv(args.out, rows)
     except OSError as exc:

@@ -4,6 +4,12 @@ Rows are packed into Python ints (bit i = column i), so row updates are
 single XORs regardless of width. Elimination adjoins an identity matrix of
 bookkeeping masks, which lets every row that reduces to zero be reported as
 a subset of the ORIGINAL rows whose XOR is the zero vector.
+
+`eliminate` reduces a whole matrix at once and is the reference.
+`XorBasis` reduces rows one at a time as they arrive, for callers whose
+matrix only grows: each new row costs one pass over the pivots so far,
+and the dependencies it reports over a sequence of rows span the same
+null space as `eliminate` on those rows.
 """
 
 from __future__ import annotations
@@ -106,3 +112,40 @@ def row_xor_check(m: BitMatrix, dep: Dependency) -> bool:
             raise IndexError(f"row index {i} out of range")
         acc ^= m.row_bits[i]
     return acc == 0
+
+
+class XorBasis:
+    """Incremental GF(2) row basis with dependency tracking.
+
+    Rows get the ids 0, 1, 2, ... in the order they are added. Every pivot
+    is keyed by its top bit and carries the mask of row ids it is the XOR
+    of, so a row needs no fixed width: rows added later may be wider, as
+    long as the bits they add are zero in the earlier rows.
+    """
+
+    def __init__(self):
+        self._pivots: dict[int, tuple[int, int]] = {}  # top bit -> (row, id mask)
+        self.n_rows = 0
+
+    def add(self, row: int) -> Dependency | None:
+        """Reduce `row` against the pivots; it becomes a pivot, or, when it
+        reduces to zero, the returned Dependency of itself and earlier rows."""
+        if row < 0:
+            raise ValueError("a row must be a non-negative bit mask")
+        combo = 1 << self.n_rows
+        self.n_rows += 1
+        pivots = self._pivots
+        while row:
+            top = row.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = (row, combo)
+                return None
+            row ^= pivot[0]
+            combo ^= pivot[1]
+        members = []
+        while combo:
+            low = combo & -combo
+            members.append(low.bit_length() - 1)
+            combo ^= low
+        return Dependency(frozenset(members))

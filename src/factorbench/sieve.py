@@ -19,6 +19,15 @@ Primes of which n is a quadratic non-residue never divide a and so touch
 no candidate. The factor base is still every prime up to the bound, and
 the per-round relation sets are identical to fresh reference scans (the
 tests check this), only far cheaper.
+
+The matrix step is incremental as well. One `XorBasis` lives for the whole
+call; each round reduces only the relations that are new in it, and only
+the dependencies those new rows complete are tried. Sending a dependency
+to x/y mod n maps its null space homomorphically into the square roots of
+1, so a round splits n iff some vector of a null-space basis does, and
+the basis vectors of earlier rounds were all tried and found trivial.
+Rounds to success are therefore those of re-running `gf2.eliminate` on
+every relation every round, which stays the reference.
 """
 
 from __future__ import annotations
@@ -30,7 +39,9 @@ from dataclasses import dataclass
 
 from .arith import _sieve_upto, isqrt, sqrt_mod_prime
 from .errors import BudgetExceeded, PerfectSquare, RoundsExhausted
-from .gf2 import BitMatrix, Dependency, eliminate
+from .gf2 import Dependency, XorBasis
+# not called here: the traced benchmark (layerbench) wraps sieve.eliminate by name
+from .gf2 import eliminate  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -84,11 +95,22 @@ class QsTrace:
     via_small_factor: bool = False
 
 
+# (limit, every prime up to limit); replaced whole, never mutated
+_prime_table: tuple[int, tuple[int, ...]] = (1, ())
+
+
 def build_factor_base(bound: int) -> FactorBase:
-    """Sieve of Eratosthenes up to the smooth bound."""
+    """All primes up to the smooth bound, cut from a shared prime table that
+    is re-sieved at double its limit (or at the bound) when a bound passes it."""
+    global _prime_table
     if bound < 2:
         raise ValueError("bound must be >= 2")
-    return FactorBase(bound, tuple(_sieve_upto(bound)))
+    limit, primes = _prime_table
+    if bound > limit:
+        limit = max(bound, 2 * limit)
+        primes = tuple(_sieve_upto(limit))
+        _prime_table = limit, primes
+    return FactorBase(bound, primes[: bisect.bisect_right(primes, bound)])
 
 
 def smooth_decompose(a: int, fb: FactorBase) -> list[int] | None:
@@ -155,7 +177,6 @@ def extract_factor(
     """
     indices = sorted(dep.row_indices)
     width = len(fb.primes)
-    total = [0] * width
     x = 1
     for i in indices:
         if not 0 <= i < len(relations):
@@ -164,14 +185,13 @@ def extract_factor(
         if len(rel.exponents) != width:
             raise ValueError("relation exponent vector does not match the base")
         x = x * rel.b % n
-        for j, e in enumerate(rel.exponents):
-            total[j] += e
+    total = [sum(column) for column in zip(*(relations[i].exponents for i in indices))]
     if any(e & 1 for e in total):
         raise ValueError("selected relations do not have even combined exponents")
     y = 1
-    for j, e in enumerate(total):
+    for p, e in zip(fb.primes, total):
         if e:
-            y = y * pow(fb.primes[j], e >> 1, n) % n
+            y = y * pow(p, e >> 1, n) % n
     g = math.gcd(x - y, n)
     if 1 < g < n:
         return g
@@ -198,8 +218,10 @@ class _RelationScanner:
     A candidate whose residual reaches 1 is smooth; its exponent vector is
     rebuilt from a by trial division over the base of that round and frozen
     at that width (later primes cannot divide an already-smooth residue,
-    so the tail is always zero padding). The per-round relation sets equal
-    `collect_relations` over the same base and window.
+    so the tail is always zero padding). `smooth` only grows, so a
+    relation's index in it is a stable id; `relations` lists them in b
+    order, and its per-round sets equal `collect_relations` over the same
+    base and window.
     """
 
     def __init__(self, n: int):
@@ -209,7 +231,7 @@ class _RelationScanner:
         self.seg_starts: list[int] = []  # index where each run of equal k begins
         self.seg_ks: list[int] = []
         self.offsets: dict[int, list[tuple[int, ...]]] = {}  # k -> per base prime, hit indices mod p
-        self.smooth: list[tuple] = []  # (b, a, exps, parity_mask), b ascending
+        self.smooth: list[tuple] = []  # (b, a, exps, parity_mask), in the order found
         self.primes_done = 0
 
     def advance(self, primes: tuple[int, ...], m_count: int, deadline: float | None) -> None:
@@ -222,11 +244,17 @@ class _RelationScanner:
             offsets = self.offsets.setdefault(k, [])
             for p in primes[len(offsets) :]:
                 offsets.append(tuple((r - s) % p for r in sqrt_mod_prime(k * n, p)))
-            # the old primes have walked this run of k up to old_m already
+            # the old primes have walked this run of k up to old_m already, so
+            # each walks only the tail added since; one poll covers all of them
+            tail_lo = max(seg_lo, old_m)
+            self._check(deadline)
             for j in range(done if seg_hi <= old_m else 0, len(primes)):
-                self._check(deadline)
                 p = primes[j]
-                lo = seg_lo if j >= done else max(seg_lo, old_m)
+                if j < done:
+                    lo = tail_lo
+                else:  # a new prime walks the whole run
+                    lo = seg_lo
+                    self._check(deadline)
                 for o in offsets[j]:
                     for i in range(lo + (o - lo) % p, seg_hi, p):
                         r = rem[i]
@@ -239,13 +267,12 @@ class _RelationScanner:
         self.primes_done = len(primes)
         if fresh:
             fb = FactorBase(primes[-1], primes)
-            for i in fresh:
+            for i in sorted(fresh):
                 b = s + i
                 a = b * b % n
                 exps = smooth_decompose(a, fb)
                 mask = sum(1 << j for j, e in enumerate(exps) if e & 1)
                 self.smooth.append((b, a, exps, mask))
-            self.smooth.sort(key=lambda entry: entry[0])
 
     def _extend(self, m_count: int, deadline: float | None, fresh: list[int]) -> None:
         n, rem = self.n, self.rem
@@ -265,16 +292,17 @@ class _RelationScanner:
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded(f"relation scan over {self.n} ran past its deadline")
 
-    def parity_masks(self) -> list[int]:
-        return [entry[3] for entry in self.smooth]
+    def relation(self, i: int, fb: FactorBase) -> Relation:
+        """Relation number i, in the order found, padded to the width of fb."""
+        b, a, exps, _ = self.smooth[i]
+        pad = (0,) * (len(fb.primes) - len(exps))
+        parity = tuple(e & 1 for e in exps) + pad
+        return Relation(b=b, a=a, exponents=tuple(exps) + pad, parity=parity)
 
     def relations(self, fb: FactorBase) -> list[Relation]:
-        width = len(fb.primes)
-        out = []
-        for b, a, exps, _ in self.smooth:
-            exp_t = tuple(exps) + (0,) * (width - len(exps))
-            out.append(Relation(b=b, a=a, exponents=exp_t, parity=tuple(e & 1 for e in exp_t)))
-        return out
+        """Every relation so far in scan (b) order, as `collect_relations`."""
+        order = sorted(range(len(self.smooth)), key=lambda i: self.smooth[i][0])
+        return [self.relation(i, fb) for i in order]
 
 
 def qs_factor(
@@ -286,9 +314,11 @@ def qs_factor(
     congruences all degenerate there), BudgetExceeded at a polling point
     past the budget, and RoundsExhausted after max_rounds fruitless rounds.
     A first-round base prime dividing n is returned straight away and
-    flagged in the trace. Dependencies already seen to produce a trivial
-    congruence are not retried on later rounds (the outcome cannot change),
-    so dependencies_tried counts distinct attempts.
+    flagged in the trace. Each round's new relations are reduced into one
+    GF(2) basis kept for the whole call, and each dependency that basis
+    reports is tried once, in the round that completes it, so
+    dependencies_tried counts basis dependencies. A relation with all-even
+    exponents is such a dependency on its own.
     """
     if n < 4:
         raise ValueError("n must be >= 4")
@@ -301,7 +331,7 @@ def qs_factor(
     b_bound = params.b_bound
     m_count = params.m_count
     scanner = _RelationScanner(n)
-    tried_trivial: set[frozenset[int]] = set()
+    basis = XorBasis()  # row ids are indices into scanner.smooth
     for round_no in range(1, params.max_rounds + 1):
         trace.rounds = round_no
         trace.final_b = b_bound
@@ -318,32 +348,17 @@ def qs_factor(
             exc.trace = trace
             raise
         trace.relations_found = len(scanner.smooth)
-        masks = scanner.parity_masks()
-        relations: list[Relation] | None = None
-
-        def attempt(dep: Dependency) -> int | None:
-            nonlocal relations
-            signature = frozenset(scanner.smooth[i][0] for i in dep.row_indices)
-            if signature in tried_trivial:
-                return None
-            if relations is None:
-                relations = scanner.relations(fb)
-            trace.dependencies_tried += 1
-            g = extract_factor(n, fb, relations, dep)
-            if g is None:
-                tried_trivial.add(signature)
-            return g
-
-        # a relation with all-even exponents is a congruence of squares by itself
-        for i, mask in enumerate(masks):
-            if mask == 0:
-                g = attempt(Dependency(frozenset([i])))
-                if g is not None:
-                    return g, trace
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded(f"sieve budget exceeded on {n}", trace=trace)
-        for dep in eliminate(BitMatrix(len(fb.primes), masks)):
-            g = attempt(dep)
+        for entry in scanner.smooth[basis.n_rows :]:
+            dep = basis.add(entry[3])
+            if dep is None:
+                continue
+            trace.dependencies_tried += 1
+            # pad only the dependency's own relations to this round's width;
+            # together they form the whole dependency
+            selected = [scanner.relation(i, fb) for i in sorted(dep.row_indices)]
+            g = extract_factor(n, fb, selected, Dependency(frozenset(range(len(selected)))))
             if g is not None:
                 return g, trace
         if deadline is not None and time.monotonic() > deadline:

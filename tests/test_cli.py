@@ -92,6 +92,13 @@ class TestFactorCommand:
         assert out == ""
         assert "m_count" in err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_timeout_rejected(self, capsys, value):
+        code, out, err = run_cli(capsys, "factor", "8051", "--algo", "qs", f"--timeout={value}")
+        assert code == 1
+        assert out == ""
+        assert "timeout must be positive" in err
+
 
 class TestGenDatasetCommand:
     def write_spec(self, tmp_path, doc):
@@ -142,6 +149,28 @@ class TestGenDatasetCommand:
         assert code == 1
         assert out == ""
         assert "cannot write" in err
+
+    def test_undrawable_group_reported(self, capsys, tmp_path):
+        # 3 is the only 2-bit prime, so no product of two distinct ones exists
+        spec = self.write_spec(
+            tmp_path, {"seed": 1, "groups": [{"count": 1, "p_bits": 2, "q_bits": 2, "n_bits": 4}]}
+        )
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "gen-dataset", "--spec", spec, "--out", str(out_csv))
+        assert code == 1
+        assert out == ""
+        assert "cannot generate" in err
+        assert not out_csv.exists()
+
+    def test_env_seed_ignored(self, capsys, tmp_path, monkeypatch):
+        spec = self.write_spec(
+            tmp_path, {"seed": 3, "groups": [{"count": 3, "p_bits": 8, "q_bits": 12, "n_bits": 20}]}
+        )
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(capsys, "gen-dataset", "--spec", spec, "--out", str(a))[0] == 0
+        monkeypatch.setenv("FACTORBENCH_SEED", "5")
+        assert run_cli(capsys, "gen-dataset", "--spec", spec, "--out", str(b))[0] == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestBenchCommand:

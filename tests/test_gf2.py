@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorbench.gf2 import BitMatrix, Dependency, eliminate, row_xor_check
+from factorbench.gf2 import BitMatrix, Dependency, XorBasis, eliminate, row_xor_check
 
 
 def zero_xor_subsets(rows):
@@ -126,3 +126,51 @@ class TestRowXorCheck:
             m = random_matrix(rng)
             for dep in eliminate(m):
                 assert row_xor_check(m, dep)
+
+
+class TestXorBasis:
+    def test_examples(self):
+        basis = XorBasis()
+        assert basis.add(0b011) is None
+        assert basis.add(0b110) is None
+        assert basis.add(0b101).row_indices == frozenset({0, 1, 2})
+        assert basis.add(0b011).row_indices == frozenset({0, 3})
+        assert basis.n_rows == 4
+
+    def test_zero_row_is_its_own_dependency(self):
+        basis = XorBasis()
+        assert basis.add(0b1) is None
+        assert basis.add(0).row_indices == frozenset({1})
+
+    def test_wider_rows_later(self):
+        # a row using a column the earlier rows never had
+        basis = XorBasis()
+        assert basis.add(0b01) is None
+        assert basis.add(0b11) is None
+        assert basis.add(0b100) is None
+        assert basis.add(0b110).row_indices == frozenset({0, 1, 2, 3})
+
+    def test_negative_row_rejected(self):
+        with pytest.raises(ValueError):
+            XorBasis().add(-1)
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_matches_eliminate_over_growing_batches(self, data):
+        # batches of rows, each batch allowed a few more columns than the last
+        basis = XorBasis()
+        rows, deps, width = [], [], 0
+        for _ in range(data.draw(st.integers(1, 5))):
+            width += data.draw(st.integers(0, 4))
+            for row in data.draw(st.lists(st.integers(0, 2**width - 1), max_size=8)):
+                rows.append(row)
+                dep = basis.add(row)
+                if dep is not None:
+                    # it holds the new row, which no earlier dependency does,
+                    # so the dependencies stay linearly independent
+                    assert max(dep.row_indices) == len(rows) - 1
+                    deps.append(dep)
+            m = BitMatrix(width, rows)
+            for dep in deps:
+                assert row_xor_check(m, dep)
+            assert len(deps) == len(eliminate(m))

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from factorbench.arith import is_probable_prime
 from factorbench.errors import BudgetExceeded, PerfectSquare, RoundsExhausted
-from factorbench.gf2 import Dependency
+from factorbench.gf2 import BitMatrix, Dependency, eliminate
 from factorbench.pollard import RhoConfig, pollard_factor
 from factorbench.primegen import random_semiprime
+from factorbench import sieve
 from factorbench.sieve import (
     FactorBase,
     QsParams,
@@ -32,6 +33,28 @@ def reconstruct(exponents, fb):
     return value
 
 
+def reference_qs(n, params):
+    """Oracle: the retry loop with a fresh scan and a fresh elimination of
+    every relation each round, trying every dependency. Returns (factor,
+    rounds, relations found in the last round)."""
+    b_bound, m_count = params.b_bound, params.m_count
+    for round_no in range(1, params.max_rounds + 1):
+        fb = build_factor_base(b_bound)
+        if round_no == 1:
+            for p in fb.primes:
+                if p < n and n % p == 0:
+                    return p, round_no, 0
+        rels = collect_relations(n, fb, m_count)
+        masks = [sum(bit << j for j, bit in enumerate(rel.parity)) for rel in rels]
+        for dep in eliminate(BitMatrix(len(fb.primes), masks)):
+            g = extract_factor(n, fb, rels, dep)
+            if g is not None:
+                return g, round_no, len(rels)
+        b_bound += params.b_increment
+        m_count += params.m_increment
+    return None, params.max_rounds, len(rels)
+
+
 def trial_division_pair(n):
     """Oracle: factor pair via smallest-divisor scan."""
     d = 2
@@ -43,6 +66,12 @@ def trial_division_pair(n):
 
 
 class TestBuildFactorBase:
+    def test_matches_trial_division_as_the_table_grows(self, monkeypatch):
+        monkeypatch.setattr(sieve, "_prime_table", (1, ()))
+        for bound in (2, 3, 2, 40, 41, 1500, 30, 1501, 5000, 4096):
+            expected = tuple(p for p in range(2, bound + 1) if trial_division_pair(p) == {p})
+            assert build_factor_base(bound) == FactorBase(bound, expected)
+
     def test_examples(self):
         assert build_factor_base(7).primes == (2, 3, 5, 7)
         assert build_factor_base(2).primes == (2,)
@@ -226,6 +255,25 @@ class TestQsFactor:
         assert a[0] == b[0]
         assert a[1].rounds == b[1].rounds
         assert a[1].relations_found == b[1].relations_found
+
+
+class TestQsFactorMatchesReference:
+    """Reducing only each round's new relations into one basis, and trying
+    only the dependencies they complete, must take as many rounds as
+    re-eliminating every relation every round."""
+
+    def test_rounds_and_relations(self):
+        rng = random.Random(2024)
+        params = QsParams()
+        for n_bits in [24, 26, 28, 30, 32, 34, 36, 38, 40] * 2 + [25, 33]:
+            p_bits = rng.randrange(5, n_bits // 2 + 1)
+            sp = random_semiprime(p_bits, n_bits - p_bits, n_bits, rng)
+            g, trace = qs_factor(sp.n, params)
+            ref_g, ref_rounds, ref_relations = reference_qs(sp.n, params)
+            assert ref_g is not None
+            assert 1 < g < sp.n and sp.n % g == 0
+            assert trace.rounds == ref_rounds, sp
+            assert trace.relations_found == ref_relations, sp
 
 
 class TestScannerMatchesReference:
