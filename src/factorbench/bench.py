@@ -2,11 +2,11 @@
 per-number time budgets and record the outcomes.
 
 Timeouts are cooperative: the algorithms poll their deadline at bounded
-intervals (rho every `deadline_check_interval` iterations, the sieve per
-candidate and per round), so a recorded elapsed time may overshoot the
-budget by one polling interval. Every record carries a seed derived from
-(config seed, row index, algorithm), which makes results independent of
-worker scheduling.
+intervals (rho every `deadline_check_interval` iterations, rounded up to
+whole batches of `pollard.BATCH` steps; the sieve per candidate and per
+round), so a recorded elapsed time may overshoot the budget by one polling
+interval. Every record carries a seed derived from (config seed, row index,
+algorithm), which makes results independent of worker scheduling.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class BenchConfig:
     qs_params: QsParams = QsParams()
 
     def __post_init__(self):
-        if self.budget_seconds <= 0:
+        if not self.budget_seconds > 0:  # also rejects NaN
             raise ValueError("budget_seconds must be positive")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")

@@ -111,7 +111,7 @@ def _cmd_factor(args) -> int:
         print(f"nothing to factor below 2: {n}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.timeout <= 0:
+        if not args.timeout > 0:  # also rejects NaN
             raise ValueError("timeout must be positive")
         seed = _default_seed(args.seed)
         qs_params = QsParams(

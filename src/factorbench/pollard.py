@@ -1,9 +1,18 @@
-"""Pollard-rho factorization with Floyd cycle detection.
+"""Pollard-rho factorization with Floyd cycle detection and a batched gcd.
 
 The sequence x_{i+1} = x_i^2 + c (mod n) is walked at single and double
 speed; gcd(|x - y|, n) exposes a factor once the two walkers collide modulo
 a prime divisor of n. Two pre-checks run first: a primality test (a prime
 input would loop forever) and trial division by the ten smallest primes.
+
+The walk takes one gcd per batch of `BATCH` steps (Brent 1980): it
+multiplies the differences x - y of the batch together modulo n and takes
+gcd(product, n) once. That gcd is 1 exactly when every step's gcd is 1, so
+a batch whose gcd is not 1 is replayed from its saved start with a gcd after
+each step, which stops at the same first step, with the same divisor, as a
+walk with a gcd after every step. Factors, iteration counts and restarts are
+therefore those of the per-step walk. The first two batches of each walk are
+taken step by step outright, so a short walk does not overshoot and replay.
 """
 
 from __future__ import annotations
@@ -15,6 +24,10 @@ from dataclasses import dataclass, field
 
 from .arith import first_ten_primes, is_probable_prime
 from .errors import BudgetExceeded, NotComposite, RestartsExhausted
+
+# Floyd steps per gcd once a walk is past its per-step warm-up of 2 batches.
+BATCH = 128
+_WARMUP = 2 * BATCH
 
 
 @dataclass(frozen=True)
@@ -44,17 +57,34 @@ def rho_step(x: int, c: int, n: int) -> int:
     return (x * x + c) % n
 
 
+def _floyd_steps(x: int, y: int, c: int, n: int, steps: int) -> tuple[int, int, int, int]:
+    """Up to `steps` Floyd steps with a gcd after each, stopping at the first
+    gcd != 1. Returns (steps taken, that gcd or 1, x, y)."""
+    for taken in range(1, steps + 1):
+        x = (x * x + c) % n
+        y = (y * y + c) % n
+        y = (y * y + c) % n
+        d = math.gcd(x - y, n)
+        if d != 1:
+            return taken, d, x, y
+    return steps, 1, x, y
+
+
 def pollard_factor(
     n: int, cfg: RhoConfig, budget_seconds: float | None = None
 ) -> tuple[int, RhoTrace]:
     """Find a nontrivial factor of composite n.
 
-    Raises NotComposite for (probable) primes, BudgetExceeded when the time
-    budget runs out, and RestartsExhausted when every restart ended with
-    gcd = n. Identical (n, seed) pairs produce identical traces.
+    Raises ValueError for n < 2 and for a budget that is not a positive
+    number (None means no deadline), NotComposite for (probable) primes,
+    BudgetExceeded when the time budget runs out, and RestartsExhausted when
+    every restart ended with gcd = n. Identical (n, seed) pairs produce
+    identical traces.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    if budget_seconds is not None and not budget_seconds > 0:
+        raise ValueError("budget_seconds must be positive")
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     trace = RhoTrace()
     if is_probable_prime(n):
@@ -70,18 +100,28 @@ def pollard_factor(
         trace.c_values.append(c)
         trace.restarts = attempt
         y = (x * x + c) % n
-        since_check = 0
+        walked = since_check = 0
         while True:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            trace.iterations += 1
-            d = math.gcd(x - y, n)
+            if walked < _WARMUP:
+                taken, d, x, y = _floyd_steps(x, y, c, n, BATCH)
+            else:
+                x0, y0 = x, y
+                prod = 1
+                for _ in range(BATCH):
+                    x = (x * x + c) % n
+                    y = (y * y + c) % n
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                taken, d = BATCH, math.gcd(prod, n)
+                if d != 1:
+                    taken, d, x, y = _floyd_steps(x0, y0, c, n, BATCH)
+            trace.iterations += taken
             if d != 1:
                 if d != n:
                     return d, trace
                 break  # walkers met; restart with fresh c and x0
-            since_check += 1
+            walked += BATCH
+            since_check += BATCH
             if since_check >= interval:
                 since_check = 0
                 if deadline is not None and time.monotonic() > deadline:

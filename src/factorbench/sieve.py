@@ -310,9 +310,11 @@ def qs_factor(
 ) -> tuple[int, QsTrace]:
     """Factor composite n with the retry loop over (bound, window) settings.
 
-    Returns (factor, trace). Raises PerfectSquare when n = k*k (the sieve's
-    congruences all degenerate there), BudgetExceeded at a polling point
-    past the budget, and RoundsExhausted after max_rounds fruitless rounds.
+    Returns (factor, trace). Raises ValueError for n < 4 and for a budget
+    that is not a positive number (None means no deadline), PerfectSquare
+    when n = k*k (the sieve's congruences all degenerate there),
+    BudgetExceeded at a polling point past the budget, and RoundsExhausted
+    after max_rounds fruitless rounds.
     A first-round base prime dividing n is returned straight away and
     flagged in the trace. Each round's new relations are reduced into one
     GF(2) basis kept for the whole call, and each dependency that basis
@@ -322,6 +324,8 @@ def qs_factor(
     """
     if n < 4:
         raise ValueError("n must be >= 4")
+    if budget_seconds is not None and not budget_seconds > 0:
+        raise ValueError("budget_seconds must be positive")
     params = params if params is not None else QsParams()
     root = isqrt(n)
     if root * root == n:

@@ -150,3 +150,7 @@ class TestBenchConfig:
             BenchConfig(algorithms=("bogus",))
         with pytest.raises(ValueError):
             BenchConfig(algorithms=())
+
+    def test_nan_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget_seconds must be positive"):
+            BenchConfig(budget_seconds=float("nan"))

@@ -99,6 +99,12 @@ class TestFactorCommand:
         assert out == ""
         assert "timeout must be positive" in err
 
+    def test_nan_timeout_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "factor", "8051", "--algo", "pollard", "--timeout", "nan")
+        assert code == 1
+        assert out == ""
+        assert "timeout must be positive" in err
+
 
 class TestGenDatasetCommand:
     def write_spec(self, tmp_path, doc):

@@ -3,9 +3,12 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from factorbench.errors import BudgetExceeded, NotComposite
-from factorbench.pollard import RhoConfig, pollard_factor, rho_step
+from factorbench.arith import first_ten_primes
+from factorbench.errors import BudgetExceeded, NotComposite, RestartsExhausted
+from factorbench.pollard import BATCH, RhoConfig, RhoTrace, pollard_factor, rho_step
 from factorbench.primegen import random_semiprime
 
 
@@ -17,6 +20,73 @@ def trial_division_factor(n):
             return d
         d += 1
     return n
+
+
+def per_step_pollard(n, seed, max_restarts=20):
+    """Oracle: the Floyd walk with a gcd after every step, without a deadline.
+
+    Returns (factor, trace, walks), where factor is None when every restart
+    ended with gcd = n and walks lists (steps, gcd) for each walk.
+    """
+    trace = RhoTrace()
+    for p in first_ten_primes():
+        if p < n and n % p == 0:
+            return p, trace, []
+    rng = random.Random(seed)
+    walks = []
+    for attempt in range(max_restarts):
+        c = rng.randrange(1, n)
+        x = rng.randrange(1, n)
+        trace.c_values.append(c)
+        trace.restarts = attempt
+        y = (x * x + c) % n
+        steps = 0
+        while True:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            trace.iterations += 1
+            steps += 1
+            d = math.gcd(x - y, n)
+            if d != 1:
+                break
+        walks.append((steps, d))
+        if d != n:
+            return d, trace, walks
+    return None, trace, walks
+
+
+def floyd_differences(n, seed, steps):
+    """x_i - y_i for the first `steps` steps of the first walk of (n, seed)."""
+    rng = random.Random(seed)
+    c = rng.randrange(1, n)
+    x = rng.randrange(1, n)
+    y = rho_step(x, c, n)
+    diffs = []
+    for _ in range(steps):
+        x = rho_step(x, c, n)
+        y = rho_step(rho_step(y, c, n), c, n)
+        diffs.append(x - y)
+    return diffs
+
+
+def assert_matches_oracle(n, seed, max_restarts=20):
+    """pollard_factor agrees with the per-step oracle; returns the oracle's walks."""
+    factor, want, walks = per_step_pollard(n, seed, max_restarts)
+    cfg = RhoConfig(seed=seed, max_restarts=max_restarts)
+    if factor is None:
+        with pytest.raises(RestartsExhausted) as info:
+            pollard_factor(n, cfg)
+        got = info.value.trace
+    else:
+        d, got = pollard_factor(n, cfg)
+        assert d == factor
+    assert (got.iterations, got.restarts, got.c_values) == (
+        want.iterations,
+        want.restarts,
+        want.c_values,
+    )
+    return walks
 
 
 class TestRhoStep:
@@ -111,6 +181,67 @@ class TestPollardFactor:
             (x - mean_x) ** 2 for x in xs
         )
         assert slope > 0, medians
+
+
+class TestBatchedWalkMatchesPerStep:
+    """The batched gcd must end every walk where a gcd after each step would."""
+
+    @given(st.integers(16, 56), st.integers(3, 28), st.integers(0, 2**32), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_property_random_semiprimes(self, n_bits, p_bits, draw_seed, seed):
+        p_bits = min(p_bits, n_bits // 2)
+        sp = random_semiprime(p_bits, n_bits - p_bits, n_bits, random.Random(draw_seed))
+        assert_matches_oracle(sp.n, seed)
+
+    @pytest.mark.parametrize(
+        "n, seed, steps",
+        [
+            (430915087, 6, 100),  # inside the first warm-up batch
+            (27289493941, 3, 128),  # last step of the first warm-up batch
+            (662553491, 6, 129),  # first step of the second warm-up batch
+            (123469610071, 2, 256),  # last warm-up step
+            (10317018809, 5, 257),  # first step of the first product batch
+            (64237826911, 6, 300),  # mid-batch
+            (32169910649, 5, 384),  # last step of the first product batch
+            (18410469613, 2, 385),  # first step of the second product batch
+        ],
+    )
+    def test_walk_ends_at_pinned_step(self, n, seed, steps):
+        walks = assert_matches_oracle(n, seed)
+        assert len(walks) == 1
+        assert walks[0][0] == steps
+        assert 1 < walks[0][1] < n
+
+    def test_restart_after_collision_in_a_product_batch(self):
+        n = 230940722119
+        assert assert_matches_oracle(n, 6) == [(735, n), (243, 491653)]
+        assert assert_matches_oracle(n, 6, max_restarts=1) == [(735, n)]
+
+    def test_both_primes_in_one_batch_replay_finds_proper_factor(self):
+        # Both primes of n collide in steps 257..384, so the batch product is
+        # 0 (mod n), yet the first step with gcd != 1 exposes one prime alone.
+        n, seed = 3947527433, 0
+        diffs = floyd_differences(n, seed, 3 * BATCH)
+        first = next(i for i, v in enumerate(diffs) if math.gcd(v, n) != 1)
+        assert first + 1 == 282 and math.gcd(diffs[first], n) == 64577
+        assert math.prod(diffs[2 * BATCH :]) % n == 0
+        assert assert_matches_oracle(n, seed) == [(282, 64577)]
+
+    def test_deadline_polled_every_batch(self):
+        sp = random_semiprime(30, 30, 60, random.Random(12))
+        with pytest.raises(BudgetExceeded) as info:
+            pollard_factor(sp.n, RhoConfig(seed=1, deadline_check_interval=1), 1e-6)
+        trace = info.value.trace
+        # the first poll, after the first batch, already finds the deadline past
+        assert trace.iterations == BATCH
+        assert trace.restarts == 0 and len(trace.c_values) == 1
+
+
+class TestBudgetValidation:
+    @pytest.mark.parametrize("budget", [float("nan"), 0.0, -1.0])
+    def test_non_positive_or_nan_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget_seconds must be positive"):
+            pollard_factor(8051, RhoConfig(seed=7), budget)
 
 
 class TestRhoConfig:

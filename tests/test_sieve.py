@@ -210,6 +210,11 @@ class TestQsFactor:
         with pytest.raises(ValueError):
             qs_factor(3, QsParams())
 
+    @pytest.mark.parametrize("budget", [float("nan"), 0.0, -1.0])
+    def test_non_positive_or_nan_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget_seconds must be positive"):
+            qs_factor(946613331739179941, QsParams(max_rounds=60), budget)
+
     def test_budget_exceeded_carries_trace(self):
         sp = random_semiprime(30, 30, 60, random.Random(17))
         with pytest.raises(BudgetExceeded) as exc_info:
