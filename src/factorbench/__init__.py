@@ -1,7 +1,7 @@
 """Factorization toolkit: pollard-rho, basic quadratic sieve, and a seeded
 benchmark harness for comparing the two on semiprime datasets."""
 
-from .arith import first_ten_primes, gcd, is_probable_prime, isqrt, mod_pow
+from .arith import first_ten_primes, is_probable_prime
 from .bench import BenchConfig, BenchRecord, FactorOutcome, run_bench, verify_outcomes
 from .errors import (
     BudgetExceeded,
@@ -59,12 +59,9 @@ __all__ = [
     "eliminate",
     "extract_factor",
     "first_ten_primes",
-    "gcd",
     "generate_dataset",
     "head_to_head",
     "is_probable_prime",
-    "isqrt",
-    "mod_pow",
     "pollard_factor",
     "qs_factor",
     "random_prime",

@@ -31,32 +31,6 @@ def _sieve_upto(bound: int) -> list[int]:
 _SMALL_PRIMES = tuple(_sieve_upto(_SMALL_LIMIT))
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two non-negative integers."""
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
-
-
-def abs_diff(a: int, b: int) -> int:
-    """|a - b| for non-negative integers."""
-    return a - b if a >= b else b - a
-
-
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus via square-and-multiply."""
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    return pow(base, exp, modulus)
-
-
-def isqrt(n: int) -> int:
-    """Floor square root: the unique r with r*r <= n < (r+1)*(r+1)."""
-    if n < 0:
-        raise ValueError("isqrt of a negative number")
-    return math.isqrt(n)
-
-
 def sqrt_mod_prime(c: int, p: int) -> tuple[int, ...]:
     """All x in [0, p) with x*x = c (mod p), ascending, for prime p.
 

@@ -3,10 +3,13 @@ per-number time budgets and record the outcomes.
 
 Timeouts are cooperative: the algorithms poll their deadline at bounded
 intervals (rho every `deadline_check_interval` iterations, rounded up to
-whole batches of `pollard.BATCH` steps; the sieve per candidate and per
-round), so a recorded elapsed time may overshoot the budget by one polling
-interval. Every record carries a seed derived from (config seed, row index,
-algorithm), which makes results independent of worker scheduling.
+whole batches of `pollard.BATCH` steps; the sieve every 256 new
+candidates, before each newly admitted prime walks the window, once
+before the older primes walk the candidates added that round, and before
+and after each round's matrix step), so a recorded elapsed time may
+overshoot the budget by one polling interval. Every record carries a seed
+derived from (config seed, row index, algorithm), which makes results
+independent of worker scheduling.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -137,10 +141,10 @@ def run_attempt(
     )
 
 
-def _run_indexed(task) -> tuple[int, int, BenchRecord]:
-    row_index, algo_index, semiprime, algorithm, seed, budget, qs_params = task
+def _run_task(task) -> BenchRecord:
+    semiprime, algorithm, seed, budget, qs_params = task
     outcome = run_attempt(algorithm, semiprime.n, seed, budget, qs_params)
-    return row_index, algo_index, BenchRecord(semiprime=semiprime, outcome=outcome)
+    return BenchRecord(semiprime=semiprime, outcome=outcome)
 
 
 def run_bench(
@@ -152,27 +156,20 @@ def run_bench(
     """
     if not dataset:
         raise ValueError("dataset must be nonempty")
-    tasks = []
-    for row_index, sp in enumerate(dataset):
-        for algo_index, algorithm in enumerate(cfg.algorithms):
-            seed = derive_seed(cfg.seed, row_index, algorithm)
-            tasks.append(
-                (row_index, algo_index, sp, algorithm, seed, cfg.budget_seconds, cfg.qs_params)
-            )
-    results: dict[tuple[int, int], BenchRecord] = {}
-    if cfg.workers == 1:
-        for task in tasks:
-            ri, ai, record = _run_indexed(task)
-            results[(ri, ai)] = record
+    budget, qs_params = cfg.budget_seconds, cfg.qs_params
+    tasks = [
+        (sp, algorithm, derive_seed(cfg.seed, row_index, algorithm), budget, qs_params)
+        for row_index, sp in enumerate(dataset)
+        for algorithm in cfg.algorithms
+    ]
+    records = []
+    # map and pool.map both yield in task order
+    with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
+        for record in (pool.map if pool else map)(_run_task, tasks):
+            records.append(record)
             if progress is not None:
                 progress(record)
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for ri, ai, record in pool.map(_run_indexed, tasks):
-                results[(ri, ai)] = record
-                if progress is not None:
-                    progress(record)
-    return [results[key] for key in sorted(results)]
+    return records
 
 
 def verify_outcomes(records: list[BenchRecord]) -> list[str]:

@@ -216,12 +216,8 @@ def _render_bitdiff_table(lines, stats, with_rate: bool):
     lines.append("")
 
 
-def render_report(
-    records: list[BenchRecord], tables: tuple[str, ...] = TABLE_NAMES, format: str = "markdown"
-) -> str:
+def render_report(records: list[BenchRecord], tables: tuple[str, ...] = TABLE_NAMES) -> str:
     """Deterministic Markdown document with the selected tables."""
-    if format != "markdown":
-        raise ValueError(f"unsupported format {format!r}")
     bad = [t for t in tables if t not in TABLE_NAMES]
     if bad:
         raise ValueError(f"unknown tables {bad}; valid names: {', '.join(TABLE_NAMES)}")

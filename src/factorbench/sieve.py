@@ -3,10 +3,12 @@ congruence-of-squares extraction, and the bound/window retry loop.
 
 Candidates b = ceil(sqrt(n)), ceil(sqrt(n))+1, ... give residues
 a = b*b mod n; the ones that factor completely over the prime base become
-relations. A subset of relations whose exponent parities cancel yields
-x*x = y*y (mod n), and gcd(|x-y|, n) then splits n unless the congruence
-is degenerate. When no split falls out, the smooth bound and the scan
-window both grow by fixed increments and the process repeats.
+relations. A subset of relations whose exponent parities cancel has a
+product of a values that is a perfect square, so x = prod b and
+y = isqrt(prod a) satisfy x*x = y*y (mod n), and gcd(x-y, n) then splits n
+unless the congruence is degenerate. When no split falls out, the smooth
+bound and the scan window both grow by fixed increments and the process
+repeats.
 
 `collect_relations` is the plain reference scan for one (base, window)
 setting: it trial-divides every candidate by every base prime. `qs_factor`
@@ -18,7 +20,9 @@ window when it is newly admitted, over the newly added tail after that.
 Primes of which n is a quadratic non-residue never divide a and so touch
 no candidate. The factor base is still every prime up to the bound, and
 the per-round relation sets are identical to fresh reference scans (the
-tests check this), only far cheaper.
+tests check this), only far cheaper. The sieve keeps each relation as b,
+a and the parity mask of a's exponents, which is all the matrix and
+extraction steps need; no exponent vector is kept.
 
 The matrix step is incremental as well. One `XorBasis` lives for the whole
 call; each round reduces only the relations that are new in it, and only
@@ -29,7 +33,6 @@ the basis vectors of earlier rounds were all tried and found trivial.
 Rounds to success are therefore those of re-running `gf2.eliminate` on
 every relation every round, which stays the reference.
 """
-
 from __future__ import annotations
 
 import bisect
@@ -37,9 +40,9 @@ import math
 import time
 from dataclasses import dataclass
 
-from .arith import _sieve_upto, isqrt, sqrt_mod_prime
+from .arith import _sieve_upto, sqrt_mod_prime
 from .errors import BudgetExceeded, PerfectSquare, RoundsExhausted
-from .gf2 import Dependency, XorBasis
+from .gf2 import XorBasis
 # not called here: the traced benchmark (layerbench) wraps sieve.eliminate by name
 from .gf2 import eliminate  # noqa: F401
 
@@ -59,11 +62,11 @@ class Relation:
     b: int
     a: int
     exponents: tuple[int, ...]
-    parity: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.exponents) != len(self.parity):
-            raise ValueError("exponent and parity vectors must have equal length")
+    @property
+    def parity(self) -> tuple[int, ...]:
+        """The exponent vector mod 2."""
+        return tuple(e & 1 for e in self.exponents)
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,7 @@ def smooth_decompose(a: int, fb: FactorBase) -> list[int] | None:
 
 
 def _ceil_sqrt(n: int) -> int:
-    r = isqrt(n)
+    r = math.isqrt(n)
     return r + 1 if r * r < n else r
 
 
@@ -159,39 +162,28 @@ def collect_relations(
         if a != 0:
             exps = smooth_decompose(a, fb)
             if exps is not None:
-                relations.append(
-                    Relation(b=b, a=a, exponents=tuple(exps), parity=tuple(e & 1 for e in exps))
-                )
+                relations.append(Relation(b=b, a=a, exponents=tuple(exps)))
         b += 1
     return relations
 
 
-def extract_factor(
-    n: int, fb: FactorBase, relations: list[Relation], dep: Dependency
-) -> int | None:
+def extract_factor(n: int, pairs: list[tuple[int, int]]) -> int | None:
     """Turn one dependency into a factor via the congruence of squares.
 
-    x is the product of the selected b values mod n; y is rebuilt from the
-    halved sum of exponent vectors. Tries gcd(|x-y|, n) and then
-    gcd(x+y, n); returns None when both come out trivial.
+    `pairs` holds the dependency's (b, a) pairs, each with b*b = a (mod n).
+    x is the product of the b values mod n, and y = isqrt(prod a) mod n,
+    which is exact because the a values multiply to a perfect square.
+    Tries gcd(x-y, n) and then gcd(x+y, n); returns None when both come out
+    trivial. Raises ValueError when prod a is not a perfect square.
     """
-    indices = sorted(dep.row_indices)
-    width = len(fb.primes)
     x = 1
-    for i in indices:
-        if not 0 <= i < len(relations):
-            raise IndexError(f"relation index {i} out of range")
-        rel = relations[i]
-        if len(rel.exponents) != width:
-            raise ValueError("relation exponent vector does not match the base")
-        x = x * rel.b % n
-    total = [sum(column) for column in zip(*(relations[i].exponents for i in indices))]
-    if any(e & 1 for e in total):
-        raise ValueError("selected relations do not have even combined exponents")
-    y = 1
-    for p, e in zip(fb.primes, total):
-        if e:
-            y = y * pow(p, e >> 1, n) % n
+    for b, _ in pairs:
+        x = x * b % n
+    square = math.prod(a for _, a in pairs)
+    y = math.isqrt(square)
+    if y * y != square:
+        raise ValueError("selected relations do not multiply to a perfect square")
+    y %= n
     g = math.gcd(x - y, n)
     if 1 < g < n:
         return g
@@ -215,13 +207,12 @@ class _RelationScanner:
     candidates (`seg_starts`/`seg_ks`); for n of 40 bits and more at the
     default windows it is always 1.
 
-    A candidate whose residual reaches 1 is smooth; its exponent vector is
-    rebuilt from a by trial division over the base of that round and frozen
-    at that width (later primes cannot divide an already-smooth residue,
-    so the tail is always zero padding). `smooth` only grows, so a
-    relation's index in it is a stable id; `relations` lists them in b
-    order, and its per-round sets equal `collect_relations` over the same
-    base and window.
+    A candidate whose residual reaches 1 is smooth; its parity mask is
+    taken from a trial division of a over the base of that round (later
+    primes cannot divide an already-smooth residue, so the mask never
+    changes). `smooth` holds (b, a, mask) and only grows, so a relation's
+    index in it is a stable id; its per-round sets, in b order, equal
+    `collect_relations` over the same base and window.
     """
 
     def __init__(self, n: int):
@@ -231,7 +222,7 @@ class _RelationScanner:
         self.seg_starts: list[int] = []  # index where each run of equal k begins
         self.seg_ks: list[int] = []
         self.offsets: dict[int, list[tuple[int, ...]]] = {}  # k -> per base prime, hit indices mod p
-        self.smooth: list[tuple] = []  # (b, a, exps, parity_mask), in the order found
+        self.smooth: list[tuple[int, int, int]] = []  # (b, a, parity mask), in the order found
         self.primes_done = 0
 
     def advance(self, primes: tuple[int, ...], m_count: int, deadline: float | None) -> None:
@@ -272,7 +263,7 @@ class _RelationScanner:
                 a = b * b % n
                 exps = smooth_decompose(a, fb)
                 mask = sum(1 << j for j, e in enumerate(exps) if e & 1)
-                self.smooth.append((b, a, exps, mask))
+                self.smooth.append((b, a, mask))
 
     def _extend(self, m_count: int, deadline: float | None, fresh: list[int]) -> None:
         n, rem = self.n, self.rem
@@ -292,18 +283,6 @@ class _RelationScanner:
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded(f"relation scan over {self.n} ran past its deadline")
 
-    def relation(self, i: int, fb: FactorBase) -> Relation:
-        """Relation number i, in the order found, padded to the width of fb."""
-        b, a, exps, _ = self.smooth[i]
-        pad = (0,) * (len(fb.primes) - len(exps))
-        parity = tuple(e & 1 for e in exps) + pad
-        return Relation(b=b, a=a, exponents=tuple(exps) + pad, parity=parity)
-
-    def relations(self, fb: FactorBase) -> list[Relation]:
-        """Every relation so far in scan (b) order, as `collect_relations`."""
-        order = sorted(range(len(self.smooth)), key=lambda i: self.smooth[i][0])
-        return [self.relation(i, fb) for i in order]
-
 
 def qs_factor(
     n: int, params: QsParams | None = None, budget_seconds: float | None = None
@@ -316,18 +295,20 @@ def qs_factor(
     BudgetExceeded at a polling point past the budget, and RoundsExhausted
     after max_rounds fruitless rounds.
     A first-round base prime dividing n is returned straight away and
-    flagged in the trace. Each round's new relations are reduced into one
-    GF(2) basis kept for the whole call, and each dependency that basis
-    reports is tried once, in the round that completes it, so
-    dependencies_tried counts basis dependencies. A relation with all-even
-    exponents is such a dependency on its own.
+    flagged in the trace. Each relation is kept as (b, a, parity mask).
+    Each round's new masks are reduced into one GF(2) basis kept for the
+    whole call, and each dependency that basis reports is tried once, in
+    the round that completes it, by handing its (b, a) pairs to
+    `extract_factor` (y = isqrt(prod a) mod n), so dependencies_tried
+    counts basis dependencies. A relation with all-even exponents is such
+    a dependency on its own.
     """
     if n < 4:
         raise ValueError("n must be >= 4")
     if budget_seconds is not None and not budget_seconds > 0:
         raise ValueError("budget_seconds must be positive")
     params = params if params is not None else QsParams()
-    root = isqrt(n)
+    root = math.isqrt(n)
     if root * root == n:
         raise PerfectSquare(n, root)
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
@@ -355,14 +336,11 @@ def qs_factor(
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded(f"sieve budget exceeded on {n}", trace=trace)
         for entry in scanner.smooth[basis.n_rows :]:
-            dep = basis.add(entry[3])
+            dep = basis.add(entry[2])
             if dep is None:
                 continue
             trace.dependencies_tried += 1
-            # pad only the dependency's own relations to this round's width;
-            # together they form the whole dependency
-            selected = [scanner.relation(i, fb) for i in sorted(dep.row_indices)]
-            g = extract_factor(n, fb, selected, Dependency(frozenset(range(len(selected)))))
+            g = extract_factor(n, [scanner.smooth[i][:2] for i in sorted(dep.row_indices)])
             if g is not None:
                 return g, trace
         if deadline is not None and time.monotonic() > deadline:

@@ -8,31 +8,10 @@ from hypothesis import strategies as st
 from factorbench.arith import (
     FIRST_TEN_PRIMES,
     _miller_rabin,
-    abs_diff,
     first_ten_primes,
-    gcd,
     is_probable_prime,
-    isqrt,
-    mod_pow,
     sqrt_mod_prime,
 )
-
-
-def brute_force_gcd(a, b):
-    """Oracle: largest d dividing both, by scanning every candidate."""
-    best = 0
-    for d in range(1, min(a, b) + 1):
-        if a % d == 0 and b % d == 0:
-            best = d
-    return best
-
-
-def naive_mod_pow(base, exp, modulus):
-    """Oracle: exp repeated multiplications."""
-    result = 1 % modulus
-    for _ in range(exp):
-        result = result * base % modulus
-    return result
 
 
 def trial_division_is_prime(n):
@@ -45,92 +24,6 @@ def trial_division_is_prime(n):
             return False
         d += 1
     return True
-
-
-class TestGcd:
-    def test_small_case(self):
-        assert gcd(12, 18) == 6
-
-    def test_with_zero(self):
-        assert gcd(7, 0) == 7
-        assert gcd(0, 7) == 7
-
-    def test_worked_example_residue(self):
-        # oracle value: brute_force_gcd(233, 400289) == 1
-        assert gcd(633 - 400, 400289) == 1 == brute_force_gcd(233, 400289)
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValueError):
-            gcd(0, 0)
-
-    @given(st.integers(1, 10**6), st.integers(0, 10**6))
-    @settings(max_examples=60)
-    def test_matches_brute_force(self, a, b):
-        g = gcd(a, b)
-        assert a % g == 0 and (b == 0 or b % g == 0)
-        # any common divisor divides g
-        for d in range(1, min(200, min(a, b if b else a) + 1)):
-            if a % d == 0 and b % d == 0:
-                assert g % d == 0
-
-    def test_brute_force_agreement_small(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            a = rng.randrange(1, 5000)
-            b = rng.randrange(1, 5000)
-            assert gcd(a, b) == brute_force_gcd(a, b)
-
-
-class TestAbsDiff:
-    def test_examples(self):
-        assert abs_diff(5, 9) == 4
-        assert abs_diff(9, 5) == 4
-        assert abs_diff(400689, 400289) == 400
-
-    @given(st.integers(0, 2**128), st.integers(0, 2**128))
-    def test_symmetry_and_value(self, a, b):
-        assert abs_diff(a, b) == abs_diff(b, a) == abs(a - b)
-
-
-class TestModPow:
-    def test_examples(self):
-        assert mod_pow(2, 10, 1000) == 24
-        assert mod_pow(12345, 0, 7) == 1
-        # frozen from naive_mod_pow(5, 117, 1009)
-        assert mod_pow(5, 117, 1009) == 555 == naive_mod_pow(5, 117, 1009)
-
-    def test_modulus_zero_rejected(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, 0)
-
-    @given(st.integers(0, 1000), st.integers(0, 1000), st.integers(1, 1000))
-    @settings(max_examples=150)
-    def test_matches_repeated_multiplication(self, base, exp, modulus):
-        assert mod_pow(base, exp, modulus) == naive_mod_pow(base, exp, modulus)
-
-
-class TestIsqrt:
-    def test_examples(self):
-        assert isqrt(0) == 0
-        assert isqrt(400289) == 632
-        assert isqrt(10**6) == 1000
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            isqrt(-1)
-
-    def test_bracketing_volume(self):
-        # 10**5 random values up to 2**128
-        rng = random.Random(987)
-        for _ in range(100_000):
-            n = rng.randrange(0, 1 << 128)
-            r = isqrt(n)
-            assert r * r <= n < (r + 1) * (r + 1)
-
-    @given(st.integers(0, 1 << 128))
-    def test_bracketing(self, n):
-        r = isqrt(n)
-        assert r * r <= n < (r + 1) * (r + 1)
 
 
 class TestSqrtModPrime:

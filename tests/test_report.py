@@ -211,10 +211,6 @@ class TestRenderReport:
         with pytest.raises(ValueError):
             render_report([], tables=("bogus",))
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            render_report([], format="html")
-
     def test_table_selection(self):
         records = [record(17, 1019)]
         doc = render_report(records, tables=("avg-runtime",))

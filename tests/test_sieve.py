@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from factorbench.arith import is_probable_prime
 from factorbench.errors import BudgetExceeded, PerfectSquare, RoundsExhausted
-from factorbench.gf2 import BitMatrix, Dependency, eliminate
+from factorbench.gf2 import BitMatrix, eliminate
 from factorbench.pollard import RhoConfig, pollard_factor
 from factorbench.primegen import random_semiprime
 from factorbench import sieve
 from factorbench.sieve import (
     FactorBase,
     QsParams,
-    Relation,
     _RelationScanner,
     build_factor_base,
     collect_relations,
@@ -33,6 +32,27 @@ def reconstruct(exponents, fb):
     return value
 
 
+def parity_mask(parity):
+    return sum(bit << j for j, bit in enumerate(parity))
+
+
+def exponent_extract(n, fb, rels):
+    """Oracle: the congruence of squares with y rebuilt from the halved
+    sums of the selected relations' exponent vectors."""
+    x = 1
+    for rel in rels:
+        x = x * rel.b % n
+    total = [sum(column) for column in zip(*(rel.exponents for rel in rels))]
+    assert not any(e & 1 for e in total)
+    y = 1
+    for p, e in zip(fb.primes, total):
+        y = y * pow(p, e >> 1, n) % n
+    for g in (math.gcd(x - y, n), math.gcd(x + y, n)):
+        if 1 < g < n:
+            return g
+    return None
+
+
 def reference_qs(n, params):
     """Oracle: the retry loop with a fresh scan and a fresh elimination of
     every relation each round, trying every dependency. Returns (factor,
@@ -45,9 +65,9 @@ def reference_qs(n, params):
                 if p < n and n % p == 0:
                     return p, round_no, 0
         rels = collect_relations(n, fb, m_count)
-        masks = [sum(bit << j for j, bit in enumerate(rel.parity)) for rel in rels]
+        masks = [parity_mask(rel.parity) for rel in rels]
         for dep in eliminate(BitMatrix(len(fb.primes), masks)):
-            g = extract_factor(n, fb, rels, dep)
+            g = extract_factor(n, [(rels[i].b, rels[i].a) for i in sorted(dep.row_indices)])
             if g is not None:
                 return g, round_no, len(rels)
         b_bound += params.b_increment
@@ -154,32 +174,33 @@ class TestCollectRelations:
 class TestExtractFactor:
     def test_worked_example_zero_parity(self):
         n = 400289
-        fb = build_factor_base(7)
-        rels = collect_relations(n, fb, 1)
-        g = extract_factor(n, fb, rels, Dependency(frozenset({0})))
+        rels = collect_relations(n, build_factor_base(7), 1)
+        g = extract_factor(n, [(rel.b, rel.a) for rel in rels])
         assert g == 613
         assert 613 * 653 == n
 
     def test_parity_violation_rejected(self):
-        fb = build_factor_base(7)
-        rel = Relation(b=3, a=2, exponents=(1, 0, 0, 0), parity=(1, 0, 0, 0))
+        n = 61 * 67
+        assert 65 * 65 % n == 138  # 2 * 3 * 23: not a square
         with pytest.raises(ValueError):
-            extract_factor(35, fb, [rel], Dependency(frozenset({0})))
-
-    def test_index_out_of_range(self):
-        fb = build_factor_base(7)
-        with pytest.raises(IndexError):
-            extract_factor(35, fb, [], Dependency(frozenset({0})))
+            extract_factor(n, [(65, 138)])
 
     def test_trivial_when_x_equals_y(self):
         # b*b = b*b (mod n) with a = b*b itself: x = b, y = b, gcd = n
         n = 61 * 67
-        fb = build_factor_base(7)
         b = 4
-        a = b * b % n
-        exps = smooth_decompose(a, fb)
-        rel = Relation(b=b, a=a, exponents=tuple(exps), parity=tuple(e & 1 for e in exps))
-        assert extract_factor(n, fb, [rel], Dependency(frozenset({0}))) is None
+        assert extract_factor(n, [(b, b * b % n)]) is None
+
+    @given(st.integers(8, 13), st.integers(8, 13), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_exponent_oracle(self, p_bits, q_bits, seed):
+        sp = random_semiprime(p_bits, q_bits, p_bits + q_bits, random.Random(seed))
+        fb = build_factor_base(30)
+        rels = collect_relations(sp.n, fb, 300)
+        for dep in eliminate(BitMatrix(len(fb.primes), [parity_mask(r.parity) for r in rels])):
+            selected = [rels[i] for i in sorted(dep.row_indices)]
+            expected = exponent_extract(sp.n, fb, selected)
+            assert extract_factor(sp.n, [(r.b, r.a) for r in selected]) == expected
 
 
 class TestQsFactor:
@@ -289,9 +310,11 @@ class TestScannerMatchesReference:
         for bound, m_count in schedule:
             fb = build_factor_base(bound)
             scanner.advance(fb.primes, m_count, None)
-            incremental = scanner.relations(fb)
-            reference = collect_relations(n, fb, m_count)
-            assert incremental == reference, (n, bound, m_count)
+            reference = [
+                (rel.b, rel.a, parity_mask(rel.parity))
+                for rel in collect_relations(n, fb, m_count)
+            ]
+            assert sorted(scanner.smooth) == reference, (n, bound, m_count)
 
     def test_staged_rounds_small(self):
         self.check(10403, [(10, 50), (20, 150), (30, 250), (40, 350)])
@@ -328,7 +351,7 @@ class TestScannerMatchesReference:
         self.check(n, [(2, 1), (5, 50), (20, 200)])
         scanner = _RelationScanner(n)
         scanner.advance((2,), 1, None)
-        assert scanner.relations(build_factor_base(2)) == [Relation(30, 1, (0,), (0,))]
+        assert scanner.smooth == [(30, 1, 0)]
 
     @given(
         st.integers(6, 10**6),
