@@ -1,5 +1,9 @@
 """Benchmark harness: run both factoring algorithms over a dataset with
-per-number time budgets and record the outcomes.
+per-number time budgets and record the outcomes. `run_attempt` alone
+calls the algorithms and maps how a call ended to a status: a factor or
+perfect square is `success`, `BudgetExceeded` `timeout`,
+`RoundsExhausted`/`RestartsExhausted` `exhausted`, `NotComposite` `error`;
+any other exception is a bug and propagates.
 
 Timeouts are cooperative: the algorithms poll their deadline at bounded
 intervals (rho every `deadline_check_interval` iterations, rounded up to
@@ -27,7 +31,8 @@ from .primegen import Semiprime, derive_seed
 from .sieve import QsParams, qs_factor
 
 ALGORITHMS = ("pollard", "qs")
-STATUSES = ("success", "timeout", "error")
+# "exhausted" comes last so that summaries keep their older prefix
+STATUSES = ("success", "timeout", "error", "exhausted")
 
 # Documented polling slack: a timed-out attempt's recorded elapsed time may
 # exceed its budget by at most the work done between two deadline polls.
@@ -93,6 +98,8 @@ class BenchConfig:
             raise ValueError(
                 f"unknown algorithms {bad}; valid: a nonempty subset of {', '.join(ALGORITHMS)}"
             )
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ValueError(f"repeated algorithms in {list(self.algorithms)}")
 
 
 def run_attempt(
@@ -102,21 +109,26 @@ def run_attempt(
     budget_seconds: float,
     qs_params: QsParams | None = None,
 ) -> FactorOutcome:
-    """One timed factorization; failures become statuses, never exceptions."""
+    """One timed factorization; its ending becomes a status as the module
+    docstring lists. Any other exception, a ValueError included, propagates."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     start = time.monotonic()
-    factor = None
+    factor = trace = None
     try:
         if algorithm == "pollard":
             factor, trace = pollard_factor(n, RhoConfig(seed=seed), budget_seconds)
         else:
             factor, trace = qs_factor(n, qs_params, budget_seconds)
         status = "success"
+    except errors.PerfectSquare as exc:
+        status, factor = "success", exc.root
     except errors.BudgetExceeded as exc:
         status, trace = "timeout", exc.trace
-    except (errors.FactorError, ValueError) as exc:
-        status, trace = "error", getattr(exc, "trace", None)
+    except (errors.RoundsExhausted, errors.RestartsExhausted) as exc:
+        status, trace = "exhausted", exc.trace
+    except errors.NotComposite as exc:
+        status, trace = "error", exc.trace
     elapsed = time.monotonic() - start
     if factor is not None and not (1 < factor < n and n % factor == 0):
         # belt and braces: a bad factor is a bug, surface it as an error record

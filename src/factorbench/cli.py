@@ -1,9 +1,12 @@
 """Command-line entry point: factor, gen-dataset, bench, and report.
 
 Exit codes: 0 success, 1 usage, I/O, generation or verification error,
-2 prime input, 3 timeout or exhausted search. `factor` and `bench` take
-their seed from FACTORBENCH_SEED when --seed is absent, then 0;
-`gen-dataset` uses the spec's own seed unless --seed overrides it.
+2 prime input, 3 timeout or exhausted search. `factor` exits by the status
+of its `bench.run_attempt` call: a spent budget is `timeout`, a round or
+restart cap `exhausted`, a perfect square `success`; anything else
+propagates. `factor` and `bench` take their seed from FACTORBENCH_SEED when
+--seed is absent, then 0; `gen-dataset` uses the spec's own seed unless
+--seed overrides it.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
+from collections import Counter
 from pathlib import Path
 
 from . import errors
@@ -20,19 +23,22 @@ from .bench import (
     STATUSES,
     BenchConfig,
     read_results_csv,
+    run_attempt,
     run_bench,
     verify_outcomes,
     write_results_csv,
 )
-from .pollard import RhoConfig, pollard_factor
 from .primegen import generate_dataset, load_dataset_spec, read_dataset_csv, write_dataset_csv
 from .report import TABLE_NAMES, points_csv, render_report
-from .sieve import QsParams, qs_factor
+from .sieve import QsParams
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PRIME = 2
 EXIT_TIMEOUT = 3
+
+# primes are screened out first, so `error` here means a bad factor: a bug
+EXIT_CODES = dict(success=EXIT_OK, timeout=EXIT_TIMEOUT, error=EXIT_USAGE, exhausted=EXIT_TIMEOUT)
 
 DEFAULT_AUTO_THRESHOLD_BITS = 80
 
@@ -66,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_factor.add_argument("--algo", choices=["pollard", "qs", "auto"], default="auto")
     p_factor.add_argument("--timeout", type=float, default=180.0, help="seconds (default 180)")
     p_factor.add_argument("--seed", type=int, default=None)
-    p_factor.add_argument("--b", type=int, default=None, help="sieve smooth bound start")
-    p_factor.add_argument("--m", type=int, default=None, help="sieve scan window start")
+    p_factor.add_argument("--b", type=int, default=QsParams.b_bound, help="sieve smooth bound start")
+    p_factor.add_argument("--m", type=int, default=QsParams.m_count, help="sieve scan window start")
     p_factor.add_argument(
         "--auto-threshold",
         type=int,
@@ -104,20 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_factor(args) -> int:
     try:
         n = int(args.n, 10)
-    except ValueError:
-        print(f"not a base-10 integer: {args.n!r}", file=sys.stderr)
-        return EXIT_USAGE
-    if n < 2:
-        print(f"nothing to factor below 2: {n}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        if n < 2:
+            raise ValueError(f"nothing to factor below 2: {n}")
         if not args.timeout > 0:  # also rejects NaN
             raise ValueError("timeout must be positive")
         seed = _default_seed(args.seed)
-        qs_params = QsParams(
-            b_bound=args.b if args.b is not None else QsParams.b_bound,
-            m_count=args.m if args.m is not None else QsParams.m_count,
-        )
+        qs_params = QsParams(b_bound=args.b, m_count=args.m)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
@@ -127,35 +125,22 @@ def _cmd_factor(args) -> int:
     algo = args.algo
     if algo == "auto":
         algo = "pollard" if n.bit_length() < args.auto_threshold else "qs"
-    start = time.monotonic()
-    try:
-        if algo == "pollard":
-            factor, _ = pollard_factor(n, RhoConfig(seed=seed), args.timeout)
-        else:
-            factor, _ = qs_factor(n, qs_params, args.timeout)
-    except errors.PerfectSquare as exc:
-        factor = exc.root
-    except errors.BudgetExceeded:
+    outcome = run_attempt(algo, n, seed, args.timeout, qs_params)
+    if outcome.status == "success":
+        p, q = sorted((outcome.factor, n // outcome.factor))
+        print(f"{n} = {p} * {q}")
+        print(f"elapsed_seconds {outcome.elapsed_seconds:.7f}")
+    elif outcome.status == "timeout":
         print(f"timeout: no factor of {n} within {args.timeout} s")
-        return EXIT_TIMEOUT
-    except (errors.RestartsExhausted, errors.RoundsExhausted) as exc:
-        print(f"gave up: {exc}")
-        return EXIT_TIMEOUT
-    except errors.NotComposite:
-        print(f"{n} is prime")
-        return EXIT_PRIME
-    elapsed = time.monotonic() - start
-    cofactor = n // factor
-    p, q = min(factor, cofactor), max(factor, cofactor)
-    print(f"{n} = {p} * {q}")
-    print(f"elapsed_seconds {elapsed:.7f}")
-    return EXIT_OK
+    elif outcome.status == "exhausted":
+        print(f"gave up: {algo} found no factor of {n} (iterations={outcome.iterations})")
+    return EXIT_CODES[outcome.status]
 
 
 def _cmd_gen_dataset(args) -> int:
     try:
         spec = load_dataset_spec(args.spec, seed_override=args.seed)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"invalid dataset spec {args.spec}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -214,12 +199,8 @@ def _cmd_bench(args) -> int:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     for algorithm in cfg.algorithms:
-        counts = dict.fromkeys(STATUSES, 0)
-        for record in records:
-            if record.outcome.algorithm == algorithm:
-                counts[record.outcome.status] += 1
-        summary = " ".join(f"{k}={v}" for k, v in counts.items())
-        print(f"{algorithm}: {summary}")
+        counts = Counter(r.outcome.status for r in records if r.outcome.algorithm == algorithm)
+        print(f"{algorithm}: " + " ".join(f"{s}={counts[s]}" for s in STATUSES))
     print(f"{len(records)} records written to {args.out}")
     return EXIT_OK
 

@@ -12,7 +12,7 @@ import csv
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .arith import is_probable_prime
@@ -107,9 +107,6 @@ class DatasetSpec:
     groups: tuple[FixedGroup, ...] = field(default_factory=tuple)
     random_groups: tuple[RandomGroup, ...] = field(default_factory=tuple)
 
-    def total_count(self) -> int:
-        return sum(g.count for g in self.groups) + sum(g.count for g in self.random_groups)
-
 
 def random_prime(bits: int, rng: random.Random) -> int:
     """A probable prime with exactly `bits` bits.
@@ -194,23 +191,32 @@ def load_dataset_spec(path: str | Path, seed_override: int | None = None) -> Dat
     return dataset_spec_from_dict(doc, seed_override=seed_override)
 
 
+def _parse_groups(doc: dict, key: str, group_cls) -> tuple:
+    names = [f.name for f in fields(group_cls)]
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise ValueError(f"'{key}' must be a list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or set(entry) != set(names):
+            raise ValueError(f"{key}[{i}] must be an object with exactly the keys {names}")
+        for name in names:
+            if type(entry[name]) is not int:  # bool is an int subclass
+                raise ValueError(f"{key}[{i}].{name} must be an integer, got {entry[name]!r}")
+    return tuple(group_cls(**entry) for entry in entries)
+
+
 def dataset_spec_from_dict(doc: dict, seed_override: int | None = None) -> DatasetSpec:
+    """Validate a spec document; every rejection is a ValueError naming the field."""
     if not isinstance(doc, dict):
         raise ValueError("dataset spec must be a JSON object")
     unknown = set(doc) - {"seed", "groups", "random_groups"}
     if unknown:
         raise ValueError(f"unknown dataset spec keys: {sorted(unknown)}")
     seed = seed_override if seed_override is not None else doc.get("seed")
-    if not isinstance(seed, int):
-        raise ValueError("dataset spec needs an integer 'seed'")
-    groups = tuple(
-        FixedGroup(g["count"], g["p_bits"], g["q_bits"], g["n_bits"])
-        for g in doc.get("groups", [])
-    )
-    random_groups = tuple(
-        RandomGroup(g["count"], g["max_product_bits"]) for g in doc.get("random_groups", [])
-    )
-    return DatasetSpec(seed=seed, groups=groups, random_groups=random_groups)
+    if type(seed) is not int:
+        raise ValueError(f"dataset spec needs an integer 'seed', got {seed!r}")
+    groups = _parse_groups(doc, "groups", FixedGroup)
+    return DatasetSpec(seed, groups, _parse_groups(doc, "random_groups", RandomGroup))
 
 
 def write_dataset_csv(path: str | Path, semiprimes: list[Semiprime]) -> None:

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import factorbench.bench
+from factorbench import errors
 from factorbench.bench import (
     BenchConfig,
     BenchRecord,
@@ -13,6 +15,7 @@ from factorbench.bench import (
     verify_outcomes,
     write_results_csv,
 )
+from factorbench.pollard import RhoTrace
 from factorbench.primegen import DatasetSpec, FixedGroup, generate_dataset, random_semiprime
 
 
@@ -79,6 +82,39 @@ class TestRunBench:
         records = run_bench(small_dataset(2), BenchConfig(budget_seconds=30.0))
         seeds = {r.outcome.seed for r in records}
         assert len(seeds) == len(records)
+
+
+class TestRunAttemptStatuses:
+    def test_round_cap_is_exhausted(self):
+        # 56 bits: the default schedule gives up after 500 rounds, far inside the budget
+        outcome = run_attempt("qs", 49188180397635527, 0, 60.0)
+        assert outcome.status == "exhausted"
+        assert outcome.factor is None
+        assert outcome.iterations == 500
+        assert (outcome.b_param, outcome.m_param) == (5000, 50000)
+
+    def test_perfect_square_is_success(self):
+        outcome = run_attempt("qs", 10201, 0, 5.0)
+        assert outcome.status == "success"
+        assert outcome.factor == 101
+
+    def test_restarts_exhausted_is_exhausted(self, monkeypatch):
+        def give_up(n, cfg, budget):
+            raise errors.RestartsExhausted("no restart found a factor", trace=RhoTrace(iterations=77))
+
+        monkeypatch.setattr(factorbench.bench, "pollard_factor", give_up)
+        outcome = run_attempt("pollard", 8051, 0, 5.0)
+        assert outcome.status == "exhausted"
+        assert outcome.factor is None
+        assert outcome.iterations == 77
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        def broken(n, params, budget):
+            raise ValueError("a bug in the sieve")
+
+        monkeypatch.setattr(factorbench.bench, "qs_factor", broken)
+        with pytest.raises(ValueError, match="a bug in the sieve"):
+            run_attempt("qs", 8051, 0, 5.0)
 
 
 class TestVerifyOutcomes:

@@ -4,7 +4,8 @@ import json
 import pytest
 
 import factorbench.cli
-from factorbench.cli import main
+from factorbench.bench import STATUSES
+from factorbench.cli import EXIT_CODES, main
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +63,15 @@ class TestFactorCommand:
         code, out, _ = run_cli(capsys, "factor", str(101 * 101), "--algo", "qs")
         assert code == 0
         assert out.splitlines()[0] == "10201 = 101 * 101"
+
+    def test_round_cap_gives_up(self, capsys):
+        # 56 bits: the default sieve schedule stops at its 500-round cap
+        code, out, _ = run_cli(capsys, "factor", "49188180397635527", "--algo", "qs")
+        assert code == 3
+        assert out.startswith("gave up")
+
+    def test_exit_codes_cover_every_status(self):
+        assert set(EXIT_CODES) == set(STATUSES)
 
     def test_unknown_flag_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "factor", "8051", "--bogus")
@@ -139,6 +149,23 @@ class TestGenDatasetCommand:
         code, _, err = run_cli(capsys, "gen-dataset", "--spec", spec, "--out", str(tmp_path / "x.csv"))
         assert code == 1
         assert "invalid dataset spec" in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"seed": 0, "groups": [{"count": 1.5, "p_bits": 5, "q_bits": 5, "n_bits": 10}]},
+            {"seed": 0, "random_groups": [{"count": 1, "max_product_bits": 7.5}]},
+        ],
+    )
+    def test_float_field_rejected(self, capsys, tmp_path, doc):
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "gen-dataset", "--spec", self.write_spec(tmp_path, doc), "--out", str(out_csv)
+        )
+        assert code == 1
+        assert out == ""
+        assert "must be an integer" in err
+        assert not out_csv.exists()
 
     def test_missing_spec_file(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -221,6 +248,16 @@ class TestBenchCommand:
         )
         assert code == 1
         assert "unknown algorithms" in err
+
+    def test_repeated_algorithm_rejected(self, capsys, tmp_path, dataset):
+        results = tmp_path / "r.csv"
+        code, out, err = run_cli(
+            capsys, "bench", "--dataset", dataset, "--out", str(results), "--algos", "pollard,pollard"
+        )
+        assert code == 1
+        assert out == ""
+        assert "repeated algorithms" in err
+        assert not results.exists()
 
     def test_missing_dataset(self, capsys, tmp_path):
         code, _, err = run_cli(

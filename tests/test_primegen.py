@@ -27,6 +27,56 @@ from factorbench.primegen import (
 
 FIVE_BIT_PRIMES = {17, 19, 23, 29, 31}  # oracle: enumeration of 5-bit primes
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def rarely(draw) -> bool:
+    # 5, a middle value: Hypothesis draws the ends of a range more often
+    return draw(st.integers(0, 9)) == 5
+
+
+def mostly(strategy):
+    """`strategy`, but any JSON value about one time in ten."""
+    return st.integers(0, 9).flatmap(lambda k: JSON_VALUES if k == 5 else strategy)
+
+
+@st.composite
+def spec_groups(draw, fixed):
+    """A group object of the right shape, now and then with a value one below
+    its minimum, a bit sum off by one, a key dropped or added, or a value of
+    the wrong type."""
+    group = {"count": draw(st.integers(1, 3)) - rarely(draw)}
+    if fixed:
+        p_bits = draw(st.integers(2, 9)) - rarely(draw)
+        q_bits = draw(st.integers(2, 9)) - rarely(draw)
+        group.update(p_bits=p_bits, q_bits=q_bits, n_bits=p_bits + q_bits + rarely(draw))
+    else:
+        group["max_product_bits"] = draw(st.integers(5, 16)) - rarely(draw)
+    if rarely(draw):
+        del group[draw(st.sampled_from(sorted(group)))]
+    if rarely(draw):
+        group["bogus"] = 1
+    if rarely(draw):
+        group[draw(st.sampled_from(sorted(group)))] = draw(JSON_VALUES)
+    return group
+
+
+@st.composite
+def spec_docs(draw):
+    doc = {"seed": draw(mostly(st.integers(0, 2**64)))}
+    for key, fixed in (("groups", True), ("random_groups", False)):
+        if not rarely(draw):
+            doc[key] = draw(mostly(st.lists(mostly(spec_groups(fixed)), min_size=1, max_size=3)))
+    if rarely(draw):
+        del doc["seed"]
+    if rarely(draw):
+        doc["bogus"] = draw(JSON_VALUES)
+    return doc
+
 
 class TestRandomPrime:
     def test_two_bit(self):
@@ -195,7 +245,6 @@ class TestSpecParsing:
         assert spec.seed == 42
         assert spec.groups == (FixedGroup(2, 5, 35, 40),)
         assert spec.random_groups == (RandomGroup(3, 50),)
-        assert spec.total_count() == 5
 
     def test_seed_override(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -215,6 +264,41 @@ class TestSpecParsing:
     def test_missing_seed_rejected(self):
         with pytest.raises(ValueError):
             dataset_spec_from_dict({"groups": []})
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"seed": True}, "seed"),
+            ({"seed": 1.0}, "seed"),
+            ({"seed": 0, "groups": {}}, "'groups'"),
+            ({"seed": 0, "random_groups": None}, "'random_groups'"),
+            ({"seed": 0, "groups": [3]}, "groups[0]"),
+            ({"seed": 0, "groups": [{"count": 1, "p_bits": 5, "q_bits": 5}]}, "groups[0]"),
+            ({"seed": 0, "random_groups": [{"count": 1, "max_product_bits": 9, "x": 1}]}, "random_groups[0]"),
+            ({"seed": 0, "groups": [{"count": 1.5, "p_bits": 5, "q_bits": 5, "n_bits": 10}]}, "groups[0].count"),
+            ({"seed": 0, "random_groups": [{"count": False, "max_product_bits": 9}]}, "random_groups[0].count"),
+            ({"seed": 0, "random_groups": [{"count": 1, "max_product_bits": 7.5}]}, "random_groups[0].max_product_bits"),
+        ],
+    )
+    def test_malformed_field_named(self, doc, field):
+        with pytest.raises(ValueError) as info:
+            dataset_spec_from_dict(doc)
+        assert field in str(info.value)
+
+    @given(spec_docs())
+    @settings(max_examples=100, deadline=None)
+    def test_accepted_specs_generate_and_rejections_are_value_errors(self, doc):
+        try:
+            spec = dataset_spec_from_dict(doc)
+        except ValueError:
+            return
+        try:
+            rows = generate_dataset(spec)
+        except GenerationError:
+            # documented: 3 is the only 2-bit prime, so (2, 2, 4) cannot be drawn
+            assert any((g.p_bits, g.q_bits) == (2, 2) for g in spec.groups)
+            return
+        assert len(rows) == sum(g.count for g in spec.groups + spec.random_groups)
 
 
 class TestDatasetCsv:
