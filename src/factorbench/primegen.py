@@ -25,6 +25,11 @@ MAX_RESAMPLE_ATTEMPTS = 10_000
 
 PRIMALITY_ROUNDS = 40
 
+# Widest product a spec may ask for. Far above any committed spec, it keeps
+# a random group's list of admissible (p_bits, q_bits) pairs, about
+# MAX_BITS**2 / 2 of them, and a fixed group's prime search small.
+MAX_BITS = 512
+
 DATASET_CSV_HEADER = ["n", "p", "q", "p_bits", "q_bits", "n_bits"]
 
 
@@ -86,6 +91,8 @@ class FixedGroup:
             )
         if min(self.p_bits, self.q_bits) < 2:
             raise ValueError("prime bit lengths must be >= 2")
+        if self.n_bits > MAX_BITS:  # p_bits and q_bits are then below it too
+            raise ValueError(f"n_bits must be <= {MAX_BITS}, got {self.n_bits}")
 
 
 @dataclass(frozen=True)
@@ -99,6 +106,8 @@ class RandomGroup:
         if self.max_product_bits < 5:
             # below 5 bits the only admissible pair would be 2-bit times 2-bit: 3 * 3
             raise ValueError("max_product_bits must be >= 5")
+        if self.max_product_bits > MAX_BITS:
+            raise ValueError(f"max_product_bits must be <= {MAX_BITS}, got {self.max_product_bits}")
 
 
 @dataclass(frozen=True)

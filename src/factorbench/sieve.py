@@ -17,12 +17,19 @@ candidate's undivided residual between rounds. Each base prime's square
 roots of n are found once (Tonelli-Shanks), and the prime then divides only
 the candidates b = +-r (mod p) where it must divide a: over the whole
 window when it is newly admitted, over the newly added tail after that.
-Primes of which n is a quadratic non-residue never divide a and so touch
-no candidate. The factor base is still every prime up to the bound, and
-the per-round relation sets are identical to fresh reference scans (the
-tests check this), only far cheaper. The sieve keeps each relation as b,
-a and the parity mask of a's exponents, which is all the matrix and
-extraction steps need; no exponent vector is kept.
+Primes of which n is a quadratic non-residue are dropped after that one
+check and never enter a loop again. Primes below BLOCK walk the tail with a
+range; larger ones, which seldom hit a tail, wait in buckets of BLOCK
+candidates keyed by their next hit, so a large prime costs a round nothing
+unless it divides one of the round's candidates. Each division records the
+parity of the exponent it takes out, so a candidate's parity mask is ready
+when its residual reaches 1, and the window grows a run of constant
+k = b*b // n at a time, as b*b - k*n, with no division per candidate. The
+factor base is still every prime up to the bound, and the per-round
+relation sets are identical to fresh reference scans (the tests check
+this), only far cheaper. The sieve keeps each relation as b, a and the
+parity mask of a's exponents, which is all the matrix and extraction steps
+need; no exponent vector is kept.
 
 The matrix step is incremental as well. One `XorBasis` lives for the whole
 call; each round reduces only the relations that are new in it, and only
@@ -38,6 +45,7 @@ from __future__ import annotations
 import bisect
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .arith import _sieve_upto, sqrt_mod_prime
@@ -97,6 +105,12 @@ class QsTrace:
     final_m: int = 0
     via_small_factor: bool = False
 
+
+# Candidates per bucket of the scanner's large-prime walks. A prime at or
+# above it re-files each hit in a later bucket; smaller ones walk by range.
+BLOCK = 128
+# Candidates appended between two deadline polls while the window grows.
+FILL = 256
 
 # (limit, every prime up to limit); replaced whole, never mutated
 _prime_table: tuple[int, tuple[int, ...]] = (1, ())
@@ -197,87 +211,142 @@ class _RelationScanner:
     """Root-indexed exact sieve shared across retry rounds.
 
     `rem[i]` is what is left of a = b*b mod n, b = ceil(sqrt(n)) + i, after
-    dividing out the full power of every admitted prime that divides it.
-    Writing a = b*b - k*n with k = b*b // n, a prime p divides a exactly
-    where b*b = k*n (mod p), i.e. on the progressions b = +-r (mod p) of the
-    roots r of k*n mod p, and p**e can only divide a there too. So each
-    prime visits just its progressions: a newly admitted prime walks the
-    whole window, an older one only the tail added this round. Primes with
-    no root never touch a candidate. k is constant on runs of consecutive
-    candidates (`seg_starts`/`seg_ks`); for n of 40 bits and more at the
-    default windows it is always 1.
+    dividing out the full power of every admitted prime that divides it,
+    and `par[i]` has bit j set when the prime of base index j divided a an
+    odd number of times. Writing a = b*b - k*n with k = b*b // n, a prime p
+    divides a exactly where b*b = k*n (mod p), i.e. on the progressions
+    b = +-r (mod p) of the roots r of k*n mod p, and p**e can only divide a
+    there too. So each prime visits just its progressions: a newly admitted
+    prime walks the whole window, an older one only the tail added this
+    round. k is constant on runs of consecutive candidates
+    (`seg_starts`/`seg_ks`); for n of 40 bits and more at the default
+    windows it is always 1.
 
-    A candidate whose residual reaches 1 is smooth; its parity mask is
-    taken from a trial division of a over the base of that round (later
-    primes cannot divide an already-smooth residue, so the mask never
-    changes). `smooth` holds (b, a, mask) and only grows, so a relation's
-    index in it is a stable id; its per-round sets, in b order, equal
-    `collect_relations` over the same base and window.
+    Per k, a base prime is old once its index is below `seen[k]`. A prime
+    with no root of k*n is never kept, so it costs nothing after that one
+    check. A rooted prime below BLOCK is kept in `small[k]` and walks each
+    round's tail with a range. One at or above BLOCK hits a tail of ~100
+    candidates only about once in p/100 rounds, so after its whole-run walk
+    it lives on only as the next hit index of each root, filed in
+    `buckets[k]` under index // BLOCK (the bucket sieve of Aoki and Ueda
+    in its simplest form). A round pops just the blocks its tail overlaps,
+    divides at each hit below the window's end and re-files that entry p
+    further on, always in a later block; entries at or past the end stay
+    put. A round's work is thus its hits, not the size of the base.
+
+    A candidate whose residual reaches 1 is smooth and its parity mask is
+    `par[i]` (later primes cannot divide an already-smooth residue, so the
+    mask never changes). `smooth` holds (b, a, mask) and only grows, so a
+    relation's index in it is a stable id; its per-round sets, in b order,
+    equal `collect_relations` over the same base and window.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.start_b = _ceil_sqrt(n)
         self.rem: list[int] = []  # 0 marks a = 0, which is never a relation
+        self.par: list[int] = []
         self.seg_starts: list[int] = []  # index where each run of equal k begins
         self.seg_ks: list[int] = []
-        self.offsets: dict[int, list[tuple[int, ...]]] = {}  # k -> per base prime, hit indices mod p
+        self.seen: dict[int, int] = {}  # k -> base primes whose roots of k*n are known
+        # k -> (bit, p, hit indices mod p) of each rooted prime below BLOCK
+        self.small: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
+        # k -> block -> (next hit index, p, bit) of each root of a larger prime
+        self.buckets: dict[int, defaultdict[int, list[tuple[int, int, int]]]] = {}
         self.smooth: list[tuple[int, int, int]] = []  # (b, a, parity mask), in the order found
-        self.primes_done = 0
 
     def advance(self, primes: tuple[int, ...], m_count: int, deadline: float | None) -> None:
-        old_m, done = len(self.rem), self.primes_done
+        old_m = len(self.rem)
         fresh: list[int] = []  # indices whose residual reached 1 in this call
         self._extend(m_count, deadline, fresh)
-        n, s, rem = self.n, self.start_b, self.rem
-        ends = self.seg_starts[1:] + [len(rem)]
+        n, s, rem, par = self.n, self.start_b, self.rem, self.par
+        m = len(rem)
+        ends = self.seg_starts[1:] + [m]
         for seg_lo, seg_hi, k in zip(self.seg_starts, ends, self.seg_ks):
-            offsets = self.offsets.setdefault(k, [])
-            for p in primes[len(offsets) :]:
-                offsets.append(tuple((r - s) % p for r in sqrt_mod_prime(k * n, p)))
-            # the old primes have walked this run of k up to old_m already, so
-            # each walks only the tail added since; one poll covers all of them
+            seen = self.seen.get(k, 0)
             tail_lo = max(seg_lo, old_m)
+            if seen == len(primes) and tail_lo >= seg_hi:
+                continue  # no new prime and no tail: nothing to walk
             self._check(deadline)
-            for j in range(done if seg_hi <= old_m else 0, len(primes)):
+            small = self.small.setdefault(k, [])
+            buckets = self.buckets.setdefault(k, defaultdict(list))
+            new = []
+            for j in range(seen, len(primes)):
                 p = primes[j]
-                if j < done:
-                    lo = tail_lo
-                else:  # a new prime walks the whole run
-                    lo = seg_lo
-                    self._check(deadline)
-                for o in offsets[j]:
-                    for i in range(lo + (o - lo) % p, seg_hi, p):
+                offsets = tuple((r - s) % p for r in sqrt_mod_prime(k * n, p))
+                if offsets:
+                    new.append((1 << j, p, offsets))
+            self.seen[k] = len(primes)
+            walks = [w + (seg_lo,) for w in new]  # a new prime walks the whole run
+            if tail_lo < seg_hi:
+                walks += [w + (tail_lo,) for w in small]
+                # the old large primes: only the blocks the tail overlaps
+                for blk in range(tail_lo // BLOCK, (seg_hi - 1) // BLOCK + 1):
+                    for entry in buckets.pop(blk, ()):
+                        i, p, bit = entry
+                        if i >= seg_hi:
+                            buckets[blk].append(entry)
+                            continue
                         r = rem[i]
                         if r > 1:
+                            r //= p
+                            par[i] ^= bit
                             while r % p == 0:
                                 r //= p
+                                par[i] ^= bit
                             rem[i] = r
                             if r == 1:
                                 fresh.append(i)
-        self.primes_done = len(primes)
-        if fresh:
-            fb = FactorBase(primes[-1], primes)
-            for i in sorted(fresh):
-                b = s + i
-                a = b * b % n
-                exps = smooth_decompose(a, fb)
-                mask = sum(1 << j for j, e in enumerate(exps) if e & 1)
-                self.smooth.append((b, a, mask))
+                        i += p
+                        buckets[i // BLOCK].append((i, p, bit))
+            for bit, p, offsets, lo in walks:
+                self._check(deadline)
+                for o in offsets:
+                    for i in range(lo + (o - lo) % p, seg_hi, p):
+                        r = rem[i]
+                        if r > 1:
+                            r //= p
+                            par[i] ^= bit
+                            while r % p == 0:
+                                r //= p
+                                par[i] ^= bit
+                            rem[i] = r
+                            if r == 1:
+                                fresh.append(i)
+            for bit, p, offsets in new:
+                if p < BLOCK:
+                    small.append((bit, p, offsets))
+                elif seg_hi == m:  # only the last run grows
+                    for o in offsets:
+                        i = seg_hi + (o - seg_hi) % p
+                        buckets[i // BLOCK].append((i, p, bit))
+            if seg_hi < m:  # a closed run gets no more tails
+                del self.buckets[k]
+        for i in sorted(fresh):
+            b = s + i
+            self.smooth.append((b, b * b % n, par[i]))
 
     def _extend(self, m_count: int, deadline: float | None, fresh: list[int]) -> None:
-        n, rem = self.n, self.rem
-        for i in range(len(rem), m_count):
-            if i & 255 == 0:
-                self._check(deadline)
-            b = self.start_b + i
-            k, a = divmod(b * b, n)
+        """Append candidates up to m_count, FILL at most per poll, one run of
+        constant k at a time: a = x*x - k*n up to the first b with k+1."""
+        n, s, rem, par = self.n, self.start_b, self.rem, self.par
+        i = len(rem)
+        while i < m_count:
+            self._check(deadline)
+            b = s + i
+            k = b * b // n
             if not self.seg_ks or self.seg_ks[-1] != k:
                 self.seg_starts.append(i)
                 self.seg_ks.append(k)
-            rem.append(a)
-            if a == 1:
+            hi = min(m_count, i + FILL, _ceil_sqrt((k + 1) * n) - s)
+            kn = k * n
+            chunk = [x * x - kn for x in range(b, s + hi)]
+            # a grows by 2b + 1 a step within a run, so only its first a can be 1
+            if chunk[0] == 1:
                 fresh.append(i)
+            rem.extend(chunk)
+            par.extend([0] * len(chunk))
+            i = hi
 
     def _check(self, deadline: float | None) -> None:
         if deadline is not None and time.monotonic() > deadline:

@@ -167,6 +167,23 @@ class TestGenDatasetCommand:
         assert "must be an integer" in err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"seed": 0, "groups": [{"count": 1, "p_bits": 300, "q_bits": 300, "n_bits": 600}]},
+            {"seed": 0, "random_groups": [{"count": 1, "max_product_bits": 100000}]},
+        ],
+    )
+    def test_overwide_group_rejected(self, capsys, tmp_path, doc):
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "gen-dataset", "--spec", self.write_spec(tmp_path, doc), "--out", str(out_csv)
+        )
+        assert code == 1
+        assert out == ""
+        assert "must be <= 512" in err
+        assert not out_csv.exists()
+
     def test_missing_spec_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "gen-dataset", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.csv")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from factorbench.arith import is_probable_prime
 from factorbench.errors import GenerationError
 from factorbench.primegen import (
+    MAX_BITS,
     DatasetSpec,
     FixedGroup,
     RandomGroup,
@@ -284,6 +285,31 @@ class TestSpecParsing:
         with pytest.raises(ValueError) as info:
             dataset_spec_from_dict(doc)
         assert field in str(info.value)
+
+    @pytest.mark.parametrize(
+        "group, field",
+        [
+            ({"count": 1, "p_bits": 100000, "q_bits": 5, "n_bits": 100005}, "n_bits"),
+            ({"count": 1, "p_bits": 300, "q_bits": 213, "n_bits": 513}, "n_bits"),
+            ({"count": 1, "max_product_bits": 100000}, "max_product_bits"),
+            ({"count": 1, "max_product_bits": 513}, "max_product_bits"),
+        ],
+    )
+    def test_widths_capped(self, group, field):
+        key = "groups" if "n_bits" in group else "random_groups"
+        with pytest.raises(ValueError, match=f"{field} must be <= {MAX_BITS}"):
+            dataset_spec_from_dict({"seed": 0, key: [group]})
+
+    def test_widest_spec_accepted(self):
+        spec = dataset_spec_from_dict(
+            {
+                "seed": 0,
+                "groups": [{"count": 1, "p_bits": 256, "q_bits": 256, "n_bits": MAX_BITS}],
+                "random_groups": [{"count": 1, "max_product_bits": MAX_BITS}],
+            }
+        )
+        assert spec.groups == (FixedGroup(1, 256, 256, MAX_BITS),)
+        assert spec.random_groups == (RandomGroup(1, MAX_BITS),)
 
     @given(spec_docs())
     @settings(max_examples=100, deadline=None)

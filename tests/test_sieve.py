@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from factorbench.arith import is_probable_prime
+from factorbench.bench import TIMEOUT_SLACK_SECONDS
 from factorbench.errors import BudgetExceeded, PerfectSquare, RoundsExhausted
 from factorbench.gf2 import BitMatrix, eliminate
 from factorbench.pollard import RhoConfig, pollard_factor
@@ -243,6 +244,13 @@ class TestQsFactor:
         assert exc_info.value.trace is not None
         assert exc_info.value.trace.rounds >= 1
 
+    def test_budget_polled_while_a_wide_window_fills(self):
+        sp = random_semiprime(30, 30, 60, random.Random(17))
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded):
+            qs_factor(sp.n, QsParams(m_count=10**6), budget_seconds=0.02)
+        assert time.monotonic() - start <= 0.02 + TIMEOUT_SLACK_SECONDS
+
     def test_rounds_exhausted(self):
         sp = random_semiprime(20, 20, 40, random.Random(18))
         with pytest.raises(RoundsExhausted):
@@ -352,6 +360,23 @@ class TestScannerMatchesReference:
         scanner = _RelationScanner(n)
         scanner.advance((2,), 1, None)
         assert scanner.smooth == [(30, 1, 0)]
+
+    def test_bucketed_primes_across_k_boundaries(self):
+        # primes past BLOCK join every round or two while k changes every few
+        # candidates, so bucket entries cross both block and run edges
+        self.check(10403, [(150 + 10 * j, 200 + 137 * j) for j in range(15)])
+
+    @pytest.mark.parametrize("bits", [20, 32])
+    def test_default_schedule_past_block(self, bits):
+        # 30 rounds of the +10/+100 schedule: the base passes BLOCK, and the
+        # tails of 100 candidates cross the edges of 128-wide blocks; k
+        # changes every few rounds at 20 bits and never at 32
+        sp = random_semiprime(bits // 2, bits // 2, bits, random.Random(8))
+        self.check(sp.n, [(10 + 10 * j, 100 + 100 * j) for j in range(30)])
+
+    def test_first_window_wider_than_a_fill(self):
+        sp = random_semiprime(15, 15, 30, random.Random(9))
+        self.check(sp.n, [(300, 12 * sieve.FILL + 7), (310, 12 * sieve.FILL + 107), (420, 14 * sieve.FILL)])
 
     @given(
         st.integers(6, 10**6),
