@@ -6,15 +6,13 @@ perfect square is `success`, `BudgetExceeded` `timeout`,
 any other exception is a bug and propagates.
 
 Timeouts are cooperative: the algorithms poll their deadline at bounded
-intervals (rho every `deadline_check_interval` iterations, rounded up to
-whole batches of `pollard.BATCH` steps; the sieve at least every
-`sieve.FILL` new candidates, once per run of constant k before its
-bucketed large primes walk the round's tail, before each prime's range
-walk over the window or the tail, and before and after each round's
-matrix step), so a recorded elapsed time may
-overshoot the budget by one polling interval. Every record carries a seed
-derived from (config seed, row index, algorithm), which makes results
-independent of worker scheduling.
+intervals (rho after every batch of `pollard.BATCH` steps; the sieve at
+least every `sieve.FILL` new candidates, once per run of constant k that
+has a prime or a tail to walk, before each prime's range walk over the run
+or the tail, and before and after each round's matrix step), so a
+recorded elapsed time may overshoot the budget by one polling interval.
+Every record carries a seed derived from (config seed, row index,
+algorithm), which makes results independent of worker scheduling.
 """
 
 from __future__ import annotations

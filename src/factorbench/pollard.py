@@ -34,13 +34,10 @@ _WARMUP = 2 * BATCH
 class RhoConfig:
     seed: int
     max_restarts: int = 20
-    deadline_check_interval: int = 1024
 
     def __post_init__(self):
         if self.max_restarts < 1:
             raise ValueError("max_restarts must be >= 1")
-        if self.deadline_check_interval < 1:
-            raise ValueError("deadline_check_interval must be >= 1")
 
 
 @dataclass
@@ -77,9 +74,10 @@ def pollard_factor(
 
     Raises ValueError for n < 2 and for a budget that is not a positive
     number (None means no deadline), NotComposite for (probable) primes,
-    BudgetExceeded when the time budget runs out, and RestartsExhausted when
-    every restart ended with gcd = n. Identical (n, seed) pairs produce
-    identical traces.
+    BudgetExceeded when the time budget runs out (the deadline is polled
+    after every batch of BATCH steps), and RestartsExhausted when every
+    restart ended with gcd = n. Identical (n, seed) pairs produce identical
+    traces.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -93,14 +91,13 @@ def pollard_factor(
         if p < n and n % p == 0:
             return p, trace
     rng = random.Random(cfg.seed)
-    interval = cfg.deadline_check_interval
     for attempt in range(cfg.max_restarts):
         c = rng.randrange(1, n)
         x = rng.randrange(1, n)
         trace.c_values.append(c)
         trace.restarts = attempt
         y = (x * x + c) % n
-        walked = since_check = 0
+        walked = 0
         while True:
             if walked < _WARMUP:
                 taken, d, x, y = _floyd_steps(x, y, c, n, BATCH)
@@ -121,13 +118,10 @@ def pollard_factor(
                     return d, trace
                 break  # walkers met; restart with fresh c and x0
             walked += BATCH
-            since_check += BATCH
-            if since_check >= interval:
-                since_check = 0
-                if deadline is not None and time.monotonic() > deadline:
-                    raise BudgetExceeded(
-                        f"pollard budget of {budget_seconds}s exceeded on {n}", trace=trace
-                    )
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExceeded(
+                    f"pollard budget of {budget_seconds}s exceeded on {n}", trace=trace
+                )
     raise RestartsExhausted(
         f"no nontrivial factor of {n} in {cfg.max_restarts} restarts", trace=trace
     )

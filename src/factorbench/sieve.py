@@ -18,14 +18,15 @@ roots of n are found once (Tonelli-Shanks), and the prime then divides only
 the candidates b = +-r (mod p) where it must divide a: over the whole
 window when it is newly admitted, over the newly added tail after that.
 Primes of which n is a quadratic non-residue are dropped after that one
-check and never enter a loop again. Primes below BLOCK walk the tail with a
-range; larger ones, which seldom hit a tail, wait in buckets of BLOCK
-candidates keyed by their next hit, so a large prime costs a round nothing
-unless it divides one of the round's candidates. Each division records the
-parity of the exponent it takes out, so a candidate's parity mask is ready
-when its residual reaches 1, and the window grows a run of constant
-k = b*b // n at a time, as b*b - k*n, with no division per candidate. The
-factor base is still every prime up to the bound, and the per-round
+check and never enter a loop again. The window grows a run of constant
+k = b*b // n at a time, as b*b - k*n, with no division per candidate, and
+only its last run ever gets a tail, so the tail walks keep state for that
+run alone: primes below BLOCK walk the tail with a range; larger ones, which
+seldom hit a tail, wait in buckets of BLOCK candidates keyed by their next
+hit, so a large prime costs a round nothing unless it divides one of the
+round's candidates. Each division records the parity of the exponent it
+takes out, so a candidate's parity mask is ready when its residual reaches
+1. The factor base is still every prime up to the bound, and the per-round
 relation sets are identical to fresh reference scans (the tests check
 this), only far cheaper. The sieve keeps each relation as b, a and the
 parity mask of a's exponents, which is all the matrix and extraction steps
@@ -222,17 +223,23 @@ class _RelationScanner:
     (`seg_starts`/`seg_ks`); for n of 40 bits and more at the default
     windows it is always 1.
 
-    Per k, a base prime is old once its index is below `seen[k]`. A prime
-    with no root of k*n is never kept, so it costs nothing after that one
-    check. A rooted prime below BLOCK is kept in `small[k]` and walks each
-    round's tail with a range. One at or above BLOCK hits a tail of ~100
-    candidates only about once in p/100 rounds, so after its whole-run walk
-    it lives on only as the next hit index of each root, filed in
-    `buckets[k]` under index // BLOCK (the bucket sieve of Aoki and Ueda
-    in its simplest form). A round pops just the blocks its tail overlaps,
-    divides at each hit below the window's end and re-files that entry p
-    further on, always in a later block; entries at or past the end stay
-    put. A round's work is thus its hits, not the size of the base.
+    After each call every run has walked the first `admitted` base primes,
+    so in the next call a run that began before it walks the primes from
+    `admitted` on and a run begun in it walks them all. A prime with no root
+    of k*n is never kept, so it costs nothing after that one check. Only the
+    last run before a call can get a tail in it, so only the last run's
+    rooted primes are kept. One below BLOCK is kept in `small` and walks
+    each round's tail with a range. One at or above BLOCK hits a tail of
+    ~100 candidates only about once in p/100 rounds, so after its whole-run
+    walk it lives on only as the next hit index of each root, filed in
+    `buckets` under index // BLOCK (the bucket sieve of Aoki and Ueda in its
+    simplest form). A round pops just the blocks its tail overlaps, divides
+    at each hit below the window's end and re-files that entry p further
+    on, always in a later block; entries at or past the end stay put. A
+    round's work is thus its hits, not the size of the base. When a run
+    begun in a call becomes the last, `small` and `buckets` start empty
+    before that call's rooted primes are filed in them, which drops the
+    state of the run it closed.
 
     A candidate whose residual reaches 1 is smooth and its parity mask is
     `par[i]` (later primes cannot divide an already-smooth residue, so the
@@ -248,11 +255,11 @@ class _RelationScanner:
         self.par: list[int] = []
         self.seg_starts: list[int] = []  # index where each run of equal k begins
         self.seg_ks: list[int] = []
-        self.seen: dict[int, int] = {}  # k -> base primes whose roots of k*n are known
-        # k -> (bit, p, hit indices mod p) of each rooted prime below BLOCK
-        self.small: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
-        # k -> block -> (next hit index, p, bit) of each root of a larger prime
-        self.buckets: dict[int, defaultdict[int, list[tuple[int, int, int]]]] = {}
+        self.admitted = 0  # base primes whose roots every run has walked
+        # the last run's (bit, p, hit indices mod p) of each rooted prime below BLOCK
+        self.small: list[tuple[int, int, tuple[int, ...]]] = []
+        # the last run's block -> (next hit index, p, bit) of each root of a larger prime
+        self.buckets: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
         self.smooth: list[tuple[int, int, int]] = []  # (b, a, parity mask), in the order found
 
     def advance(self, primes: tuple[int, ...], m_count: int, deadline: float | None) -> None:
@@ -263,25 +270,24 @@ class _RelationScanner:
         m = len(rem)
         ends = self.seg_starts[1:] + [m]
         for seg_lo, seg_hi, k in zip(self.seg_starts, ends, self.seg_ks):
-            seen = self.seen.get(k, 0)
-            tail_lo = max(seg_lo, old_m)
-            if seen == len(primes) and tail_lo >= seg_hi:
+            first = self.admitted if seg_lo < old_m else 0  # a run begun now walks every prime
+            if first == len(primes) and seg_hi <= old_m:
                 continue  # no new prime and no tail: nothing to walk
             self._check(deadline)
-            small = self.small.setdefault(k, [])
-            buckets = self.buckets.setdefault(k, defaultdict(list))
             new = []
-            for j in range(seen, len(primes)):
+            for j in range(first, len(primes)):
                 p = primes[j]
                 offsets = tuple((r - s) % p for r in sqrt_mod_prime(k * n, p))
                 if offsets:
                     new.append((1 << j, p, offsets))
-            self.seen[k] = len(primes)
+            if seg_lo >= old_m and seg_hi == m:  # a run begun now is the last one
+                self.small, self.buckets = [], defaultdict(list)
+            small, buckets = self.small, self.buckets
             walks = [w + (seg_lo,) for w in new]  # a new prime walks the whole run
-            if tail_lo < seg_hi:
-                walks += [w + (tail_lo,) for w in small]
+            if seg_lo < old_m < seg_hi:  # only the old last run has a tail
+                walks += [w + (old_m,) for w in small]
                 # the old large primes: only the blocks the tail overlaps
-                for blk in range(tail_lo // BLOCK, (seg_hi - 1) // BLOCK + 1):
+                for blk in range(old_m // BLOCK, (seg_hi - 1) // BLOCK + 1):
                     for entry in buckets.pop(blk, ()):
                         i, p, bit = entry
                         if i >= seg_hi:
@@ -313,15 +319,15 @@ class _RelationScanner:
                             rem[i] = r
                             if r == 1:
                                 fresh.append(i)
-            for bit, p, offsets in new:
-                if p < BLOCK:
-                    small.append((bit, p, offsets))
-                elif seg_hi == m:  # only the last run grows
-                    for o in offsets:
-                        i = seg_hi + (o - seg_hi) % p
-                        buckets[i // BLOCK].append((i, p, bit))
-            if seg_hi < m:  # a closed run gets no more tails
-                del self.buckets[k]
+            if seg_hi == m:  # only the last run grows
+                for bit, p, offsets in new:
+                    if p < BLOCK:
+                        small.append((bit, p, offsets))
+                    else:
+                        for o in offsets:
+                            i = seg_hi + (o - seg_hi) % p
+                            buckets[i // BLOCK].append((i, p, bit))
+        self.admitted = len(primes)
         for i in sorted(fresh):
             b = s + i
             self.smooth.append((b, b * b % n, par[i]))
@@ -350,7 +356,7 @@ class _RelationScanner:
 
     def _check(self, deadline: float | None) -> None:
         if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(f"relation scan over {self.n} ran past its deadline")
+            raise BudgetExceeded(f"sieve over {self.n} ran past its deadline")
 
 
 def qs_factor(
@@ -386,34 +392,32 @@ def qs_factor(
     m_count = params.m_count
     scanner = _RelationScanner(n)
     basis = XorBasis()  # row ids are indices into scanner.smooth
-    for round_no in range(1, params.max_rounds + 1):
-        trace.rounds = round_no
-        trace.final_b = b_bound
-        trace.final_m = m_count
-        fb = build_factor_base(b_bound)
-        if round_no == 1:
-            for p in fb.primes:
-                if p < n and n % p == 0:
-                    trace.via_small_factor = True
-                    return p, trace
-        try:
+    try:
+        for round_no in range(1, params.max_rounds + 1):
+            trace.rounds = round_no
+            trace.final_b = b_bound
+            trace.final_m = m_count
+            fb = build_factor_base(b_bound)
+            if round_no == 1:
+                for p in fb.primes:
+                    if p < n and n % p == 0:
+                        trace.via_small_factor = True
+                        return p, trace
             scanner.advance(fb.primes, m_count, deadline)
-        except BudgetExceeded as exc:
-            exc.trace = trace
-            raise
-        trace.relations_found = len(scanner.smooth)
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(f"sieve budget exceeded on {n}", trace=trace)
-        for entry in scanner.smooth[basis.n_rows :]:
-            dep = basis.add(entry[2])
-            if dep is None:
-                continue
-            trace.dependencies_tried += 1
-            g = extract_factor(n, [scanner.smooth[i][:2] for i in sorted(dep.row_indices)])
-            if g is not None:
-                return g, trace
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(f"sieve budget exceeded on {n}", trace=trace)
-        b_bound += params.b_increment
-        m_count += params.m_increment
+            trace.relations_found = len(scanner.smooth)
+            scanner._check(deadline)
+            for entry in scanner.smooth[basis.n_rows :]:
+                dep = basis.add(entry[2])
+                if dep is None:
+                    continue
+                trace.dependencies_tried += 1
+                g = extract_factor(n, [scanner.smooth[i][:2] for i in sorted(dep.row_indices)])
+                if g is not None:
+                    return g, trace
+            scanner._check(deadline)
+            b_bound += params.b_increment
+            m_count += params.m_increment
+    except BudgetExceeded as exc:
+        exc.trace = trace
+        raise
     raise RoundsExhausted(f"no factor of {n} within {params.max_rounds} rounds", trace=trace)

@@ -17,6 +17,7 @@ from factorbench.bench import (
 )
 from factorbench.pollard import RhoTrace
 from factorbench.primegen import DatasetSpec, FixedGroup, generate_dataset, random_semiprime
+from factorbench.sieve import QsParams
 
 
 def small_dataset(count=3, seed=2):
@@ -66,7 +67,11 @@ class TestRunBench:
 
     def test_timeout_status_on_hard_input(self):
         sp = random_semiprime(30, 30, 60, random.Random(44))
-        records = run_bench([sp], BenchConfig(budget_seconds=0.05, algorithms=("qs",)))
+        # a first window of 10**6 candidates far outlasts the budget on any host
+        config = BenchConfig(
+            budget_seconds=0.05, algorithms=("qs",), qs_params=QsParams(m_count=10**6)
+        )
+        records = run_bench([sp], config)
         assert records[0].outcome.status == "timeout"
         assert records[0].outcome.factor is None
         # trace counters survive the timeout
@@ -132,7 +137,11 @@ class TestVerifyOutcomes:
 
     def test_timeout_records_never_flagged(self):
         sp = random_semiprime(30, 30, 60, random.Random(45))
-        records = run_bench([sp], BenchConfig(budget_seconds=0.05, algorithms=("qs",)))
+        config = BenchConfig(
+            budget_seconds=0.05, algorithms=("qs",), qs_params=QsParams(m_count=10**6)
+        )
+        records = run_bench([sp], config)
+        assert records[0].outcome.status == "timeout"
         assert verify_outcomes(records) == []
 
 
@@ -167,7 +176,8 @@ class TestResultsCsv:
 
     def test_missing_values_empty(self, tmp_path):
         sp = random_semiprime(30, 30, 60, random.Random(46))
-        # first deadline poll comes after 1024 iterations, well past this budget
+        # the first deadline poll comes after the first batch of 128 steps,
+        # well past this budget
         records = run_bench([sp], BenchConfig(budget_seconds=1e-4, algorithms=("pollard",)))
         path = tmp_path / "results.csv"
         write_results_csv(path, records)

@@ -150,7 +150,7 @@ class TestPollardFactor:
         # 60-bit semiprime with balanced factors cannot finish in 1 microsecond
         sp = random_semiprime(30, 30, 60, random.Random(12))
         with pytest.raises(BudgetExceeded):
-            pollard_factor(sp.n, RhoConfig(seed=1, deadline_check_interval=64), 1e-6)
+            pollard_factor(sp.n, RhoConfig(seed=1), 1e-6)
 
     def test_500_semiprimes_within_budget(self):
         rng = random.Random(2024)
@@ -230,7 +230,7 @@ class TestBatchedWalkMatchesPerStep:
     def test_deadline_polled_every_batch(self):
         sp = random_semiprime(30, 30, 60, random.Random(12))
         with pytest.raises(BudgetExceeded) as info:
-            pollard_factor(sp.n, RhoConfig(seed=1, deadline_check_interval=1), 1e-6)
+            pollard_factor(sp.n, RhoConfig(seed=1), 1e-6)
         trace = info.value.trace
         # the first poll, after the first batch, already finds the deadline past
         assert trace.iterations == BATCH
@@ -248,5 +248,3 @@ class TestRhoConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             RhoConfig(seed=0, max_restarts=0)
-        with pytest.raises(ValueError):
-            RhoConfig(seed=0, deadline_check_interval=0)

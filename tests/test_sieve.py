@@ -366,6 +366,14 @@ class TestScannerMatchesReference:
         # candidates, so bucket entries cross both block and run edges
         self.check(10403, [(150 + 10 * j, 200 + 137 * j) for j in range(15)])
 
+    def test_run_starting_at_the_old_window_end(self):
+        # the runs of 10403 begin at indices 43, 75, 102 and 127; each begins
+        # at the window's end of the call before and gets a tail in the call
+        # after, and the base is past BLOCK from the start, so the closed
+        # run's small primes and buckets must be dropped
+        ends = [43, 60, 75, 90, 102, 115, 127, 140]
+        self.check(10403, [(150 + 10 * j, m_count) for j, m_count in enumerate(ends)])
+
     @pytest.mark.parametrize("bits", [20, 32])
     def test_default_schedule_past_block(self, bits):
         # 30 rounds of the +10/+100 schedule: the base passes BLOCK, and the
