@@ -9,12 +9,32 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_right
 
 FIRST_TEN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
-# Trial-division bound for the deterministic small-number shortcut in
-# is_probable_prime: answers are exact below _SMALL_LIMIT**2.
+# is_probable_prime screens every n >= _SMALL_LIMIT with one gcd against the
+# product of the primes below _SMALL_LIMIT, which alone decides n < _SMALL_LIMIT**2.
 _SMALL_LIMIT = 1000
+
+# psi_k for k = 1..13 (OEIS A014233; Jaeschke 1993, Sorenson and Webster 2015):
+# the least odd composite that is a strong pseudoprime to each of the first k
+# primes as bases. The first k primes therefore decide every n < psi_k exactly.
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
 
 
 def _sieve_upto(bound: int) -> list[int]:
@@ -29,6 +49,7 @@ def _sieve_upto(bound: int) -> list[int]:
 
 
 _SMALL_PRIMES = tuple(_sieve_upto(_SMALL_LIMIT))
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
 
 def sqrt_mod_prime(c: int, p: int) -> tuple[int, ...]:
@@ -66,51 +87,56 @@ def sqrt_mod_prime(c: int, p: int) -> tuple[int, ...]:
     return (r, p - r) if r < p - r else (p - r, r)
 
 
+def _strong_test(n: int, a: int, d: int, s: int) -> bool:
+    """Whether odd n passes the strong test to base a, where n - 1 = d * 2**s, d odd."""
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _odd_part(n: int) -> tuple[int, int]:
+    """(d, s) with n - 1 = d * 2**s and d odd, for odd n >= 3."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    return (n - 1) >> s, s
+
+
 def _miller_rabin(n: int, rounds: int, rng: random.Random) -> bool:
     """Strong-pseudoprime test for odd n >= 5.
 
     Returns False only for certain composites; a True answer is wrong with
     probability at most 4**-rounds.
     """
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    d, s = _odd_part(n)
+    return all(_strong_test(n, rng.randrange(2, n - 1), d, s) for _ in range(rounds))
 
 
 def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None) -> bool:
-    """Probabilistic primality test.
+    """Primality test, exact for every n below psi_13 (about 3.3e24, 81.5 bits).
 
-    Small inputs (below _SMALL_LIMIT**2) are decided exactly by trial
-    division. Larger inputs go through Miller-Rabin with `rounds` random
-    witnesses; when no generator is supplied, witnesses are drawn from a
-    generator seeded by n itself, so repeated calls agree.
+    Inputs below _SMALL_LIMIT**2 are decided by the small primes alone, and
+    inputs below psi_13 by the strong test to the first k primes as bases,
+    the fewest that _PSI proves enough for n. Larger inputs go through
+    Miller-Rabin with `rounds` random witnesses, wrong with probability at
+    most 4**-rounds; when no generator is supplied, witnesses are drawn from
+    a generator seeded by n itself, so repeated calls agree.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    if n < 2:
+    if n < _SMALL_LIMIT:
+        return n in _SMALL_PRIMES
+    if math.gcd(n, _SMALL_PRODUCT) != 1:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
     if n < _SMALL_LIMIT * _SMALL_LIMIT:
         # no prime factor below _SMALL_LIMIT, and n < _SMALL_LIMIT**2
         return True
+    if n < _PSI[-1]:
+        d, s = _odd_part(n)
+        return all(_strong_test(n, a, d, s) for a in _SMALL_PRIMES[: 1 + bisect_right(_PSI, n)])
     if rng is None:
         rng = random.Random(n)
     return _miller_rabin(n, rounds, rng)

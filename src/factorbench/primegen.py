@@ -1,4 +1,4 @@
-"""Seeded generation of probable primes and semiprime benchmark datasets.
+"""Seeded generation of primes and semiprime benchmark datasets.
 
 Datasets are described by a DatasetSpec (loadable from JSON) and serialized
 as CSV. Generation is fully deterministic for a fixed spec: each group gets
@@ -22,8 +22,6 @@ from .errors import GenerationError
 # b-bit integers has a+b or a+b-1 bits, so per-attempt success probability
 # is far above 1/2 and the cap is only ever hit on unsatisfiable requests.
 MAX_RESAMPLE_ATTEMPTS = 10_000
-
-PRIMALITY_ROUNDS = 40
 
 # Widest product a spec may ask for. Far above any committed spec, it keeps
 # a random group's list of admissible (p_bits, q_bits) pairs, about
@@ -118,7 +116,7 @@ class DatasetSpec:
 
 
 def random_prime(bits: int, rng: random.Random) -> int:
-    """A probable prime with exactly `bits` bits.
+    """A prime with exactly `bits` bits (see is_probable_prime for how exact).
 
     Candidates have the top bit forced to 1 (exact width) and the low bit
     forced to 1 (odd), and are retried until one passes the primality test.
@@ -127,7 +125,7 @@ def random_prime(bits: int, rng: random.Random) -> int:
         raise ValueError("bits must be >= 2")
     while True:
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if is_probable_prime(candidate, PRIMALITY_ROUNDS):
+        if is_probable_prime(candidate):
             return candidate
 
 
@@ -237,20 +235,24 @@ def write_dataset_csv(path: str | Path, semiprimes: list[Semiprime]) -> None:
 
 
 def read_dataset_csv(path: str | Path) -> list[Semiprime]:
+    """The rows of a dataset CSV. A row that is not a valid Semiprime of two
+    primes is a ValueError naming its line."""
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != DATASET_CSV_HEADER:
             raise ValueError(f"unexpected dataset header: {reader.fieldnames}")
         for row in reader:
-            out.append(
-                Semiprime(
-                    n=int(row["n"]),
-                    p=int(row["p"]),
-                    q=int(row["q"]),
-                    p_bits=int(row["p_bits"]),
-                    q_bits=int(row["q_bits"]),
-                    n_bits=int(row["n_bits"]),
-                )
-            )
+            try:
+                # DictReader files a long row's extra fields under None and
+                # fills a short row's missing ones with None
+                if None in row or None in row.values():
+                    raise ValueError(f"expected {len(DATASET_CSV_HEADER)} fields")
+                s = Semiprime(**{name: int(row[name]) for name in DATASET_CSV_HEADER})
+                for name, value in (("p", s.p), ("q", s.q)):
+                    if not is_probable_prime(value):
+                        raise ValueError(f"{name} = {value} is not prime")
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
+            out.append(s)
     return out

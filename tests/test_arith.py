@@ -6,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorbench.arith import (
+    _PSI,
+    _SMALL_PRIMES,
     FIRST_TEN_PRIMES,
     _miller_rabin,
+    _odd_part,
+    _strong_test,
     first_ten_primes,
     is_probable_prime,
     sqrt_mod_prime,
@@ -88,6 +92,62 @@ class TestIsProbablePrime:
     def test_explicit_generator_accepted(self):
         rng = random.Random(42)
         assert is_probable_prime(10**9 + 7, rng=rng) is True
+
+
+def random_witnesses_say_prime(n):
+    """Oracle for odd n >= 5 beyond trial division: 40 random strong tests."""
+    return _miller_rabin(n, 40, random.Random(n))
+
+
+class TestExactBelowPsi13:
+    def test_table_is_a014233(self):
+        # psi_k is a strong pseudoprime to each of the first k prime bases
+        for k, psi in enumerate(_PSI, start=1):
+            d, s = _odd_part(psi)
+            assert all(_strong_test(psi, a, d, s) for a in _SMALL_PRIMES[:k]), psi
+            assert not random_witnesses_say_prime(psi), psi
+
+    def test_every_psi_rejected(self):
+        # each psi_k sits on a tier edge: the first k bases alone would pass it
+        for psi in _PSI:
+            assert is_probable_prime(psi) is False, psi
+
+    def test_known_primes_across_the_tiers(self):
+        for n in (
+            999983,  # largest prime below 10**6, the gcd screen's reach
+            1000003,
+            2**31 - 1,
+            10**12 + 39,
+            2**61 - 1,
+            10**18 + 9,
+            10**24 + 7,  # between psi_12 and psi_13: all 13 bases
+            2**89 - 1,  # above psi_13: random witnesses
+        ):
+            assert is_probable_prime(n) is True, n
+
+    def test_agrees_with_random_witnesses_around_every_edge(self):
+        for edge in (*_PSI[1:], 10**6):
+            primes = 0
+            for n in range((edge - 300) | 1, edge + 300, 2):
+                expected = random_witnesses_say_prime(n)
+                assert is_probable_prime(n) == expected, n
+                primes += expected
+            assert primes > 0, edge
+
+    @given(
+        st.integers(20, _PSI[-1].bit_length())
+        .flatmap(lambda b: st.integers(max(2 ** (b - 1), 10**6), min(2**b, _PSI[-1]) - 2))
+        .map(lambda n: n | 1)
+    )
+    @settings(max_examples=300)
+    def test_agrees_with_random_witnesses_below_psi13(self, n):
+        assert is_probable_prime(n) == random_witnesses_say_prime(n)
+
+    def test_generator_drawn_from_only_above_psi13(self):
+        rng = random.Random(3)
+        state = rng.getstate()
+        assert is_probable_prime(2**61 - 1, rng=rng) and rng.getstate() == state
+        assert is_probable_prime(2**89 - 1, rng=rng) and rng.getstate() != state
 
 
 class TestFirstTenPrimes:

@@ -282,6 +282,15 @@ class TestBenchCommand:
         )
         assert code == 1
 
+    def test_composite_factor_rejected(self, capsys, tmp_path):
+        dataset = tmp_path / "data.csv"
+        dataset.write_text("n,p,q,p_bits,q_bits,n_bits\n255,15,17,4,5,8\n")  # 15 = 3 * 5
+        results = tmp_path / "r.csv"
+        code, _, err = run_cli(capsys, "bench", "--dataset", str(dataset), "--out", str(results))
+        assert code == 1
+        assert "cannot read dataset" in err and "line 2: p = 15 is not prime" in err
+        assert not results.exists()
+
     def test_empty_algorithm_list_rejected(self, capsys, tmp_path, dataset):
         code, _, err = run_cli(
             capsys, "bench", "--dataset", dataset, "--out", str(tmp_path / "r.csv"), "--algos", ","

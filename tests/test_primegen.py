@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -211,6 +212,16 @@ class TestGenerateDataset:
         assert len(rows) == 30
         assert all(r.n_bits in (40, 50, 60) for r in rows)
 
+    def test_rows_pinned_across_every_primality_tier(self):
+        # prime widths straddle 10**6, each psi_k of the exact test and its upper
+        # bound psi_13 (82 bits); the digest was taken before the exact test existed
+        widths = ((11, 20), (21, 41), (42, 48), (49, 62), (63, 78), (79, 81), (82, 90))
+        spec = DatasetSpec(seed=10, groups=tuple(FixedGroup(3, p, q, p + q) for p, q in widths))
+        text = "".join(f"{s.n},{s.p},{s.q}\n" for s in generate_dataset(spec))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f619b18f835b2aa3feaef7f4d9cd7e9a6085cfbb252786caaacbf5cb52a0b97f"
+        )
+
 
 class TestCommittedSpecs:
     SPECS = Path(__file__).resolve().parents[1] / "specs"
@@ -336,6 +347,23 @@ class TestDatasetCsv:
         assert read_dataset_csv(path) == rows
         header = path.read_text().splitlines()[0]
         assert header == "n,p,q,p_bits,q_bits,n_bits"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("221,13,17,4,5", "line 2: expected 6 fields"),
+            ("221,13,17,4,5,8,0", "line 2: expected 6 fields"),
+            ("2x1,13,17,4,5,8", "line 2: invalid literal"),
+            ("256,13,17,4,5,8", r"line 2: p \* q != n"),
+            # q = 613 * 653
+            ("403891601,1009,400289,10,19,29", "line 2: q = 400289 is not prime"),
+        ],
+    )
+    def test_malformed_row_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "data.csv"
+        path.write_text(f"n,p,q,p_bits,q_bits,n_bits\n{row}\n")
+        with pytest.raises(ValueError, match=message):
+            read_dataset_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
