@@ -17,7 +17,7 @@ algorithm), which makes results independent of worker scheduling.
 
 from __future__ import annotations
 
-import csv
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -26,7 +26,15 @@ from pathlib import Path
 
 from . import errors
 from .pollard import RhoConfig, pollard_factor
-from .primegen import Semiprime, derive_seed
+from .primegen import (
+    DATASET_CSV_HEADER,
+    Semiprime,
+    derive_seed,
+    read_csv_rows,
+    semiprime_from_row,
+    semiprime_row,
+    write_csv_rows,
+)
 from .sieve import QsParams, qs_factor
 
 ALGORITHMS = ("pollard", "qs")
@@ -40,21 +48,8 @@ STATUSES = ("success", "timeout", "error", "exhausted")
 # larger rounds whose final poll gap can be wider.
 TIMEOUT_SLACK_SECONDS = 0.25
 
-RESULTS_CSV_HEADER = [
-    "n",
-    "p",
-    "q",
-    "p_bits",
-    "q_bits",
-    "n_bits",
-    "algorithm",
-    "status",
-    "factor",
-    "elapsed_seconds",
-    "b_param",
-    "m_param",
-    "iterations",
-    "seed",
+RESULTS_CSV_HEADER = DATASET_CSV_HEADER + [
+    "algorithm", "status", "factor", "elapsed_seconds", "b_param", "m_param", "iterations", "seed"
 ]
 
 
@@ -174,8 +169,11 @@ def run_bench(
         for algorithm in cfg.algorithms
     ]
     records = []
+    # the pool starts all its workers at once, so a worker count is never
+    # more than there are tasks or CPUs to run them
+    workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
     # map and pool.map both yield in task order
-    with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for record in (pool.map if pool else map)(_run_task, tasks):
             records.append(record)
             if progress is not None:
@@ -200,57 +198,47 @@ def verify_outcomes(records: list[BenchRecord]) -> list[str]:
     return violations
 
 
+def _record_row(record: BenchRecord) -> list:
+    o = record.outcome
+    # csv.writer writes None as an empty field
+    return [
+        *semiprime_row(record.semiprime),
+        o.algorithm,
+        o.status,
+        o.factor,
+        f"{o.elapsed_seconds:.7f}",
+        o.b_param,
+        o.m_param,
+        o.iterations,
+        o.seed,
+    ]
+
+
 def write_results_csv(path: str | Path, records: list[BenchRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_CSV_HEADER)
-        for record in records:
-            s, o = record.semiprime, record.outcome
-            writer.writerow(
-                [
-                    s.n,
-                    s.p,
-                    s.q,
-                    s.p_bits,
-                    s.q_bits,
-                    s.n_bits,
-                    o.algorithm,
-                    o.status,
-                    "" if o.factor is None else o.factor,
-                    f"{o.elapsed_seconds:.7f}",
-                    "" if o.b_param is None else o.b_param,
-                    "" if o.m_param is None else o.m_param,
-                    o.iterations,
-                    o.seed,
-                ]
-            )
+    write_csv_rows(path, RESULTS_CSV_HEADER, map(_record_row, records))
+
+
+def _record_from_row(row: dict[str, str]) -> BenchRecord:
+    semiprime = semiprime_from_row(row)
+    if row["algorithm"] not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {row['algorithm']!r}")
+    if row["status"] not in STATUSES:
+        raise ValueError(f"unknown status {row['status']!r}")
+    outcome = FactorOutcome(
+        algorithm=row["algorithm"],
+        n=semiprime.n,
+        status=row["status"],
+        factor=int(row["factor"]) if row["factor"] else None,
+        elapsed_seconds=float(row["elapsed_seconds"]),
+        b_param=int(row["b_param"]) if row["b_param"] else None,
+        m_param=int(row["m_param"]) if row["m_param"] else None,
+        iterations=int(row["iterations"]),
+        seed=int(row["seed"]),
+    )
+    return BenchRecord(semiprime=semiprime, outcome=outcome)
 
 
 def read_results_csv(path: str | Path) -> list[BenchRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != RESULTS_CSV_HEADER:
-            raise ValueError(f"unexpected results header: {reader.fieldnames}")
-        for row in reader:
-            semiprime = Semiprime(
-                n=int(row["n"]),
-                p=int(row["p"]),
-                q=int(row["q"]),
-                p_bits=int(row["p_bits"]),
-                q_bits=int(row["q_bits"]),
-                n_bits=int(row["n_bits"]),
-            )
-            outcome = FactorOutcome(
-                algorithm=row["algorithm"],
-                n=int(row["n"]),
-                status=row["status"],
-                factor=int(row["factor"]) if row["factor"] else None,
-                elapsed_seconds=float(row["elapsed_seconds"]),
-                b_param=int(row["b_param"]) if row["b_param"] else None,
-                m_param=int(row["m_param"]) if row["m_param"] else None,
-                iterations=int(row["iterations"]),
-                seed=int(row["seed"]),
-            )
-            records.append(BenchRecord(semiprime=semiprime, outcome=outcome))
-    return records
+    """The records of a results CSV: dataset columns checked as
+    read_dataset_csv checks them, plus a known algorithm and status."""
+    return read_csv_rows(path, RESULTS_CSV_HEADER, _record_from_row)

@@ -3,7 +3,9 @@
 Datasets are described by a DatasetSpec (loadable from JSON) and serialized
 as CSV. Generation is fully deterministic for a fixed spec: each group gets
 its own generator derived from the base seed, so groups can be produced in
-any order or in parallel without changing the output.
+any order or in parallel without changing the output. The CSV reader and
+writer here also serve the results CSV, whose rows start with the dataset
+columns.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import operator
 import random
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -226,33 +229,54 @@ def dataset_spec_from_dict(doc: dict, seed_override: int | None = None) -> Datas
     return DatasetSpec(seed, groups, _parse_groups(doc, "random_groups", RandomGroup))
 
 
-def write_dataset_csv(path: str | Path, semiprimes: list[Semiprime]) -> None:
+def semiprime_from_row(row: dict[str, str]) -> Semiprime:
+    """The Semiprime in a CSV row's dataset columns; a row that is not a
+    valid Semiprime of two primes is a ValueError."""
+    s = Semiprime(**{name: int(row[name]) for name in DATASET_CSV_HEADER})
+    for name, value in (("p", s.p), ("q", s.q)):
+        if not is_probable_prime(value):
+            raise ValueError(f"{name} = {value} is not prime")
+    return s
+
+
+# the dataset columns of a CSV row, inverse of semiprime_from_row
+semiprime_row = operator.attrgetter(*DATASET_CSV_HEADER)
+
+
+def write_csv_rows(path: str | Path, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(DATASET_CSV_HEADER)
-        for s in semiprimes:
-            writer.writerow([s.n, s.p, s.q, s.p_bits, s.q_bits, s.n_bits])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def read_dataset_csv(path: str | Path) -> list[Semiprime]:
-    """The rows of a dataset CSV. A row that is not a valid Semiprime of two
-    primes is a ValueError naming its line."""
+def read_csv_rows(path: str | Path, header: list[str], parse_row) -> list:
+    """`parse_row(row)` of each row of a CSV file whose header is `header`,
+    where `row` maps each column name to its field. A malformed file is a
+    ValueError naming its line, whether the fault is a field count, an
+    unparseable field or a ValueError from `parse_row`."""
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != DATASET_CSV_HEADER:
-            raise ValueError(f"unexpected dataset header: {reader.fieldnames}")
-        for row in reader:
-            try:
+        try:
+            if reader.fieldnames != header:
+                raise ValueError(f"unexpected header: {reader.fieldnames}")
+            for row in reader:
                 # DictReader files a long row's extra fields under None and
                 # fills a short row's missing ones with None
                 if None in row or None in row.values():
-                    raise ValueError(f"expected {len(DATASET_CSV_HEADER)} fields")
-                s = Semiprime(**{name: int(row[name]) for name in DATASET_CSV_HEADER})
-                for name, value in (("p", s.p), ("q", s.q)):
-                    if not is_probable_prime(value):
-                        raise ValueError(f"{name} = {value} is not prime")
-            except ValueError as exc:
-                raise ValueError(f"line {reader.line_num}: {exc}") from None
-            out.append(s)
+                    raise ValueError(f"expected {len(header)} fields")
+                out.append(parse_row(row))
+        except (ValueError, csv.Error) as exc:
+            # the inner reader's count: DictReader's lags on a csv.Error
+            raise ValueError(f"line {reader.reader.line_num}: {exc}") from None
     return out
+
+
+def write_dataset_csv(path: str | Path, semiprimes: list[Semiprime]) -> None:
+    write_csv_rows(path, DATASET_CSV_HEADER, map(semiprime_row, semiprimes))
+
+
+def read_dataset_csv(path: str | Path) -> list[Semiprime]:
+    """The rows of a dataset CSV, each checked by semiprime_from_row."""
+    return read_csv_rows(path, DATASET_CSV_HEADER, semiprime_from_row)

@@ -39,15 +39,8 @@ class GroupStat:
 
 @dataclass(frozen=True)
 class HeadToHeadRow:
-    n: int
-    p: int
-    q: int
-    p_bits: int
-    q_bits: int
-    pollard_status: str
-    pollard_elapsed: float
-    qs_status: str
-    qs_elapsed: float
+    pollard: BenchRecord
+    qs: BenchRecord
     qs_faster: bool
 
 
@@ -132,25 +125,11 @@ def head_to_head(records: list[BenchRecord]) -> HeadToHead:
             unmatched += 1
             continue
         po, qo = pair["pollard"].outcome, pair["qs"].outcome
-        sp = pair["pollard"].semiprime
         if qo.status == "success" and po.status == "success":
             faster = qo.elapsed_seconds < po.elapsed_seconds
         else:
             faster = qo.status == "success" and po.status != "success"
-        rows.append(
-            HeadToHeadRow(
-                n=n,
-                p=sp.p,
-                q=sp.q,
-                p_bits=sp.p_bits,
-                q_bits=sp.q_bits,
-                pollard_status=po.status,
-                pollard_elapsed=po.elapsed_seconds,
-                qs_status=qo.status,
-                qs_elapsed=qo.elapsed_seconds,
-                qs_faster=faster,
-            )
-        )
+        rows.append(HeadToHeadRow(pollard=pair["pollard"], qs=pair["qs"], qs_faster=faster))
     return HeadToHead(rows=tuple(rows), unmatched=unmatched)
 
 
@@ -251,10 +230,11 @@ def render_report(records: list[BenchRecord], tables: tuple[str, ...] = TABLE_NA
         if not flagged:
             lines.append("| no data | | | | | |")
         for r in flagged:
+            sp, po, qo = r.pollard.semiprime, r.pollard.outcome, r.qs.outcome
             lines.append(
-                f"| {r.n} | {r.p} | {r.q} | {r.p_bits}/{r.q_bits} "
-                f"| {r.pollard_elapsed:.7f} ({r.pollard_status}) "
-                f"| {r.qs_elapsed:.7f} ({r.qs_status}) |"
+                f"| {sp.n} | {sp.p} | {sp.q} | {sp.p_bits}/{sp.q_bits} "
+                f"| {po.elapsed_seconds:.7f} ({po.status}) "
+                f"| {qo.elapsed_seconds:.7f} ({qo.status}) |"
             )
         lines.append("")
         lines.append(

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from factorbench.bench import (
     BenchConfig,
     BenchRecord,
     FactorOutcome,
+    RESULTS_CSV_HEADER,
     read_results_csv,
     run_attempt,
     run_bench,
@@ -18,6 +21,11 @@ from factorbench.bench import (
 from factorbench.pollard import RhoTrace
 from factorbench.primegen import DatasetSpec, FixedGroup, generate_dataset, random_semiprime
 from factorbench.sieve import QsParams
+
+
+FIXTURE = Path(__file__).parent / "data" / "results_fixture.csv"
+# a well-formed row of the fixture
+GOOD_ROW = "581363,29,20047,5,15,20,qs,success,20047,0.1830000,60,600,6,6238832819430974754"
 
 
 def small_dataset(count=3, seed=2):
@@ -36,6 +44,41 @@ class TestRunBench:
             out = record.outcome
             assert out.status == "success"
             assert out.n % out.factor == 0 and 1 < out.factor < out.n
+
+    @pytest.mark.parametrize(
+        "workers, rows, cpus, pool_size",
+        [
+            (100_000, 2, 4, 2),  # capped at the task count
+            (100_000, 6, 4, 4),  # capped at the CPU count
+            (3, 6, 4, 3),  # under both caps
+            (100_000, 6, None, None),  # an unknown CPU count runs in-process
+            (2, 1, 4, None),  # one task runs in-process
+        ],
+    )
+    def test_pool_size_capped(self, monkeypatch, workers, rows, cpus, pool_size):
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor without starting a process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(factorbench.bench, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(factorbench.bench.os, "cpu_count", lambda: cpus)
+        cfg = BenchConfig(budget_seconds=30.0, algorithms=("pollard",), workers=workers)
+        records = run_bench(small_dataset(rows), cfg)
+        assert len(records) == rows
+        assert sizes == ([] if pool_size is None else [pool_size])
 
     def test_dataset_order_preserved(self):
         dataset = small_dataset(4)
@@ -184,6 +227,37 @@ class TestResultsCsv:
         row = path.read_text().splitlines()[1].split(",")
         assert row[8] == ""  # factor column empty on timeout
         assert read_results_csv(path)[0].outcome.factor is None
+
+    def test_fixture_roundtrip_byte_identical(self, tmp_path):
+        path = tmp_path / "results.csv"
+        write_results_csv(path, read_results_csv(FIXTURE))
+        assert path.read_bytes() == FIXTURE.read_bytes()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (GOOD_ROW.rsplit(",", 1)[0], "line 2: expected 14 fields"),
+            (GOOD_ROW + ",0", "line 2: expected 14 fields"),
+            (GOOD_ROW.replace(",6,", ",6x,"), "line 2: invalid literal"),
+            (GOOD_ROW.replace(",qs,", ",nosuch,"), "line 2: unknown algorithm 'nosuch'"),
+            (GOOD_ROW.replace(",success,", ",banana,"), "line 2: unknown status 'banana'"),
+            # p = 21 = 3 * 7
+            (
+                "420987,21,20047,5,15,19,qs,success,21,0.1830000,60,600,6,1",
+                "line 2: p = 21 is not prime",
+            ),
+            pytest.param(
+                GOOD_ROW.replace(",success,", "," + "x" * (csv.field_size_limit() + 1) + ","),
+                "line 2: field larger than field limit",
+                id="oversized-field",
+            ),
+        ],
+    )
+    def test_malformed_row_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "results.csv"
+        path.write_text(",".join(RESULTS_CSV_HEADER) + "\n" + row + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_results_csv(path)
 
 
 class TestBenchConfig:

@@ -429,6 +429,18 @@ class TestReportCommand:
         assert code == 0
         assert "no data" in open(out_md).read()
 
+    def test_short_row_reported(self, capsys, tmp_path):
+        from factorbench.bench import RESULTS_CSV_HEADER
+
+        short = tmp_path / "short.csv"
+        short.write_text(",".join(RESULTS_CSV_HEADER) + "\n581363,29,20047,5,15,20,qs\n")
+        out_md = tmp_path / "report.md"
+        code, _, err = run_cli(capsys, "report", "--results", str(short), "--out", str(out_md))
+        assert code == 1
+        assert "cannot read results" in err and "line 2" in err
+        assert "Traceback" not in err
+        assert not out_md.exists()
+
 
 class TestParser:
     def test_no_command_is_usage_error(self, capsys):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import random
@@ -357,6 +358,11 @@ class TestDatasetCsv:
             ("256,13,17,4,5,8", r"line 2: p \* q != n"),
             # q = 613 * 653
             ("403891601,1009,400289,10,19,29", "line 2: q = 400289 is not prime"),
+            pytest.param(
+                "221,13,17,4,5," + "8" * (csv.field_size_limit() + 1),
+                "line 2: field larger than field limit",
+                id="oversized-field",
+            ),
         ],
     )
     def test_malformed_row_names_its_line(self, tmp_path, row, message):
