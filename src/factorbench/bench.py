@@ -7,16 +7,15 @@ any other exception is a bug and propagates.
 
 Timeouts are cooperative: the algorithms poll their deadline at bounded
 intervals (rho after every batch of `pollard.BATCH` steps; the sieve at
-least every `sieve.FILL` new candidates, once per run of constant k that
-has a prime or a tail to walk, before each prime's range walk over the run
-or the tail, and before and after each round's matrix step), so a
-recorded elapsed time may overshoot the budget by one polling interval.
+the points `sieve.qs_factor`'s docstring lists), so a recorded elapsed
+time may overshoot the budget by one polling interval.
 Every record carries a seed derived from (config seed, row index,
 algorithm), which makes results independent of worker scheduling.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -181,20 +180,29 @@ def run_bench(
     return records
 
 
+def _outcome_violation(out: FactorOutcome) -> str | None:
+    """What breaks the factor rule in one outcome, or None: a success needs
+    a factor strictly between 1 and n that divides n, and no other status
+    may carry a factor."""
+    if out.status != "success":
+        return None if out.factor is None else f"status {out.status} carries a factor"
+    if out.factor is None:
+        return "success without a factor"
+    if not 1 < out.factor < out.n:
+        return f"factor {out.factor} out of range for {out.n}"
+    if out.n % out.factor != 0:
+        return f"{out.factor} does not divide {out.n}"
+    return None
+
+
 def verify_outcomes(records: list[BenchRecord]) -> list[str]:
-    """Re-check every success record's factor; returns violation messages."""
+    """Re-check every record's factor (see _outcome_violation); returns
+    violation messages."""
     violations = []
     for i, record in enumerate(records):
-        out = record.outcome
-        if out.status == "success":
-            if out.factor is None:
-                violations.append(f"record {i}: success without a factor")
-            elif not 1 < out.factor < out.n:
-                violations.append(f"record {i}: factor {out.factor} out of range for {out.n}")
-            elif out.n % out.factor != 0:
-                violations.append(f"record {i}: {out.factor} does not divide {out.n}")
-        elif out.factor is not None:
-            violations.append(f"record {i}: status {out.status} carries a factor")
+        violation = _outcome_violation(record.outcome)
+        if violation is not None:
+            violations.append(f"record {i}: {violation}")
     return violations
 
 
@@ -235,10 +243,17 @@ def _record_from_row(row: dict[str, str]) -> BenchRecord:
         iterations=int(row["iterations"]),
         seed=int(row["seed"]),
     )
+    if not 0 <= outcome.elapsed_seconds < math.inf:  # also rejects NaN
+        raise ValueError(f"elapsed_seconds {row['elapsed_seconds']!r} is not finite and >= 0")
+    violation = _outcome_violation(outcome)
+    if violation is not None:
+        raise ValueError(violation)
     return BenchRecord(semiprime=semiprime, outcome=outcome)
 
 
 def read_results_csv(path: str | Path) -> list[BenchRecord]:
     """The records of a results CSV: dataset columns checked as
-    read_dataset_csv checks them, plus a known algorithm and status."""
+    read_dataset_csv checks them, plus a known algorithm and status, a
+    finite elapsed time of at least 0 and a factor that _outcome_violation
+    accepts."""
     return read_csv_rows(path, RESULTS_CSV_HEADER, _record_from_row)

@@ -20,17 +20,19 @@ window when it is newly admitted, over the newly added tail after that.
 Primes of which n is a quadratic non-residue are dropped after that one
 check and never enter a loop again. The window grows a run of constant
 k = b*b // n at a time, as b*b - k*n, with no division per candidate, and
-only its last run ever gets a tail, so the tail walks keep state for that
-run alone: primes below BLOCK walk the tail with a range; larger ones, which
-seldom hit a tail, wait in buckets of BLOCK candidates keyed by their next
-hit, so a large prime costs a round nothing unless it divides one of the
-round's candidates. Each division records the parity of the exponent it
-takes out, so a candidate's parity mask is ready when its residual reaches
-1. The factor base is still every prime up to the bound, and the per-round
-relation sets are identical to fresh reference scans (the tests check
-this), only far cheaper. The sieve keeps each relation as b, a and the
-parity mask of a's exponents, which is all the matrix and extraction steps
-need; no exponent vector is kept.
+only its last run ever gets a tail, so walk state is kept for that run
+alone: each root of each rooted prime waits as its next hit index in a
+bucket of BLOCK candidates. A round walks the entries of the buckets its
+tail overlaps and files each again where its walk stopped, so a prime
+costs a round nothing unless its next hit is near the tail. Every walk,
+a new prime's over a whole run or an old one's over a tail, is the same
+loop over such entries. Each division records the parity of the exponent
+it takes out, so a candidate's parity mask is ready when its residual
+reaches 1. The factor base is still every prime up to the bound, and the
+per-round relation sets are identical to fresh reference scans (the tests
+check this), only far cheaper. The sieve keeps each relation as b, a and
+the parity mask of a's exponents, which is all the matrix and extraction
+steps need; no exponent vector is kept.
 
 The matrix step is incremental as well. One `XorBasis` lives for the whole
 call; each round reduces only the relations that are new in it, and only
@@ -107,8 +109,9 @@ class QsTrace:
     via_small_factor: bool = False
 
 
-# Candidates per bucket of the scanner's large-prime walks. A prime at or
-# above it re-files each hit in a later bucket; smaller ones walk by range.
+# Candidates per bucket of the scanner's walk state, which files each root
+# under its next hit index // BLOCK; a walk over more candidates than this
+# polls the deadline first.
 BLOCK = 128
 # Candidates appended between two deadline polls while the window grows.
 FILL = 256
@@ -228,18 +231,19 @@ class _RelationScanner:
     `admitted` on and a run begun in it walks them all. A prime with no root
     of k*n is never kept, so it costs nothing after that one check. Only the
     last run before a call can get a tail in it, so only the last run's
-    rooted primes are kept. One below BLOCK is kept in `small` and walks
-    each round's tail with a range. One at or above BLOCK hits a tail of
-    ~100 candidates only about once in p/100 rounds, so after its whole-run
-    walk it lives on only as the next hit index of each root, filed in
-    `buckets` under index // BLOCK (the bucket sieve of Aoki and Ueda in its
-    simplest form). A round pops just the blocks its tail overlaps, divides
-    at each hit below the window's end and re-files that entry p further
-    on, always in a later block; entries at or past the end stay put. A
-    round's work is thus its hits, not the size of the base. When a run
-    begun in a call becomes the last, `small` and `buckets` start empty
-    before that call's rooted primes are filed in them, which drops the
-    state of the run it closed.
+    rooted primes are kept, each root as an entry (next hit index, p, bit)
+    filed in `buckets` under index // BLOCK (the bucket sieve of Aoki and
+    Ueda in its simplest form). A run's walks are one list of such entries:
+    the roots of its new primes, from their first hit in the run, and, in
+    the old last run, the entries of the blocks its tail overlaps. One loop
+    walks each entry by p up to the run's end, dividing at every hit, and
+    in the last run files it again at the index it stopped on, at or past
+    the window's end; an entry whose next hit is already past the end makes
+    a walk of no hits and goes back. A prime p hits a tail of ~100
+    candidates about 100/p times a round, so a round's work is its hits and
+    the entries of the blocks it pops, not the size of the base. When a run
+    begun in a call becomes the last, `buckets` starts empty before that
+    run is walked, which drops the state of the run it closed.
 
     A candidate whose residual reaches 1 is smooth and its parity mask is
     `par[i]` (later primes cannot divide an already-smooth residue, so the
@@ -256,9 +260,7 @@ class _RelationScanner:
         self.seg_starts: list[int] = []  # index where each run of equal k begins
         self.seg_ks: list[int] = []
         self.admitted = 0  # base primes whose roots every run has walked
-        # the last run's (bit, p, hit indices mod p) of each rooted prime below BLOCK
-        self.small: list[tuple[int, int, tuple[int, ...]]] = []
-        # the last run's block -> (next hit index, p, bit) of each root of a larger prime
+        # the last run's block -> (next hit index, p, bit) of each root of a rooted prime
         self.buckets: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
         self.smooth: list[tuple[int, int, int]] = []  # (b, a, parity mask), in the order found
 
@@ -274,59 +276,35 @@ class _RelationScanner:
             if first == len(primes) and seg_hi <= old_m:
                 continue  # no new prime and no tail: nothing to walk
             self._check(deadline)
-            new = []
+            walks = []  # (next hit index, p, bit); a new prime walks the whole run
             for j in range(first, len(primes)):
                 p = primes[j]
-                offsets = tuple((r - s) % p for r in sqrt_mod_prime(k * n, p))
-                if offsets:
-                    new.append((1 << j, p, offsets))
+                for r in sqrt_mod_prime(k * n, p):
+                    walks.append((seg_lo + (r - s - seg_lo) % p, p, 1 << j))
             if seg_lo >= old_m and seg_hi == m:  # a run begun now is the last one
-                self.small, self.buckets = [], defaultdict(list)
-            small, buckets = self.small, self.buckets
-            walks = [w + (seg_lo,) for w in new]  # a new prime walks the whole run
+                self.buckets = defaultdict(list)
+            buckets = self.buckets
             if seg_lo < old_m < seg_hi:  # only the old last run has a tail
-                walks += [w + (old_m,) for w in small]
-                # the old large primes: only the blocks the tail overlaps
                 for blk in range(old_m // BLOCK, (seg_hi - 1) // BLOCK + 1):
-                    for entry in buckets.pop(blk, ()):
-                        i, p, bit = entry
-                        if i >= seg_hi:
-                            buckets[blk].append(entry)
-                            continue
-                        r = rem[i]
-                        if r > 1:
+                    walks += buckets.pop(blk, ())
+            last = seg_hi == m  # only the last run grows
+            for i, p, bit in walks:
+                if seg_hi - i > BLOCK:
+                    self._check(deadline)
+                while i < seg_hi:
+                    r = rem[i]
+                    if r > 1:
+                        r //= p
+                        par[i] ^= bit
+                        while r % p == 0:
                             r //= p
                             par[i] ^= bit
-                            while r % p == 0:
-                                r //= p
-                                par[i] ^= bit
-                            rem[i] = r
-                            if r == 1:
-                                fresh.append(i)
-                        i += p
-                        buckets[i // BLOCK].append((i, p, bit))
-            for bit, p, offsets, lo in walks:
-                self._check(deadline)
-                for o in offsets:
-                    for i in range(lo + (o - lo) % p, seg_hi, p):
-                        r = rem[i]
-                        if r > 1:
-                            r //= p
-                            par[i] ^= bit
-                            while r % p == 0:
-                                r //= p
-                                par[i] ^= bit
-                            rem[i] = r
-                            if r == 1:
-                                fresh.append(i)
-            if seg_hi == m:  # only the last run grows
-                for bit, p, offsets in new:
-                    if p < BLOCK:
-                        small.append((bit, p, offsets))
-                    else:
-                        for o in offsets:
-                            i = seg_hi + (o - seg_hi) % p
-                            buckets[i // BLOCK].append((i, p, bit))
+                        rem[i] = r
+                        if r == 1:
+                            fresh.append(i)
+                    i += p
+                if last:
+                    buckets[i // BLOCK].append((i, p, bit))
         self.admitted = len(primes)
         for i in sorted(fresh):
             b = s + i
@@ -369,6 +347,13 @@ def qs_factor(
     when n = k*k (the sieve's congruences all degenerate there),
     BudgetExceeded at a polling point past the budget, and RoundsExhausted
     after max_rounds fruitless rounds.
+    The deadline is polled at these points, and only at these:
+    - while the window grows, before each FILL new candidates at most;
+    - once per run of constant k that has a new prime or a tail to walk;
+    - before each root's walk that starts more than BLOCK candidates
+      before its run's end; a shorter walk, as most tail walks are, is
+      not polled;
+    - before and after each round's matrix step.
     A first-round base prime dividing n is returned straight away and
     flagged in the trace. Each relation is kept as (b, a, parity mask).
     Each round's new masks are reduced into one GF(2) basis kept for the

@@ -251,6 +251,41 @@ class TestResultsCsv:
                 "line 2: field larger than field limit",
                 id="oversized-field",
             ),
+            pytest.param(
+                GOOD_ROW.replace(",0.1830000,", ",nan,"),
+                "line 2: elapsed_seconds 'nan' is not finite",
+                id="nan-elapsed",
+            ),
+            pytest.param(
+                GOOD_ROW.replace(",0.1830000,", ",inf,"),
+                "line 2: elapsed_seconds 'inf' is not finite",
+                id="infinite-elapsed",
+            ),
+            pytest.param(
+                GOOD_ROW.replace(",0.1830000,", ",-1.0000000,"),
+                "line 2: elapsed_seconds '-1.0000000' is not finite and >= 0",
+                id="negative-elapsed",
+            ),
+            pytest.param(
+                GOOD_ROW.replace(",20047,0.18", ",7,0.18"),
+                "line 2: 7 does not divide 581363",
+                id="factor-not-dividing",
+            ),
+            pytest.param(
+                GOOD_ROW.replace(",20047,0.18", ",581363,0.18"),
+                "line 2: factor 581363 out of range for 581363",
+                id="factor-out-of-range",
+            ),
+            pytest.param(
+                GOOD_ROW.replace(",20047,0.18", ",,0.18"),
+                "line 2: success without a factor",
+                id="success-without-factor",
+            ),
+            pytest.param(
+                GOOD_ROW.replace(",success,", ",timeout,"),
+                "line 2: status timeout carries a factor",
+                id="timeout-with-factor",
+            ),
         ],
     )
     def test_malformed_row_names_its_line(self, tmp_path, row, message):

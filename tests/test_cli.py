@@ -441,6 +441,26 @@ class TestReportCommand:
         assert "Traceback" not in err
         assert not out_md.exists()
 
+    def test_impossible_outcome_rejected(self, capsys, tmp_path):
+        from factorbench.bench import RESULTS_CSV_HEADER
+
+        # a NaN time, then a pollard success with a negative time whose
+        # factor 7 does not divide 581363 = 29 * 20047
+        results = tmp_path / "results.csv"
+        results.write_text(
+            ",".join(RESULTS_CSV_HEADER)
+            + "\n581363,29,20047,5,15,20,qs,success,20047,nan,60,600,6,1"
+            + "\n581363,29,20047,5,15,20,pollard,success,7,-1.0000000,,,0,2\n"
+        )
+        out_md = tmp_path / "report.md"
+        code, _, err = run_cli(
+            capsys, "report", "--results", str(results), "--out", str(out_md), "--tables", "avg-runtime"
+        )
+        assert code == 1
+        assert "cannot read results" in err and "line 2" in err
+        assert "Traceback" not in err
+        assert not out_md.exists()
+
 
 class TestParser:
     def test_no_command_is_usage_error(self, capsys):

@@ -370,7 +370,7 @@ class TestScannerMatchesReference:
         # the runs of 10403 begin at indices 43, 75, 102 and 127; each begins
         # at the window's end of the call before and gets a tail in the call
         # after, and the base is past BLOCK from the start, so the closed
-        # run's small primes and buckets must be dropped
+        # run's bucket entries, small and large primes alike, must be dropped
         ends = [43, 60, 75, 90, 102, 115, 127, 140]
         self.check(10403, [(150 + 10 * j, m_count) for j, m_count in enumerate(ends)])
 
@@ -398,6 +398,46 @@ class TestScannerMatchesReference:
             bound, m_count = bound + db, m_count + dm
             schedule.append((bound, m_count))
         self.check(n, schedule)
+
+
+class TestScannerDeadlinePolls:
+    """A deadline that passes once the window has grown is still caught
+    before `advance` returns, by the run's poll or by a walk's."""
+
+    # extra_polls: 0 lets the deadline pass right after _extend's last poll,
+    # 1 after the run's poll as well, so only a walk's own poll can catch it;
+    # old_m: 0 has new primes walk a fresh window, 100 has old primes walk a
+    # tail, both wider than BLOCK
+    @pytest.mark.parametrize("extra_polls", [0, 1])
+    @pytest.mark.parametrize("old_m", [0, 100])
+    def test_walk_wider_than_block_polls(self, monkeypatch, extra_polls, old_m):
+        sp = random_semiprime(15, 15, 30, random.Random(12))
+        fb = build_factor_base(60)
+        scanner = _RelationScanner(sp.n)
+        if old_m:
+            scanner.advance(fb.primes, old_m, None)
+        polls_left = None  # None until the window has grown
+
+        def clock():
+            nonlocal polls_left
+            if polls_left == 0:
+                return 2.0
+            if polls_left is not None:
+                polls_left -= 1
+            return 0.0
+
+        extend = scanner._extend
+
+        def extend_then_expire(*args):
+            nonlocal polls_left
+            extend(*args)
+            polls_left = extra_polls
+
+        monkeypatch.setattr(sieve.time, "monotonic", clock)
+        monkeypatch.setattr(scanner, "_extend", extend_then_expire)
+        with pytest.raises(BudgetExceeded):
+            scanner.advance(fb.primes, old_m + 3 * sieve.BLOCK, 1.0)
+        assert scanner.seg_ks == [1]  # one run, so one run poll
 
 
 class TestQsParams:
