@@ -10,11 +10,12 @@ import itertools
 import math
 import random
 from bisect import bisect_right
+from collections.abc import Iterable
 
 FIRST_TEN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 # is_probable_prime screens every n >= _SMALL_LIMIT with one gcd against the
-# product of the primes below _SMALL_LIMIT, which alone decides n < _SMALL_LIMIT**2.
+# product of the primes below _SMALL_LIMIT, which alone decides n < _SMALL_SQUARE.
 _SMALL_LIMIT = 1000
 
 # psi_k for k = 1..13 (OEIS A014233; Jaeschke 1993, Sorenson and Webster 2015):
@@ -49,7 +50,11 @@ def _sieve_upto(bound: int) -> list[int]:
 
 
 _SMALL_PRIMES = tuple(_sieve_upto(_SMALL_LIMIT))
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+_SMALL_SQUARE = _SMALL_LIMIT * _SMALL_LIMIT
+# _PSI_BASES[i] is the first i + 1 primes, enough bases for every n < _PSI[i]
+_PSI_BASES = tuple(_SMALL_PRIMES[: k + 1] for k in range(len(_PSI)))
 
 
 def sqrt_mod_prime(c: int, p: int) -> tuple[int, ...]:
@@ -65,10 +70,8 @@ def sqrt_mod_prime(c: int, p: int) -> tuple[int, ...]:
         return (c,)
     if pow(c, (p - 1) >> 1, p) != 1:
         return ()
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q >>= 1
-        s += 1
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
     z = next((z for z in range(2, p) if pow(z, (p - 1) >> 1, p) == p - 1), None)
     if z is None:
         raise ValueError(f"{p} is not a prime")
@@ -87,59 +90,50 @@ def sqrt_mod_prime(c: int, p: int) -> tuple[int, ...]:
     return (r, p - r) if r < p - r else (p - r, r)
 
 
-def _strong_test(n: int, a: int, d: int, s: int) -> bool:
-    """Whether odd n passes the strong test to base a, where n - 1 = d * 2**s, d odd."""
-    x = pow(a, d, n)
-    if x == 1 or x == n - 1:
-        return True
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
+def _strong_tests(n: int, bases: Iterable[int]) -> bool:
+    """Whether odd n >= 5 is a strong probable prime to every base in `bases`.
 
-
-def _odd_part(n: int) -> tuple[int, int]:
-    """(d, s) with n - 1 = d * 2**s and d odd, for odd n >= 3."""
-    s = ((n - 1) & (1 - n)).bit_length() - 1
-    return (n - 1) >> s, s
-
-
-def _miller_rabin(n: int, rounds: int, rng: random.Random) -> bool:
-    """Strong-pseudoprime test for odd n >= 5.
-
-    Returns False only for certain composites; a True answer is wrong with
-    probability at most 4**-rounds.
+    n - 1 = d * 2**s is split once, and the loop stops at the first base that
+    proves n composite, so a lazy iterable is drawn from only that far.
     """
-    d, s = _odd_part(n)
-    return all(_strong_test(n, rng.randrange(2, n - 1), d, s) for _ in range(rounds))
+    m = n - 1
+    s = (m & -m).bit_length() - 1
+    d = m >> s
+    for a in bases:
+        x = pow(a, d, n)
+        if x != 1 and x != m:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == m:
+                    break
+            else:
+                return False
+    return True
 
 
 def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None) -> bool:
     """Primality test, exact for every n below psi_13 (about 3.3e24, 81.5 bits).
 
-    Inputs below _SMALL_LIMIT**2 are decided by the small primes alone, and
-    inputs below psi_13 by the strong test to the first k primes as bases,
-    the fewest that _PSI proves enough for n. Larger inputs go through
-    Miller-Rabin with `rounds` random witnesses, wrong with probability at
-    most 4**-rounds; when no generator is supplied, witnesses are drawn from
-    a generator seeded by n itself, so repeated calls agree.
+    Cheapest screen first: a lookup among the primes below _SMALL_LIMIT, six
+    word-sized remainders (by 2, 3, 5, 7, 11 and 13), then one gcd with the
+    product of the primes below _SMALL_LIMIT, after which n < _SMALL_SQUARE
+    is prime. Then one strong-test loop: below psi_13 to the first k primes,
+    the fewest that _PSI proves enough for n; above it to `rounds` witnesses
+    from `rng` (seeded by n when None, so calls agree), wrong with
+    probability at most 4**-rounds.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if n < _SMALL_LIMIT:
-        return n in _SMALL_PRIMES
+        return n in _SMALL_PRIME_SET
+    if not (n & 1 and n % 3 and n % 5 and n % 7 and n % 11 and n % 13):
+        return False
     if math.gcd(n, _SMALL_PRODUCT) != 1:
         return False
-    if n < _SMALL_LIMIT * _SMALL_LIMIT:
-        # no prime factor below _SMALL_LIMIT, and n < _SMALL_LIMIT**2
-        return True
     if n < _PSI[-1]:
-        d, s = _odd_part(n)
-        return all(_strong_test(n, a, d, s) for a in _SMALL_PRIMES[: 1 + bisect_right(_PSI, n)])
-    if rng is None:
-        rng = random.Random(n)
-    return _miller_rabin(n, rounds, rng)
+        return n < _SMALL_SQUARE or _strong_tests(n, _PSI_BASES[bisect_right(_PSI, n)])
+    rng = rng if rng is not None else random.Random(n)
+    return _strong_tests(n, (rng.randrange(2, n - 1) for _ in range(rounds)))
 
 
 def first_ten_primes() -> list[int]:

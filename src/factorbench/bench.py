@@ -20,7 +20,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import errors
@@ -123,17 +123,13 @@ def run_attempt(
     except errors.NotComposite as exc:
         status, trace = "error", exc.trace
     elapsed = time.monotonic() - start
-    if factor is not None and not (1 < factor < n and n % factor == 0):
-        # belt and braces: a bad factor is a bug, surface it as an error record
-        factor = None
-        status = "error"
     iterations, b_param, m_param = 0, None, None
     if trace is not None:
         if algorithm == "pollard":
             iterations = trace.iterations
         else:
             iterations, b_param, m_param = trace.rounds, trace.final_b, trace.final_m
-    return FactorOutcome(
+    outcome = FactorOutcome(
         algorithm=algorithm,
         n=n,
         status=status,
@@ -144,6 +140,10 @@ def run_attempt(
         iterations=iterations,
         seed=seed,
     )
+    if _outcome_violation(outcome) is not None:
+        # a bad factor is a bug in the algorithm: record it as an error without one
+        outcome = replace(outcome, status="error", factor=None)
+    return outcome
 
 
 def _run_task(task) -> BenchRecord:

@@ -9,9 +9,7 @@ from factorbench.arith import (
     _PSI,
     _SMALL_PRIMES,
     FIRST_TEN_PRIMES,
-    _miller_rabin,
-    _odd_part,
-    _strong_test,
+    _strong_tests,
     first_ten_primes,
     is_probable_prime,
     sqrt_mod_prime,
@@ -28,6 +26,19 @@ def trial_division_is_prime(n):
             return False
         d += 1
     return True
+
+
+def random_witnesses(n, rounds, rng):
+    """The lazy witness draw is_probable_prime makes above psi_13."""
+    return (rng.randrange(2, n - 1) for _ in range(rounds))
+
+
+def strong_pseudoprime_to(n, a):
+    """Oracle: the strong test of odd n to base a, written out independently."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
 
 
 class TestSqrtModPrime:
@@ -82,7 +93,7 @@ class TestIsProbablePrime:
         # exercise the witness loop itself, bypassing the small-number shortcut
         rng = random.Random(5)
         for n in range(5, 30_000, 2):
-            assert _miller_rabin(n, 12, rng) == trial_division_is_prime(n), n
+            assert _strong_tests(n, random_witnesses(n, 12, rng)) == trial_division_is_prime(n), n
 
     def test_large_known_values(self):
         assert is_probable_prime(2**61 - 1) is True  # Mersenne prime
@@ -96,15 +107,14 @@ class TestIsProbablePrime:
 
 def random_witnesses_say_prime(n):
     """Oracle for odd n >= 5 beyond trial division: 40 random strong tests."""
-    return _miller_rabin(n, 40, random.Random(n))
+    return _strong_tests(n, random_witnesses(n, 40, random.Random(n)))
 
 
 class TestExactBelowPsi13:
     def test_table_is_a014233(self):
         # psi_k is a strong pseudoprime to each of the first k prime bases
         for k, psi in enumerate(_PSI, start=1):
-            d, s = _odd_part(psi)
-            assert all(_strong_test(psi, a, d, s) for a in _SMALL_PRIMES[:k]), psi
+            assert _strong_tests(psi, _SMALL_PRIMES[:k]), psi
             assert not random_witnesses_say_prime(psi), psi
 
     def test_every_psi_rejected(self):
@@ -148,6 +158,29 @@ class TestExactBelowPsi13:
         state = rng.getstate()
         assert is_probable_prime(2**61 - 1, rng=rng) and rng.getstate() == state
         assert is_probable_prime(2**89 - 1, rng=rng) and rng.getstate() != state
+
+    def test_witnesses_drawn_lazily_above_psi13(self):
+        # p * (2p - 1) with both prime: about a quarter of all bases are strong
+        # liars, so some seeds need a second or third witness to reject it
+        n = 8796093024067 * 17592186048133
+        assert n > _PSI[-1]
+        needed = []
+        for seed in range(40):
+            rng, replica = random.Random(seed), random.Random(seed)
+            assert is_probable_prime(n, rounds=40, rng=rng) is False
+            drawn = 1
+            while strong_pseudoprime_to(n, replica.randrange(2, n - 1)):
+                drawn += 1
+            assert rng.getstate() == replica.getstate(), seed
+            needed.append(drawn)
+        assert max(needed) > 1
+        # a prime draws every round; a composite with a small factor draws none
+        for n, rounds, drawn in ((2**89 - 1, 5, 5), (2**107 - 1, 40, 40), (3 * (2**89 - 1), 40, 0)):
+            rng, replica = random.Random(n), random.Random(n)
+            assert is_probable_prime(n, rounds=rounds, rng=rng) is (drawn > 0)
+            for _ in range(drawn):
+                replica.randrange(2, n - 1)
+            assert rng.getstate() == replica.getstate(), n
 
 
 class TestFirstTenPrimes:

@@ -20,7 +20,7 @@ from factorbench.bench import (
 )
 from factorbench.pollard import RhoTrace
 from factorbench.primegen import DatasetSpec, FixedGroup, generate_dataset, random_semiprime
-from factorbench.sieve import QsParams
+from factorbench.sieve import QsParams, QsTrace
 
 
 FIXTURE = Path(__file__).parent / "data" / "results_fixture.csv"
@@ -155,6 +155,20 @@ class TestRunAttemptStatuses:
         assert outcome.status == "exhausted"
         assert outcome.factor is None
         assert outcome.iterations == 77
+
+    @pytest.mark.parametrize("bad", [8051, 7], ids=["n itself", "not a divisor"])
+    def test_bad_factor_is_error(self, monkeypatch, bad):
+        # 8051 = 83 * 97: a factor of n itself breaks the range rule, 7 does not divide it
+        monkeypatch.setattr(
+            factorbench.bench, "pollard_factor", lambda n, cfg, budget: (bad, RhoTrace(iterations=5))
+        )
+        monkeypatch.setattr(
+            factorbench.bench, "qs_factor", lambda n, params, budget: (bad, QsTrace(rounds=3))
+        )
+        for algorithm, iterations in (("pollard", 5), ("qs", 3)):
+            outcome = run_attempt(algorithm, 8051, 0, 5.0)
+            assert (outcome.status, outcome.factor) == ("error", None), algorithm
+            assert outcome.iterations == iterations
 
     def test_other_exceptions_propagate(self, monkeypatch):
         def broken(n, params, budget):

@@ -244,6 +244,19 @@ class TestCommittedSpecs:
         assert len(rows) == 200
         assert all(r.n_bits <= 70 and r.p != r.q for r in rows)
 
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("bit_grid", "74f972f9a83b8e3504a54e7c6242f041391d6209090bb8a67c529c692cb38bfc"),
+            ("random_corpus", "8c742dbf84759789e7146dcf97f6dd16e37d7d559958701ade20bf81ce862929"),
+        ],
+    )
+    def test_rows_pinned(self, name, digest):
+        # random_corpus pins the random-group path, which no other test pins
+        rows = generate_dataset(load_dataset_spec(self.SPECS / f"{name}.json"))
+        text = "".join(f"{s.n},{s.p},{s.q}\n" for s in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestSpecParsing:
     def test_roundtrip(self, tmp_path):
