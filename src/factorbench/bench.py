@@ -21,6 +21,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from . import errors
@@ -226,8 +227,14 @@ def write_results_csv(path: str | Path, records: list[BenchRecord]) -> None:
     write_csv_rows(path, RESULTS_CSV_HEADER, map(_record_row, records))
 
 
-def _record_from_row(row: dict[str, str]) -> BenchRecord:
-    semiprime = semiprime_from_row(row)
+def _record_from_row(
+    row: dict[str, str], checked: dict[tuple[str, ...], Semiprime]
+) -> BenchRecord:
+    # each algorithm has a row per semiprime: check its dataset columns once
+    columns = tuple(row[name] for name in DATASET_CSV_HEADER)
+    semiprime = checked.get(columns)
+    if semiprime is None:
+        semiprime = checked[columns] = semiprime_from_row(row)
     if row["algorithm"] not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {row['algorithm']!r}")
     if row["status"] not in STATUSES:
@@ -253,7 +260,7 @@ def _record_from_row(row: dict[str, str]) -> BenchRecord:
 
 def read_results_csv(path: str | Path) -> list[BenchRecord]:
     """The records of a results CSV: dataset columns checked as
-    read_dataset_csv checks them, plus a known algorithm and status, a
-    finite elapsed time of at least 0 and a factor that _outcome_violation
-    accepts."""
-    return read_csv_rows(path, RESULTS_CSV_HEADER, _record_from_row)
+    read_dataset_csv checks them, once for each distinct set of them in the
+    file, plus a known algorithm and status, a finite elapsed time of at
+    least 0 and a factor that _outcome_violation accepts."""
+    return read_csv_rows(path, RESULTS_CSV_HEADER, partial(_record_from_row, checked={}))

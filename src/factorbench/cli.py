@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 usage, I/O, generation or verification error,
 2 prime input, 3 timeout or exhausted search. `factor` exits by the status
 of its `bench.run_attempt` call: a spent budget is `timeout`, a round or
-restart cap `exhausted`, a perfect square `success`; anything else
-propagates. `factor` and `bench` take their seed from FACTORBENCH_SEED when
---seed is absent, then 0; `gen-dataset` uses the spec's own seed unless
---seed overrides it.
+restart cap `exhausted`, a perfect square `success`, a bad factor `error`
+(exit 1, one line on stderr); anything else propagates. `factor` and
+`bench` take their seed from FACTORBENCH_SEED when --seed is absent, then
+0; `gen-dataset` uses the spec's own seed unless --seed overrides it.
 """
 
 from __future__ import annotations
@@ -134,6 +134,8 @@ def _cmd_factor(args) -> int:
         print(f"timeout: no factor of {n} within {args.timeout} s")
     elif outcome.status == "exhausted":
         print(f"gave up: {algo} found no factor of {n} (iterations={outcome.iterations})")
+    elif outcome.status == "error":
+        print(f"error: {algo} returned an invalid factor of {n}", file=sys.stderr)
     return EXIT_CODES[outcome.status]
 
 

@@ -14,14 +14,6 @@ from dataclasses import dataclass
 
 from .bench import ALGORITHMS, BenchRecord
 
-TABLE_NAMES = (
-    "failure-counts",
-    "success-by-bitdiff",
-    "avg-runtime",
-    "head-to-head",
-    "complexity",
-)
-
 COMPLEXITY_DEFAULT_BITS = tuple(range(40, 121, 8))
 
 
@@ -108,28 +100,29 @@ avg_runtime_by_bitdiff = success_rate_by_bitdiff
 
 
 def head_to_head(records: list[BenchRecord]) -> HeadToHead:
-    """Pair both algorithms on each n; flag n where the sieve strictly won.
+    """Pair both algorithms on each n; flag pairs where the sieve strictly won.
 
+    The i-th pollard record of an n pairs with the i-th qs record of that n,
+    in record order, so a product that repeats in the dataset gives one pair
+    per repeat. Records left without a partner are excluded and counted.
     A sieve success beats a pollard failure outright; with two successes the
-    comparison is on elapsed time. Values of n seen for only one algorithm
-    are excluded and counted.
+    comparison is on elapsed time.
     """
-    by_n: dict[int, dict[str, BenchRecord]] = {}
+    runs: dict[tuple[int, str], list[BenchRecord]] = {}
     for record in records:
-        by_n.setdefault(record.semiprime.n, {})[record.outcome.algorithm] = record
+        runs.setdefault((record.semiprime.n, record.outcome.algorithm), []).append(record)
     rows = []
     unmatched = 0
-    for n in sorted(by_n):
-        pair = by_n[n]
-        if "pollard" not in pair or "qs" not in pair:
-            unmatched += 1
-            continue
-        po, qo = pair["pollard"].outcome, pair["qs"].outcome
-        if qo.status == "success" and po.status == "success":
-            faster = qo.elapsed_seconds < po.elapsed_seconds
-        else:
-            faster = qo.status == "success" and po.status != "success"
-        rows.append(HeadToHeadRow(pollard=pair["pollard"], qs=pair["qs"], qs_faster=faster))
+    for n in sorted({n for n, _ in runs}):
+        pollards, sieves = runs.get((n, "pollard"), []), runs.get((n, "qs"), [])
+        unmatched += abs(len(pollards) - len(sieves))
+        for pollard, qs in zip(pollards, sieves):
+            po, qo = pollard.outcome, qs.outcome
+            if qo.status == "success" and po.status == "success":
+                faster = qo.elapsed_seconds < po.elapsed_seconds
+            else:
+                faster = qo.status == "success" and po.status != "success"
+            rows.append(HeadToHeadRow(pollard=pollard, qs=qs, qs_faster=faster))
     return HeadToHead(rows=tuple(rows), unmatched=unmatched)
 
 
@@ -158,41 +151,100 @@ def _fmt_mean(mean: float | None) -> str:
     return "-" if mean is None else f"{mean:.7f}"
 
 
-def _render_failure_counts(lines, records, algorithm):
-    stats = failure_counts(records, algorithm)
-    lines.append(f"### {algorithm}")
-    lines.append("")
-    lines.append("| product bits | prime 1 bits | prime 2 bits | total | failures |")
-    lines.append("|---|---|---|---|---|")
-    if not stats:
-        lines.append("| no data | | | | |")
-    for s in stats:
-        n_bits, p_bits, q_bits = s.key
-        lines.append(f"| {n_bits} | {p_bits} | {q_bits} | {s.total} | {s.failures} |")
+def _table(lines, header, rows):
+    """Append one Markdown table and a blank line; the only writer of table
+    syntax. An empty `rows` gets a "no data" row as wide as the header."""
+    lines.append("| " + " | ".join(header) + " |")
+    lines.append("|" + "---|" * len(header))
+    if not rows:
+        lines.append("| no data |" + " |" * (len(header) - 1))
+    lines.extend("| " + " | ".join(map(str, row)) + " |" for row in rows)
     lines.append("")
 
 
-def _render_bitdiff_table(lines, stats, with_rate: bool):
-    if with_rate:
-        lines.append("| product bits | bit difference | total | successes | success fraction |")
-        lines.append("|---|---|---|---|---|")
-    else:
-        lines.append("| product bits | bit difference | successes | mean seconds |")
-        lines.append("|---|---|---|---|")
-    if not stats:
-        lines.append("| no data | | | |" + (" |" if with_rate else ""))
+def _by_bitdiff(records, algorithm):
     # ascending product size, then largest bit difference first
-    for s in sorted(stats, key=lambda s: (s.key[0], -s.key[1])):
-        n_bits, diff = s.key
-        if with_rate:
-            lines.append(
-                f"| {n_bits} | {diff} | {s.total} | {s.successes} | {s.success_fraction:.4f} |"
-            )
-        else:
-            lines.append(
-                f"| {n_bits} | {diff} | {s.successes} | {_fmt_mean(s.mean_elapsed_success)} |"
-            )
-    lines.append("")
+    stats = success_rate_by_bitdiff(records, algorithm)
+    return sorted(stats, key=lambda s: (s.key[0], -s.key[1]))
+
+
+def _per_algorithm(title, header, rows):
+    """A section with one table per algorithm; `rows(records, algorithm)`
+    gives that algorithm's rows."""
+
+    def section(lines, records):
+        lines += [f"## {title}", ""]
+        for algorithm in ALGORITHMS:
+            lines += [f"### {algorithm}", ""]
+            _table(lines, header, rows(records, algorithm))
+
+    return section
+
+
+def _head_to_head_section(lines, records):
+    h2h = head_to_head(records)
+    rows = []
+    for r in h2h.rows:
+        if r.qs_faster:
+            sp = r.pollard.semiprime
+            times = [f"{o.elapsed_seconds:.7f} ({o.status})" for o in (r.pollard.outcome, r.qs.outcome)]
+            rows.append((sp.n, sp.p, sp.q, f"{sp.p_bits}/{sp.q_bits}", *times))
+    lines += ["## Products where the quadratic sieve beat pollard-rho", ""]
+    _table(lines, ("n", "factor 1", "factor 2", "bits", "pollard seconds", "qs seconds"), rows)
+    lines += [
+        f"{len(rows)} of {len(h2h.rows)} paired products; {h2h.unmatched} unmatched excluded.",
+        "",
+    ]
+
+
+def _complexity_section(lines, records):
+    lines += [
+        "## Predicted cost models",
+        "",
+        "Relative operation counts: 2^(bits/4) for pollard-rho against "
+        "exp(sqrt(1.125 ln N ln ln N)) for the sieve. Constants are "
+        "dropped, so only ratios and trends are meaningful.",
+        "",
+    ]
+    _table(
+        lines,
+        ("product bits", "pollard model", "sieve model", "ratio"),
+        [
+            (row.n_bits, f"{row.pollard_cost:.6e}", f"{row.qs_cost:.6e}", f"{row.ratio:.6e}")
+            for row in complexity_models(COMPLEXITY_DEFAULT_BITS)
+        ],
+    )
+
+
+# each report section by its table name, in the order a report prints them
+_SECTIONS = {
+    "failure-counts": _per_algorithm(
+        "Failure counts by factor combination",
+        ("product bits", "prime 1 bits", "prime 2 bits", "total", "failures"),
+        lambda records, algorithm: [
+            (*s.key, s.total, s.failures) for s in failure_counts(records, algorithm)
+        ],
+    ),
+    "success-by-bitdiff": _per_algorithm(
+        "Success rate by bit difference",
+        ("product bits", "bit difference", "total", "successes", "success fraction"),
+        lambda records, algorithm: [
+            (*s.key, s.total, s.successes, f"{s.success_fraction:.4f}")
+            for s in _by_bitdiff(records, algorithm)
+        ],
+    ),
+    "avg-runtime": _per_algorithm(
+        "Mean runtime of successes by bit difference",
+        ("product bits", "bit difference", "successes", "mean seconds"),
+        lambda records, algorithm: [
+            (*s.key, s.successes, _fmt_mean(s.mean_elapsed_success))
+            for s in _by_bitdiff(records, algorithm)
+        ],
+    ),
+    "head-to-head": _head_to_head_section,
+    "complexity": _complexity_section,
+}
+TABLE_NAMES = tuple(_SECTIONS)
 
 
 def render_report(records: list[BenchRecord], tables: tuple[str, ...] = TABLE_NAMES) -> str:
@@ -201,64 +253,9 @@ def render_report(records: list[BenchRecord], tables: tuple[str, ...] = TABLE_NA
     if bad:
         raise ValueError(f"unknown tables {bad}; valid names: {', '.join(TABLE_NAMES)}")
     lines = ["# Factorization benchmark report", ""]
-    if "failure-counts" in tables:
-        lines.append("## Failure counts by factor combination")
-        lines.append("")
-        for algorithm in ALGORITHMS:
-            _render_failure_counts(lines, records, algorithm)
-    if "success-by-bitdiff" in tables:
-        lines.append("## Success rate by bit difference")
-        lines.append("")
-        for algorithm in ALGORITHMS:
-            lines.append(f"### {algorithm}")
-            lines.append("")
-            _render_bitdiff_table(lines, success_rate_by_bitdiff(records, algorithm), True)
-    if "avg-runtime" in tables:
-        lines.append("## Mean runtime of successes by bit difference")
-        lines.append("")
-        for algorithm in ALGORITHMS:
-            lines.append(f"### {algorithm}")
-            lines.append("")
-            _render_bitdiff_table(lines, avg_runtime_by_bitdiff(records, algorithm), False)
-    if "head-to-head" in tables:
-        h2h = head_to_head(records)
-        flagged = [r for r in h2h.rows if r.qs_faster]
-        lines.append("## Products where the quadratic sieve beat pollard-rho")
-        lines.append("")
-        lines.append("| n | factor 1 | factor 2 | bits | pollard seconds | qs seconds |")
-        lines.append("|---|---|---|---|---|---|")
-        if not flagged:
-            lines.append("| no data | | | | | |")
-        for r in flagged:
-            sp, po, qo = r.pollard.semiprime, r.pollard.outcome, r.qs.outcome
-            lines.append(
-                f"| {sp.n} | {sp.p} | {sp.q} | {sp.p_bits}/{sp.q_bits} "
-                f"| {po.elapsed_seconds:.7f} ({po.status}) "
-                f"| {qo.elapsed_seconds:.7f} ({qo.status}) |"
-            )
-        lines.append("")
-        lines.append(
-            f"{len(flagged)} of {len(h2h.rows)} paired products; "
-            f"{h2h.unmatched} unmatched excluded."
-        )
-        lines.append("")
-    if "complexity" in tables:
-        lines.append("## Predicted cost models")
-        lines.append("")
-        lines.append(
-            "Relative operation counts: 2^(bits/4) for pollard-rho against "
-            "exp(sqrt(1.125 ln N ln ln N)) for the sieve. Constants are "
-            "dropped, so only ratios and trends are meaningful."
-        )
-        lines.append("")
-        lines.append("| product bits | pollard model | sieve model | ratio |")
-        lines.append("|---|---|---|---|")
-        for row in complexity_models(COMPLEXITY_DEFAULT_BITS):
-            lines.append(
-                f"| {row.n_bits} | {row.pollard_cost:.6e} | {row.qs_cost:.6e} "
-                f"| {row.ratio:.6e} |"
-            )
-        lines.append("")
+    for name, section in _SECTIONS.items():
+        if name in tables:
+            section(lines, records)
     return "\n".join(lines)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import factorbench.bench
+import factorbench.primegen
 from factorbench import errors
 from factorbench.bench import (
     BenchConfig,
@@ -246,6 +247,27 @@ class TestResultsCsv:
         path = tmp_path / "results.csv"
         write_results_csv(path, read_results_csv(FIXTURE))
         assert path.read_bytes() == FIXTURE.read_bytes()
+
+    def test_each_semiprime_checked_once(self, monkeypatch):
+        # the fixture has a pollard and a qs row for each semiprime
+        calls = []
+        real = factorbench.primegen.is_probable_prime
+        monkeypatch.setattr(
+            factorbench.primegen, "is_probable_prime", lambda n: calls.append(n) or real(n)
+        )
+        records = read_results_csv(FIXTURE)
+        semiprimes = {r.semiprime for r in records}
+        assert (len(records), len(semiprimes)) == (24, 12)
+        assert sorted(calls) == sorted(n for sp in semiprimes for n in (sp.p, sp.q))
+
+    def test_repeated_bad_semiprime_names_its_first_line(self, tmp_path):
+        # p = 21 = 3 * 7, in a pollard and a qs row after a good row
+        bad = "420987,21,20047,5,15,19,{},success,21,0.1830000,,,6,1"
+        path = tmp_path / "results.csv"
+        lines = [",".join(RESULTS_CSV_HEADER), GOOD_ROW, bad.format("pollard"), bad.format("qs")]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 3: p = 21 is not prime"):
+            read_results_csv(path)
 
     @pytest.mark.parametrize(
         "row, message",

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import factorbench.bench
 import factorbench.cli
 from factorbench.bench import STATUSES
 from factorbench.cli import EXIT_CODES, main
@@ -69,6 +70,14 @@ class TestFactorCommand:
         code, out, _ = run_cli(capsys, "factor", "49188180397635527", "--algo", "qs")
         assert code == 3
         assert out.startswith("gave up")
+
+    def test_bad_factor_reported(self, capsys, monkeypatch):
+        # a factor of n itself is a bug in the algorithm: run_attempt records `error`
+        monkeypatch.setattr(factorbench.bench, "pollard_factor", lambda n, cfg, budget: (n, None))
+        code, out, err = run_cli(capsys, "factor", "8051", "--algo", "pollard")
+        assert code == 1
+        assert out == ""
+        assert err == "error: pollard returned an invalid factor of 8051\n"
 
     def test_exit_codes_cover_every_status(self):
         assert set(EXIT_CODES) == set(STATUSES)

@@ -1,12 +1,16 @@
+import hashlib
+import itertools
 import math
+from pathlib import Path
 
 import mpmath
 import pytest
 
-from factorbench.bench import BenchRecord, FactorOutcome
+from factorbench.bench import BenchRecord, FactorOutcome, read_results_csv
 from factorbench.primegen import make_semiprime
 from factorbench.report import (
     COMPLEXITY_DEFAULT_BITS,
+    TABLE_NAMES,
     ComplexityRow,
     complexity_models,
     avg_runtime_by_bitdiff,
@@ -168,6 +172,30 @@ class TestHeadToHead:
         assert h2h.unmatched == 1
         assert len(h2h.rows) == 1
 
+    def test_repeated_products_pair_in_record_order(self):
+        # a dataset that repeats n = 21 four times gives four records a side;
+        # the i-th pollard record pairs with the i-th qs record
+        pollard_times, qs_times = (0.1, 0.2, 0.3, 0.4), (0.4, 0.3, 0.2, 0.1)
+        records = []
+        for po_time, qs_time in zip(pollard_times, qs_times):
+            records.append(record(3, 7, algorithm="pollard", elapsed=po_time))
+            records.append(record(3, 7, algorithm="qs", elapsed=qs_time))
+        records.append(record(3, 7, algorithm="pollard", elapsed=0.5))
+        records += [record(83, 97, algorithm="qs"), record(83, 97, algorithm="pollard")]
+        h2h = head_to_head(records)
+        pairs = [
+            (r.pollard.semiprime.n, r.pollard.outcome.elapsed_seconds, r.qs.outcome.elapsed_seconds)
+            for r in h2h.rows
+        ]
+        assert pairs == [
+            (21, 0.1, 0.4), (21, 0.2, 0.3), (21, 0.3, 0.2), (21, 0.4, 0.1), (8051, 0.1, 0.1)
+        ]
+        assert [r.qs_faster for r in h2h.rows] == [False, False, True, True, False]
+        assert h2h.unmatched == 1
+        assert "2 of 5 paired products; 1 unmatched excluded." in render_report(
+            records, tables=("head-to-head",)
+        )
+
 
 class TestComplexityModels:
     def test_pollard_at_40_bits(self):
@@ -251,6 +279,42 @@ class TestRenderReport:
             cells = [c.strip() for c in line.split("|")[1:-1]]
             keys.append((int(cells[0]), int(cells[1])))
         assert keys == sorted(keys, key=lambda k: (k[0], -k[1]))
+
+
+class TestRenderReportGolden:
+    """The bytes of every report the fixture and empty records give, pinned
+    so that a rewrite of the renderer must keep each one."""
+
+    # the tables the digests cover; a table added later leaves them as they are
+    PINNED_TABLES = (
+        "failure-counts",
+        "success-by-bitdiff",
+        "avg-runtime",
+        "head-to-head",
+        "complexity",
+    )
+    # sha256 over the 32 subsets of PINNED_TABLES, smallest first and in
+    # itertools.combinations order, each document followed by a NUL byte
+    DIGESTS = {
+        "fixture": "df05a174523baad491e78d868e495d4db2accfc3c878d84d6ec146919a13b63c",
+        "empty": "a644edbaf53e6c09cb7c98fddb4cb428d0a534b3abc93d6eedda095f24ec4005",
+    }
+
+    @pytest.mark.parametrize("source", sorted(DIGESTS))
+    def test_every_table_subset_pinned(self, source):
+        records = []
+        if source == "fixture":
+            records = read_results_csv(Path(__file__).parent / "data" / "results_fixture.csv")
+        assert TABLE_NAMES[: len(self.PINNED_TABLES)] == self.PINNED_TABLES
+        subsets = [
+            subset
+            for k in range(len(self.PINNED_TABLES) + 1)
+            for subset in itertools.combinations(self.PINNED_TABLES, k)
+        ]
+        digest = hashlib.sha256()
+        for subset in subsets:
+            digest.update(render_report(records, subset).encode("utf-8") + b"\0")
+        assert digest.hexdigest() == self.DIGESTS[source]
 
 
 class TestPointsCsv:
