@@ -7,14 +7,19 @@ restart cap `exhausted`, a perfect square `success`, a bad factor `error`
 (exit 1, one line on stderr); anything else propagates. `factor` and
 `bench` take their seed from FACTORBENCH_SEED when --seed is absent, then
 0; `gen-dataset` uses the spec's own seed unless --seed overrides it.
+A usage, I/O, generation or verification failure is raised where it
+happens and reported once by `main`: its message on stderr, exit 1. Every
+other exception propagates with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import errors
@@ -51,6 +56,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+class _Usage(Exception):
+    """A usage, input or I/O failure: `main` prints the message to stderr
+    and exits EXIT_USAGE."""
+
+
+@contextmanager
+def _usage_on(prefix: str, *types: type[Exception]):
+    """Re-raise any of `types` raised in the block as _Usage, its message
+    after `prefix`."""
+    try:
+        yield
+    except types as exc:
+        raise _Usage(f"{prefix}{exc}") from exc
+
+
+def _names(text: str) -> tuple[str, ...]:
+    """The nonblank items of a comma-separated list, stripped."""
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
 def _default_seed(value: int | None) -> int:
     if value is not None:
         return value
@@ -68,6 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_factor = sub.add_parser("factor", help="factor one number")
+    p_factor.set_defaults(handler=_cmd_factor)
     p_factor.add_argument("n", help="positive integer >= 2, base 10")
     p_factor.add_argument("--algo", choices=["pollard", "qs", "auto"], default="auto")
     p_factor.add_argument("--timeout", type=float, default=180.0, help="seconds (default 180)")
@@ -82,11 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_gen = sub.add_parser("gen-dataset", help="generate a semiprime dataset CSV")
+    p_gen.set_defaults(handler=_cmd_gen_dataset)
     p_gen.add_argument("--spec", required=True, help="JSON dataset description")
     p_gen.add_argument("--out", required=True, help="output CSV path")
     p_gen.add_argument("--seed", type=int, default=None, help="override the seed in the JSON file")
 
     p_bench = sub.add_parser("bench", help="run the algorithms over a dataset CSV")
+    p_bench.set_defaults(handler=_cmd_bench)
     p_bench.add_argument("--dataset", required=True)
     p_bench.add_argument("--out", required=True, help="results CSV path")
     p_bench.add_argument(
@@ -98,6 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--progress", action="store_true", help="print one line per attempt")
 
     p_report = sub.add_parser("report", help="render Markdown tables from results CSV")
+    p_report.set_defaults(handler=_cmd_report)
     p_report.add_argument("--results", required=True)
     p_report.add_argument("--out", required=True, help="Markdown output path")
     p_report.add_argument(
@@ -108,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_factor(args) -> int:
-    try:
+    with _usage_on("", ValueError):
         n = int(args.n, 10)
         if n < 2:
             raise ValueError(f"nothing to factor below 2: {n}")
@@ -116,9 +145,6 @@ def _cmd_factor(args) -> int:
             raise ValueError("timeout must be positive")
         seed = _default_seed(args.seed)
         qs_params = QsParams(b_bound=args.b, m_count=args.m)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
     if is_probable_prime(n):
         print(f"{n} is prime")
         return EXIT_PRIME
@@ -140,66 +166,44 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_gen_dataset(args) -> int:
-    try:
+    with _usage_on(f"invalid dataset spec {args.spec}: ", OSError, ValueError):
         spec = load_dataset_spec(args.spec, seed_override=args.seed)
-    except (OSError, ValueError) as exc:
-        print(f"invalid dataset spec {args.spec}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+    with _usage_on(f"cannot generate {args.spec}: ", errors.GenerationError):
         rows = generate_dataset(spec)
-    except errors.GenerationError as exc:
-        print(f"cannot generate {args.spec}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+    with _usage_on(f"cannot write {args.out}: ", OSError):
         write_dataset_csv(args.out, rows)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     print(f"{len(rows)} semiprimes written to {args.out}")
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
-    try:
+    with _usage_on("", ValueError):
         cfg = BenchConfig(
             budget_seconds=args.timeout,
-            algorithms=tuple(a.strip() for a in args.algos.split(",") if a.strip()),
+            algorithms=_names(args.algos),
             seed=_default_seed(args.seed),
             workers=args.workers,
         )
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    try:
+    with _usage_on(f"cannot read dataset {args.dataset}: ", OSError, ValueError):
         dataset = read_dataset_csv(args.dataset)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read dataset {args.dataset}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     if not dataset:
-        print(f"dataset {args.dataset} has no rows", file=sys.stderr)
-        return EXIT_USAGE
-    done = [0]
+        raise _Usage(f"dataset {args.dataset} has no rows")
+    total = len(dataset) * len(cfg.algorithms)
+    done = itertools.count(1)
 
     def progress(record):
-        done[0] += 1
-        if args.progress:
-            o = record.outcome
-            print(
-                f"[{done[0]}/{len(dataset) * len(cfg.algorithms)}] {o.algorithm} n={o.n} "
-                f"{o.status} {o.elapsed_seconds:.3f}s",
-                flush=True,
-            )
+        o = record.outcome
+        print(
+            f"[{next(done)}/{total}] {o.algorithm} n={o.n} {o.status} {o.elapsed_seconds:.3f}s",
+            flush=True,
+        )
 
-    records = run_bench(dataset, cfg, progress=progress)
+    records = run_bench(dataset, cfg, progress=progress if args.progress else None)
     violations = verify_outcomes(records)
     if violations:
-        print("\n".join(violations), file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        raise _Usage("\n".join(violations))
+    with _usage_on(f"cannot write {args.out}: ", OSError):
         write_results_csv(args.out, records)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     for algorithm in cfg.algorithms:
         counts = Counter(r.outcome.status for r in records if r.outcome.algorithm == algorithm)
         print(f"{algorithm}: " + " ".join(f"{s}={counts[s]}" for s in STATUSES))
@@ -208,44 +212,31 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    tables = tuple(t.strip() for t in args.tables.split(",") if t.strip())
+    tables = _names(args.tables)
     if not tables:
-        print(f"no tables given; valid: {', '.join(TABLE_NAMES)}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        raise _Usage(f"no tables given; valid: {', '.join(TABLE_NAMES)}")
+    with _usage_on(f"cannot read results {args.results}: ", OSError, ValueError):
         records = read_results_csv(args.results)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read results {args.results}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+    with _usage_on("", ValueError):
         document = render_report(records, tables)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    try:
+    with _usage_on("cannot write report output: ", OSError):
         Path(args.out).write_text(document, encoding="utf-8")
         if args.points_csv:
             Path(args.points_csv).write_text(points_csv(records), encoding="utf-8")
-    except OSError as exc:
-        print(f"cannot write report output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     print(f"report written to {args.out}")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {
-        "factor": _cmd_factor,
-        "gen-dataset": _cmd_gen_dataset,
-        "bench": _cmd_bench,
-        "report": _cmd_report,
-    }
-    return handlers[args.command](args)
+    try:
+        return args.handler(args)
+    except _Usage as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 
 class FactorError(Exception):
-    """Base class for algorithm-level failures.
+    """Base class for what an algorithm raises in place of returning a factor.
 
+    Every subclass but PerfectSquare is a failure to factor; PerfectSquare
+    carries the square root, which the harness records as a success.
     Carries the partial trace (RhoTrace or QsTrace) when one exists, so the
     harness can still record iteration/round counters for attempts that
-    stopped without a factor.
+    stopped without a returned factor.
     """
 
     def __init__(self, message: str, trace=None):

@@ -278,6 +278,8 @@ class _RelationScanner:
             self._check(deadline)
             walks = []  # (next hit index, p, bit); a new prime walks the whole run
             for j in range(first, len(primes)):
+                if j % FILL == 0:
+                    self._check(deadline)
                 p = primes[j]
                 for r in sqrt_mod_prime(k * n, p):
                     walks.append((seg_lo + (r - s - seg_lo) % p, p, 1 << j))
@@ -350,10 +352,14 @@ def qs_factor(
     The deadline is polled at these points, and only at these:
     - while the window grows, before each FILL new candidates at most;
     - once per run of constant k that has a new prime or a tail to walk;
+    - while a run roots its new primes, before each prime whose base index
+      is a multiple of FILL;
     - before each root's walk that starts more than BLOCK candidates
       before its run's end; a shorter walk, as most tail walks are, is
       not polled;
     - before and after each round's matrix step.
+    `build_factor_base` takes no deadline (its signature is pinned), so the
+    prime table it re-sieves when a bound passes it is not polled.
     A first-round base prime dividing n is returned straight away and
     flagged in the trace. Each relation is kept as (b, a, parity mask).
     Each round's new masks are reduced into one GF(2) basis kept for the

@@ -1,5 +1,11 @@
 import dataclasses
 import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +13,10 @@ import factorbench.bench
 import factorbench.cli
 from factorbench.bench import STATUSES
 from factorbench.cli import EXIT_CODES, main
+
+
+RESULTS_FIXTURE = Path(__file__).parent / "data" / "results_fixture.csv"
+DATASET_HEADER = "n,p,q,p_bits,q_bits,n_bits\n"
 
 
 def run_cli(capsys, *argv):
@@ -477,3 +487,236 @@ class TestParser:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 1
+
+    def test_help_exits_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: factorbench")
+
+    def test_module_entry_point(self):
+        src = str(Path(factorbench.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        env.pop("FACTORBENCH_SEED", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "factorbench", "factor", "8051", "--seed", "7"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "8051 = 83 * 97"
+
+
+def _spec(seed, p_bits, q_bits, n_bits):
+    return json.dumps(
+        {"seed": seed, "groups": [{"count": 1, "p_bits": p_bits, "q_bits": q_bits, "n_bits": n_bits}]}
+    )
+
+
+def _bad_factor(monkeypatch):
+    # a factor of n itself is a bug in the algorithm: run_attempt records `error`
+    monkeypatch.setattr(factorbench.bench, "pollard_factor", lambda n, cfg, budget: (n, None))
+
+
+def _bad_env_seed(monkeypatch):
+    monkeypatch.setenv("FACTORBENCH_SEED", "abc")
+
+
+def _violation(monkeypatch):
+    real_run_bench = factorbench.cli.run_bench
+
+    def tampered_run_bench(*args, **kwargs):
+        records = real_run_bench(*args, **kwargs)
+        first = records[0]
+        bad = dataclasses.replace(first.outcome, factor=first.outcome.factor + 1)
+        return [dataclasses.replace(first, outcome=bad)] + records[1:]
+
+    monkeypatch.setattr(factorbench.cli, "run_bench", tampered_run_bench)
+
+
+NO_SUCH_FILE = "[Errno 2] No such file or directory: "
+TABLE_LIST = "failure-counts, success-by-bitdiff, avg-runtime, head-to-head, complexity"
+
+# (id, argv with {tmp} for the test's directory, patch or None, exact stderr)
+USAGE_FAILURES = [
+    (
+        "factor-bad-integer",
+        ["factor", "twelve"],
+        None,
+        "invalid literal for int() with base 10: 'twelve'\n",
+    ),
+    ("factor-below-two", ["factor", "1"], None, "nothing to factor below 2: 1\n"),
+    ("factor-timeout-zero", ["factor", "8051", "--timeout", "0"], None, "timeout must be positive\n"),
+    ("factor-timeout-nan", ["factor", "8051", "--timeout", "nan"], None, "timeout must be positive\n"),
+    (
+        "factor-env-seed",
+        ["factor", "8051"],
+        _bad_env_seed,
+        "FACTORBENCH_SEED is not an integer: 'abc'\n",
+    ),
+    ("factor-b-one", ["factor", "8051", "--b", "1"], None, "b_bound must be >= 2\n"),
+    ("factor-m-zero", ["factor", "8051", "--m", "0"], None, "m_count must be >= 1\n"),
+    (
+        "factor-bad-factor",
+        ["factor", "8051", "--algo", "pollard"],
+        _bad_factor,
+        "error: pollard returned an invalid factor of 8051\n",
+    ),
+    (
+        "gen-invalid-spec",
+        ["gen-dataset", "--spec", "{tmp}/bad-spec.json", "--out", "{tmp}/x.csv"],
+        None,
+        "invalid dataset spec {tmp}/bad-spec.json: p_bits + q_bits must equal n_bits (got 8+12 != 21)\n",
+    ),
+    (
+        "gen-missing-spec",
+        ["gen-dataset", "--spec", "{tmp}/nope.json", "--out", "{tmp}/x.csv"],
+        None,
+        f"invalid dataset spec {{tmp}}/nope.json: {NO_SUCH_FILE}'{{tmp}}/nope.json'\n",
+    ),
+    (
+        "gen-undrawable-spec",
+        ["gen-dataset", "--spec", "{tmp}/undrawable.json", "--out", "{tmp}/x.csv"],
+        None,
+        "cannot generate {tmp}/undrawable.json: "
+        "no 4-bit product of distinct 2/2-bit primes after 10000 attempts\n",
+    ),
+    (
+        "gen-unwritable-out",
+        ["gen-dataset", "--spec", "{tmp}/spec.json", "--out", "{tmp}/no-such-dir/x.csv"],
+        None,
+        f"cannot write {{tmp}}/no-such-dir/x.csv: {NO_SUCH_FILE}'{{tmp}}/no-such-dir/x.csv'\n",
+    ),
+    (
+        "bench-unknown-algos",
+        ["bench", "--dataset", "{tmp}/data.csv", "--out", "{tmp}/r.csv", "--algos", "fermat"],
+        None,
+        "unknown algorithms ['fermat']; valid: a nonempty subset of pollard, qs\n",
+    ),
+    (
+        "bench-repeated-algos",
+        ["bench", "--dataset", "{tmp}/data.csv", "--out", "{tmp}/r.csv", "--algos", "qs,qs"],
+        None,
+        "repeated algorithms in ['qs', 'qs']\n",
+    ),
+    (
+        "bench-empty-algos",
+        ["bench", "--dataset", "{tmp}/data.csv", "--out", "{tmp}/r.csv", "--algos", " , "],
+        None,
+        "unknown algorithms []; valid: a nonempty subset of pollard, qs\n",
+    ),
+    (
+        "bench-workers-zero",
+        ["bench", "--dataset", "{tmp}/data.csv", "--out", "{tmp}/r.csv", "--workers", "0"],
+        None,
+        "workers must be >= 1\n",
+    ),
+    (
+        "bench-missing-dataset",
+        ["bench", "--dataset", "{tmp}/nope.csv", "--out", "{tmp}/r.csv"],
+        None,
+        f"cannot read dataset {{tmp}}/nope.csv: {NO_SUCH_FILE}'{{tmp}}/nope.csv'\n",
+    ),
+    (
+        "bench-bad-row",
+        ["bench", "--dataset", "{tmp}/bad-row.csv", "--out", "{tmp}/r.csv"],
+        None,
+        "cannot read dataset {tmp}/bad-row.csv: line 2: p = 15 is not prime\n",
+    ),
+    (
+        "bench-empty-dataset",
+        ["bench", "--dataset", "{tmp}/empty.csv", "--out", "{tmp}/r.csv"],
+        None,
+        "dataset {tmp}/empty.csv has no rows\n",
+    ),
+    (
+        "bench-violation",
+        ["bench", "--dataset", "{tmp}/data.csv", "--out", "{tmp}/r.csv", "--seed", "0"],
+        _violation,
+        "record 0: 98 does not divide 8051\n",
+    ),
+    (
+        "bench-unwritable-out",
+        ["bench", "--dataset", "{tmp}/data.csv", "--out", "{tmp}/no-such-dir/r.csv", "--seed", "0"],
+        None,
+        f"cannot write {{tmp}}/no-such-dir/r.csv: {NO_SUCH_FILE}'{{tmp}}/no-such-dir/r.csv'\n",
+    ),
+    (
+        "report-unknown-tables",
+        ["report", "--results", "{tmp}/results.csv", "--out", "{tmp}/r.md", "--tables", "bogus"],
+        None,
+        f"unknown tables ['bogus']; valid names: {TABLE_LIST}\n",
+    ),
+    (
+        "report-empty-tables",
+        ["report", "--results", "{tmp}/results.csv", "--out", "{tmp}/r.md", "--tables", ","],
+        None,
+        f"no tables given; valid: {TABLE_LIST}\n",
+    ),
+    (
+        "report-unreadable-results",
+        ["report", "--results", "{tmp}/nope.csv", "--out", "{tmp}/r.md"],
+        None,
+        f"cannot read results {{tmp}}/nope.csv: {NO_SUCH_FILE}'{{tmp}}/nope.csv'\n",
+    ),
+    (
+        "report-unwritable-out",
+        ["report", "--results", "{tmp}/results.csv", "--out", "{tmp}/no-such-dir/r.md"],
+        None,
+        f"cannot write report output: {NO_SUCH_FILE}'{{tmp}}/no-such-dir/r.md'\n",
+    ),
+    (
+        "report-unwritable-points-csv",
+        [
+            "report", "--results", "{tmp}/results.csv", "--out", "{tmp}/r.md",
+            "--points-csv", "{tmp}/no-such-dir/p.csv",
+        ],
+        None,
+        f"cannot write report output: {NO_SUCH_FILE}'{{tmp}}/no-such-dir/p.csv'\n",
+    ),
+]
+
+
+class TestUsageFailuresGolden:
+    """Every usage failure exits 1 with an empty stdout and one exact
+    stderr text, in which {tmp} stands for the test's directory."""
+
+    @pytest.fixture
+    def tmp(self, tmp_path):
+        (tmp_path / "spec.json").write_text(_spec(3, 8, 12, 20))
+        (tmp_path / "bad-spec.json").write_text(_spec(3, 8, 12, 21))
+        # 3 is the only 2-bit prime, so no product of two distinct ones exists
+        (tmp_path / "undrawable.json").write_text(_spec(1, 2, 2, 4))
+        (tmp_path / "data.csv").write_text(DATASET_HEADER + "8051,83,97,7,7,13\n")
+        (tmp_path / "bad-row.csv").write_text(DATASET_HEADER + "255,15,17,4,5,8\n")  # 15 = 3 * 5
+        (tmp_path / "empty.csv").write_text(DATASET_HEADER)
+        shutil.copy(RESULTS_FIXTURE, tmp_path / "results.csv")
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv, patch, err", [pytest.param(*case[1:], id=case[0]) for case in USAGE_FAILURES]
+    )
+    def test_exit_code_and_output_pinned(self, capsys, monkeypatch, tmp, argv, patch, err):
+        if patch is not None:
+            patch(monkeypatch)
+        code, out, got = run_cli(capsys, *(arg.format(tmp=tmp) for arg in argv))
+        assert (code, out, got.replace(str(tmp), "{tmp}")) == (1, "", err)
+
+    def test_progress_lines(self, capsys, tmp):
+        tmp.joinpath("data.csv").write_text(
+            DATASET_HEADER + "8051,83,97,7,7,13\n581363,29,20047,5,15,20\n"
+        )
+        code, out, err = run_cli(
+            capsys, "bench", "--dataset", f"{tmp}/data.csv", "--out", f"{tmp}/r.csv",
+            "--seed", "0", "--progress",
+        )
+        assert (code, err) == (0, "")
+        # [<i>/<N>] <algorithm> n=<n> <status> <seconds to 3 decimals>s
+        assert [re.sub(r" \d+\.\d{3}s$", " <s>", line) for line in out.splitlines()] == [
+            "[1/4] pollard n=8051 success <s>",
+            "[2/4] qs n=8051 success <s>",
+            "[3/4] pollard n=581363 success <s>",
+            "[4/4] qs n=581363 success <s>",
+            "pollard: success=2 timeout=0 error=0 exhausted=0",
+            "qs: success=2 timeout=0 error=0 exhausted=0",
+            f"4 records written to {tmp}/r.csv",
+        ]

@@ -402,20 +402,12 @@ class TestScannerMatchesReference:
 
 class TestScannerDeadlinePolls:
     """A deadline that passes once the window has grown is still caught
-    before `advance` returns, by the run's poll or by a walk's."""
+    before `advance` returns, by the run's poll, a root loop's or a walk's."""
 
-    # extra_polls: 0 lets the deadline pass right after _extend's last poll,
-    # 1 after the run's poll as well, so only a walk's own poll can catch it;
-    # old_m: 0 has new primes walk a fresh window, 100 has old primes walk a
-    # tail, both wider than BLOCK
-    @pytest.mark.parametrize("extra_polls", [0, 1])
-    @pytest.mark.parametrize("old_m", [0, 100])
-    def test_walk_wider_than_block_polls(self, monkeypatch, extra_polls, old_m):
-        sp = random_semiprime(15, 15, 30, random.Random(12))
-        fb = build_factor_base(60)
-        scanner = _RelationScanner(sp.n)
-        if old_m:
-            scanner.advance(fb.primes, old_m, None)
+    @staticmethod
+    def expire_after(monkeypatch, scanner, extra_polls):
+        """Fake the clock so the deadline passes after `_extend` returns and
+        `extra_polls` more clock reads."""
         polls_left = None  # None until the window has grown
 
         def clock():
@@ -435,9 +427,47 @@ class TestScannerDeadlinePolls:
 
         monkeypatch.setattr(sieve.time, "monotonic", clock)
         monkeypatch.setattr(scanner, "_extend", extend_then_expire)
+
+    # extra_polls: 0 lets the deadline pass right after _extend's last poll,
+    # 1 after the run's poll as well, so only a walk's own poll can catch it;
+    # old_m: 0 has new primes walk a fresh window, 100 has old primes walk a
+    # tail, both wider than BLOCK
+    @pytest.mark.parametrize("extra_polls", [0, 1])
+    @pytest.mark.parametrize("old_m", [0, 100])
+    def test_walk_wider_than_block_polls(self, monkeypatch, extra_polls, old_m):
+        sp = random_semiprime(15, 15, 30, random.Random(12))
+        fb = build_factor_base(60)
+        scanner = _RelationScanner(sp.n)
+        if old_m:
+            scanner.advance(fb.primes, old_m, None)
+        self.expire_after(monkeypatch, scanner, extra_polls)
         with pytest.raises(BudgetExceeded):
             scanner.advance(fb.primes, old_m + 3 * sieve.BLOCK, 1.0)
         assert scanner.seg_ks == [1]  # one run, so one run poll
+
+    # extra_polls: 1 lets the deadline pass right after the run's poll, 2
+    # after the root loop's first poll as well; the window is narrower than
+    # BLOCK, so no walk polls
+    @pytest.mark.parametrize("extra_polls", [1, 2])
+    def test_rooting_many_new_primes_polls(self, monkeypatch, extra_polls):
+        sp = random_semiprime(15, 15, 30, random.Random(12))
+        primes = build_factor_base(20000).primes
+        scanner = _RelationScanner(sp.n)
+        rooted = 0
+        real_sqrt_mod_prime = sieve.sqrt_mod_prime
+
+        def counting_sqrt_mod_prime(*args):
+            nonlocal rooted
+            rooted += 1
+            return real_sqrt_mod_prime(*args)
+
+        monkeypatch.setattr(sieve, "sqrt_mod_prime", counting_sqrt_mod_prime)
+        self.expire_after(monkeypatch, scanner, extra_polls)
+        with pytest.raises(BudgetExceeded):
+            scanner.advance(primes, 100, 1.0)
+        assert len(primes) > 2 * sieve.FILL
+        assert rooted == (extra_polls - 1) * sieve.FILL
+        assert scanner.seg_ks == [1]
 
 
 class TestQsParams:
