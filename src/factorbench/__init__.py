@@ -1,7 +1,7 @@
 """Factorization toolkit: pollard-rho, basic quadratic sieve, and a seeded
 benchmark harness for comparing the two on semiprime datasets."""
 
-from .arith import first_ten_primes, is_probable_prime
+from .arith import FIRST_TEN_PRIMES, is_probable_prime
 from .bench import BenchConfig, BenchRecord, FactorOutcome, run_bench, verify_outcomes
 from .errors import (
     BudgetExceeded,
@@ -40,6 +40,7 @@ __all__ = [
     "BudgetExceeded",
     "DatasetSpec",
     "Dependency",
+    "FIRST_TEN_PRIMES",
     "FactorBase",
     "FactorOutcome",
     "GenerationError",
@@ -58,7 +59,6 @@ __all__ = [
     "complexity_models",
     "eliminate",
     "extract_factor",
-    "first_ten_primes",
     "generate_dataset",
     "head_to_head",
     "is_probable_prime",

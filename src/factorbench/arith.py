@@ -12,6 +12,7 @@ import random
 from bisect import bisect_right
 from collections.abc import Iterable
 
+# the ten smallest primes, which pollard_factor trial-divides by before its walk
 FIRST_TEN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 # is_probable_prime screens every n >= _SMALL_LIMIT with one gcd against the
@@ -134,8 +135,3 @@ def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None
         return n < _SMALL_SQUARE or _strong_tests(n, _PSI_BASES[bisect_right(_PSI, n)])
     rng = rng if rng is not None else random.Random(n)
     return _strong_tests(n, (rng.randrange(2, n - 1) for _ in range(rounds)))
-
-
-def first_ten_primes() -> list[int]:
-    """The ten smallest primes, used as a cheap pre-check before rho."""
-    return list(FIRST_TEN_PRIMES)

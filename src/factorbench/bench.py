@@ -252,6 +252,15 @@ def _record_from_row(
     )
     if not 0 <= outcome.elapsed_seconds < math.inf:  # also rejects NaN
         raise ValueError(f"elapsed_seconds {row['elapsed_seconds']!r} is not finite and >= 0")
+    if outcome.iterations < 0:
+        raise ValueError(f"iterations {outcome.iterations} is below 0")
+    b_param, m_param = outcome.b_param, outcome.m_param
+    if outcome.algorithm == "pollard" and (b_param, m_param) != (None, None):
+        raise ValueError("a pollard row carries no b_param or m_param")
+    if (b_param is None) != (m_param is None):
+        raise ValueError("a qs row carries both b_param and m_param or neither")
+    if b_param is not None and (b_param < 2 or m_param < 1):
+        raise ValueError(f"b_param {b_param} is below 2 or m_param {m_param} is below 1")
     violation = _outcome_violation(outcome)
     if violation is not None:
         raise ValueError(violation)
@@ -262,5 +271,7 @@ def read_results_csv(path: str | Path) -> list[BenchRecord]:
     """The records of a results CSV: dataset columns checked as
     read_dataset_csv checks them, once for each distinct set of them in the
     file, plus a known algorithm and status, a finite elapsed time of at
-    least 0 and a factor that _outcome_violation accepts."""
+    least 0, at least 0 iterations, sieve settings only on a qs row and
+    there both or neither (b_param >= 2, m_param >= 1), and a factor that
+    _outcome_violation accepts."""
     return read_csv_rows(path, RESULTS_CSV_HEADER, partial(_record_from_row, checked={}))

@@ -4,6 +4,8 @@ The sequence x_{i+1} = x_i^2 + c (mod n) is walked at single and double
 speed; gcd(|x - y|, n) exposes a factor once the two walkers collide modulo
 a prime divisor of n. Two pre-checks run first: a primality test (a prime
 input would loop forever) and trial division by the ten smallest primes.
+A walk whose walkers meet modulo n itself (gcd = n) restarts with a fresh
+constant and start point, for at most MAX_RESTARTS walks in all.
 
 The walk takes one gcd per batch of `BATCH` steps (Brent 1980): it
 multiplies the differences x - y of the batch together modulo n and takes
@@ -22,22 +24,19 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .arith import first_ten_primes, is_probable_prime
+from .arith import FIRST_TEN_PRIMES, is_probable_prime
 from .errors import BudgetExceeded, NotComposite, RestartsExhausted
 
 # Floyd steps per gcd once a walk is past its per-step warm-up of 2 batches.
 BATCH = 128
 _WARMUP = 2 * BATCH
+# Walks per call; each walk after the first is a restart.
+MAX_RESTARTS = 20
 
 
 @dataclass(frozen=True)
 class RhoConfig:
     seed: int
-    max_restarts: int = 20
-
-    def __post_init__(self):
-        if self.max_restarts < 1:
-            raise ValueError("max_restarts must be >= 1")
 
 
 @dataclass
@@ -87,11 +86,11 @@ def pollard_factor(
     trace = RhoTrace()
     if is_probable_prime(n):
         raise NotComposite(f"{n} is probably prime")
-    for p in first_ten_primes():
+    for p in FIRST_TEN_PRIMES:
         if p < n and n % p == 0:
             return p, trace
     rng = random.Random(cfg.seed)
-    for attempt in range(cfg.max_restarts):
+    for attempt in range(MAX_RESTARTS):
         c = rng.randrange(1, n)
         x = rng.randrange(1, n)
         trace.c_values.append(c)
@@ -123,5 +122,5 @@ def pollard_factor(
                     f"pollard budget of {budget_seconds}s exceeded on {n}", trace=trace
                 )
     raise RestartsExhausted(
-        f"no nontrivial factor of {n} in {cfg.max_restarts} restarts", trace=trace
+        f"no nontrivial factor of {n} in {MAX_RESTARTS} restarts", trace=trace
     )

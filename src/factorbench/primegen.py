@@ -132,36 +132,25 @@ def random_prime(bits: int, rng: random.Random) -> int:
             return candidate
 
 
-def random_semiprime(p_bits: int, q_bits: int, n_bits: int, rng: random.Random) -> Semiprime:
-    """A semiprime whose product has exactly n_bits bits.
+def random_semiprime(
+    p_bits: int, q_bits: int, n_bits: int | None, rng: random.Random
+) -> Semiprime:
+    """A semiprime of two distinct primes of p_bits and q_bits bits.
 
-    Both primes are resampled together until the product carries into the
-    requested width; the factors are always distinct.
+    Both primes are resampled together until they differ and, unless
+    n_bits is None (any product width), until the product carries into
+    exactly n_bits bits.
     """
-    if p_bits + q_bits != n_bits:
+    if n_bits is not None and p_bits + q_bits != n_bits:
         raise ValueError("p_bits + q_bits must equal n_bits")
     for _ in range(MAX_RESAMPLE_ATTEMPTS):
         p = random_prime(p_bits, rng)
         q = random_prime(q_bits, rng)
-        if p == q:
-            continue
-        if (p * q).bit_length() == n_bits:
+        if p != q and (n_bits is None or (p * q).bit_length() == n_bits):
             return make_semiprime(p, q)
+    product = "" if n_bits is None else f"{n_bits}-bit product of "
     raise GenerationError(
-        f"no {n_bits}-bit product of distinct {p_bits}/{q_bits}-bit primes "
-        f"after {MAX_RESAMPLE_ATTEMPTS} attempts"
-    )
-
-
-def _random_semiprime_loose(p_bits: int, q_bits: int, rng: random.Random) -> Semiprime:
-    """Distinct primes of the requested widths; the product width falls where it may."""
-    for _ in range(MAX_RESAMPLE_ATTEMPTS):
-        p = random_prime(p_bits, rng)
-        q = random_prime(q_bits, rng)
-        if p != q:
-            return make_semiprime(p, q)
-    raise GenerationError(
-        f"no distinct {p_bits}/{q_bits}-bit primes after {MAX_RESAMPLE_ATTEMPTS} attempts"
+        f"no {product}distinct {p_bits}/{q_bits}-bit primes after {MAX_RESAMPLE_ATTEMPTS} attempts"
     )
 
 
@@ -190,7 +179,7 @@ def generate_dataset(spec: DatasetSpec) -> list[Semiprime]:
         pairs = _admissible_pairs(group.max_product_bits)
         for _ in range(group.count):
             pb, qb = pairs[rng.randrange(len(pairs))]
-            out.append(_random_semiprime_loose(pb, qb, rng))
+            out.append(random_semiprime(pb, qb, None, rng))
     return out
 
 

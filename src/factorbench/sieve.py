@@ -51,8 +51,8 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .arith import _sieve_upto, sqrt_mod_prime
-from .errors import BudgetExceeded, PerfectSquare, RoundsExhausted
+from .arith import _sieve_upto, is_probable_prime, sqrt_mod_prime
+from .errors import BudgetExceeded, NotComposite, PerfectSquare, RoundsExhausted
 from .gf2 import XorBasis
 # not called here: the traced benchmark (layerbench) wraps sieve.eliminate by name
 from .gf2 import eliminate  # noqa: F401
@@ -80,12 +80,19 @@ class Relation:
         return tuple(e & 1 for e in self.exponents)
 
 
+# What qs_factor adds to the smooth bound and to the scan window after each
+# fruitless round.
+B_INCREMENT = 10
+M_INCREMENT = 100
+
+
 @dataclass(frozen=True)
 class QsParams:
+    """The first round's smooth bound and scan window, and the round cap;
+    each later round widens both by B_INCREMENT and M_INCREMENT."""
+
     b_bound: int = 10
     m_count: int = 100
-    b_increment: int = 10
-    m_increment: int = 100
     max_rounds: int = 500
 
     def __post_init__(self):
@@ -93,8 +100,6 @@ class QsParams:
             raise ValueError("b_bound must be >= 2")
         if self.m_count < 1:
             raise ValueError("m_count must be >= 1")
-        if self.b_increment < 1 or self.m_increment < 1:
-            raise ValueError("increments must be >= 1")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
 
@@ -231,19 +236,22 @@ class _RelationScanner:
     `admitted` on and a run begun in it walks them all. A prime with no root
     of k*n is never kept, so it costs nothing after that one check. Only the
     last run before a call can get a tail in it, so only the last run's
-    rooted primes are kept, each root as an entry (next hit index, p, bit)
-    filed in `buckets` under index // BLOCK (the bucket sieve of Aoki and
-    Ueda in its simplest form). A run's walks are one list of such entries:
-    the roots of its new primes, from their first hit in the run, and, in
-    the old last run, the entries of the blocks its tail overlaps. One loop
-    walks each entry by p up to the run's end, dividing at every hit, and
-    in the last run files it again at the index it stopped on, at or past
-    the window's end; an entry whose next hit is already past the end makes
-    a walk of no hits and goes back. A prime p hits a tail of ~100
-    candidates about 100/p times a round, so a round's work is its hits and
-    the entries of the blocks it pops, not the size of the base. When a run
-    begun in a call becomes the last, `buckets` starts empty before that
-    run is walked, which drops the state of the run it closed.
+    rooted primes are kept, each root as an entry (next hit index, p, j),
+    j being p's base index, filed in `buckets` under index // BLOCK (the
+    bucket sieve of Aoki and Ueda in its simplest form). An entry holds j,
+    not the mask bit 1 << j, which each walk makes when it starts: kept
+    bits would take memory quadratic in the base size. A run's walks are
+    one list of such entries: the roots of its new primes, from their first
+    hit in the run, and, in the old last run, the entries of the blocks its
+    tail overlaps. One loop walks each entry by p up to the run's end,
+    dividing at every hit, and in the last run files it again at the index
+    it stopped on, at or past the window's end; an entry whose next hit is
+    already past the end makes a walk of no hits and goes back. A prime p
+    hits a tail of ~100 candidates about 100/p times a round, so a round's
+    work is its hits and the entries of the blocks it pops, not the size of
+    the base. When a run begun in a call becomes the last, `buckets` starts
+    empty before that run is walked, which drops the state of the run it
+    closed.
 
     A candidate whose residual reaches 1 is smooth and its parity mask is
     `par[i]` (later primes cannot divide an already-smooth residue, so the
@@ -260,7 +268,7 @@ class _RelationScanner:
         self.seg_starts: list[int] = []  # index where each run of equal k begins
         self.seg_ks: list[int] = []
         self.admitted = 0  # base primes whose roots every run has walked
-        # the last run's block -> (next hit index, p, bit) of each root of a rooted prime
+        # the last run's block -> (next hit index, p, base index) of each root of a rooted prime
         self.buckets: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
         self.smooth: list[tuple[int, int, int]] = []  # (b, a, parity mask), in the order found
 
@@ -276,13 +284,13 @@ class _RelationScanner:
             if first == len(primes) and seg_hi <= old_m:
                 continue  # no new prime and no tail: nothing to walk
             self._check(deadline)
-            walks = []  # (next hit index, p, bit); a new prime walks the whole run
+            walks = []  # (next hit index, p, base index); a new prime walks the whole run
             for j in range(first, len(primes)):
                 if j % FILL == 0:
                     self._check(deadline)
                 p = primes[j]
                 for r in sqrt_mod_prime(k * n, p):
-                    walks.append((seg_lo + (r - s - seg_lo) % p, p, 1 << j))
+                    walks.append((seg_lo + (r - s - seg_lo) % p, p, j))
             if seg_lo >= old_m and seg_hi == m:  # a run begun now is the last one
                 self.buckets = defaultdict(list)
             buckets = self.buckets
@@ -290,9 +298,10 @@ class _RelationScanner:
                 for blk in range(old_m // BLOCK, (seg_hi - 1) // BLOCK + 1):
                     walks += buckets.pop(blk, ())
             last = seg_hi == m  # only the last run grows
-            for i, p, bit in walks:
+            for i, p, j in walks:
                 if seg_hi - i > BLOCK:
                     self._check(deadline)
+                bit = 1 << j
                 while i < seg_hi:
                     r = rem[i]
                     if r > 1:
@@ -306,7 +315,7 @@ class _RelationScanner:
                             fresh.append(i)
                     i += p
                 if last:
-                    buckets[i // BLOCK].append((i, p, bit))
+                    buckets[i // BLOCK].append((i, p, j))
         self.admitted = len(primes)
         for i in sorted(fresh):
             b = s + i
@@ -347,6 +356,7 @@ def qs_factor(
     Returns (factor, trace). Raises ValueError for n < 4 and for a budget
     that is not a positive number (None means no deadline), PerfectSquare
     when n = k*k (the sieve's congruences all degenerate there),
+    NotComposite for (probable) primes, which no round could split,
     BudgetExceeded at a polling point past the budget, and RoundsExhausted
     after max_rounds fruitless rounds.
     The deadline is polled at these points, and only at these:
@@ -377,6 +387,8 @@ def qs_factor(
     root = math.isqrt(n)
     if root * root == n:
         raise PerfectSquare(n, root)
+    if is_probable_prime(n):
+        raise NotComposite(f"{n} is probably prime")
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     trace = QsTrace()
     b_bound = params.b_bound
@@ -406,8 +418,8 @@ def qs_factor(
                 if g is not None:
                     return g, trace
             scanner._check(deadline)
-            b_bound += params.b_increment
-            m_count += params.m_increment
+            b_bound += B_INCREMENT
+            m_count += M_INCREMENT
     except BudgetExceeded as exc:
         exc.trace = trace
         raise

@@ -10,7 +10,6 @@ from factorbench.arith import (
     _SMALL_PRIMES,
     FIRST_TEN_PRIMES,
     _strong_tests,
-    first_ten_primes,
     is_probable_prime,
     sqrt_mod_prime,
 )
@@ -185,18 +184,13 @@ class TestExactBelowPsi13:
 
 class TestFirstTenPrimes:
     def test_definition(self):
-        primes = first_ten_primes()
+        primes = FIRST_TEN_PRIMES
         assert len(primes) == 10
         assert primes[0] == 2 and primes[-1] == 29
-        assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        assert primes == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
     def test_product(self):
-        assert math.prod(first_ten_primes()) == 6469693230
+        assert math.prod(FIRST_TEN_PRIMES) == 6469693230
 
     def test_all_pass_primality(self):
         assert all(is_probable_prime(p) for p in FIRST_TEN_PRIMES)
-
-    def test_fresh_list(self):
-        a = first_ten_primes()
-        a.append(31)
-        assert first_ten_primes() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

@@ -123,9 +123,11 @@ class TestRunBench:
         assert records[0].outcome.b_param is not None
 
     def test_error_status_on_prime(self):
-        outcome = run_attempt("pollard", 613, seed=0, budget_seconds=5.0)
-        assert outcome.status == "error"
-        assert outcome.factor is None
+        # both algorithms screen out a prime before any other work
+        for algorithm in ("pollard", "qs"):
+            for n in (613, 1000003):
+                outcome = run_attempt(algorithm, n, seed=0, budget_seconds=5.0)
+                assert (outcome.status, outcome.factor, outcome.iterations) == ("error", None, 0)
 
     def test_per_record_seeds_differ(self):
         records = run_bench(small_dataset(2), BenchConfig(budget_seconds=30.0))
@@ -321,6 +323,46 @@ class TestResultsCsv:
                 GOOD_ROW.replace(",success,", ",timeout,"),
                 "line 2: status timeout carries a factor",
                 id="timeout-with-factor",
+            ),
+            pytest.param(
+                "581363,29,20047,5,15,20,pollard,success,29,0.0010000,,,-7,1",
+                "line 2: iterations -7 is below 0",
+                id="negative-iterations",
+            ),
+            pytest.param(
+                "581363,29,20047,5,15,20,qs,success,20047,0.1830000,-4,-9,-2,1",
+                "line 2: iterations -2 is below 0",
+                id="negative-qs-counters",
+            ),
+            pytest.param(
+                "581363,29,20047,5,15,20,qs,success,20047,0.1830000,-4,-9,2,1",
+                "line 2: b_param -4 is below 2 or m_param -9 is below 1",
+                id="negative-sieve-settings",
+            ),
+            pytest.param(
+                GOOD_ROW.replace(",60,600,", ",1,600,"),
+                "line 2: b_param 1 is below 2 or m_param 600 is below 1",
+                id="bound-below-two",
+            ),
+            pytest.param(
+                GOOD_ROW.replace(",60,600,", ",60,0,"),
+                "line 2: b_param 60 is below 2 or m_param 0 is below 1",
+                id="window-below-one",
+            ),
+            pytest.param(
+                "581363,29,20047,5,15,20,pollard,timeout,,0.0010000,12,13,0,1",
+                "line 2: a pollard row carries no b_param or m_param",
+                id="pollard-with-sieve-settings",
+            ),
+            pytest.param(
+                GOOD_ROW.replace(",60,600,", ",60,,"),
+                "line 2: a qs row carries both b_param and m_param or neither",
+                id="qs-bound-without-window",
+            ),
+            pytest.param(
+                GOOD_ROW.replace(",60,600,", ",,600,"),
+                "line 2: a qs row carries both b_param and m_param or neither",
+                id="qs-window-without-bound",
             ),
         ],
     )

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorbench.arith import first_ten_primes
+from factorbench import pollard
+from factorbench.arith import FIRST_TEN_PRIMES
 from factorbench.errors import BudgetExceeded, NotComposite, RestartsExhausted
 from factorbench.pollard import BATCH, RhoConfig, RhoTrace, pollard_factor, rho_step
 from factorbench.primegen import random_semiprime
@@ -22,19 +23,20 @@ def trial_division_factor(n):
     return n
 
 
-def per_step_pollard(n, seed, max_restarts=20):
-    """Oracle: the Floyd walk with a gcd after every step, without a deadline.
+def per_step_pollard(n, seed, walk_cap):
+    """Oracle: the Floyd walk with a gcd after every step, without a deadline,
+    for at most walk_cap walks.
 
     Returns (factor, trace, walks), where factor is None when every restart
     ended with gcd = n and walks lists (steps, gcd) for each walk.
     """
     trace = RhoTrace()
-    for p in first_ten_primes():
+    for p in FIRST_TEN_PRIMES:
         if p < n and n % p == 0:
             return p, trace, []
     rng = random.Random(seed)
     walks = []
-    for attempt in range(max_restarts):
+    for attempt in range(walk_cap):
         c = rng.randrange(1, n)
         x = rng.randrange(1, n)
         trace.c_values.append(c)
@@ -70,10 +72,11 @@ def floyd_differences(n, seed, steps):
     return diffs
 
 
-def assert_matches_oracle(n, seed, max_restarts=20):
-    """pollard_factor agrees with the per-step oracle; returns the oracle's walks."""
-    factor, want, walks = per_step_pollard(n, seed, max_restarts)
-    cfg = RhoConfig(seed=seed, max_restarts=max_restarts)
+def assert_matches_oracle(n, seed):
+    """pollard_factor agrees with the per-step oracle under the same restart
+    cap; returns the oracle's walks."""
+    factor, want, walks = per_step_pollard(n, seed, pollard.MAX_RESTARTS)
+    cfg = RhoConfig(seed=seed)
     if factor is None:
         with pytest.raises(RestartsExhausted) as info:
             pollard_factor(n, cfg)
@@ -212,10 +215,11 @@ class TestBatchedWalkMatchesPerStep:
         assert walks[0][0] == steps
         assert 1 < walks[0][1] < n
 
-    def test_restart_after_collision_in_a_product_batch(self):
+    def test_restart_after_collision_in_a_product_batch(self, monkeypatch):
         n = 230940722119
         assert assert_matches_oracle(n, 6) == [(735, n), (243, 491653)]
-        assert assert_matches_oracle(n, 6, max_restarts=1) == [(735, n)]
+        monkeypatch.setattr(pollard, "MAX_RESTARTS", 1)
+        assert assert_matches_oracle(n, 6) == [(735, n)]
 
     def test_both_primes_in_one_batch_replay_finds_proper_factor(self):
         # Both primes of n collide in steps 257..384, so the batch product is
@@ -242,9 +246,3 @@ class TestBudgetValidation:
     def test_non_positive_or_nan_budget_rejected(self, budget):
         with pytest.raises(ValueError, match="budget_seconds must be positive"):
             pollard_factor(8051, RhoConfig(seed=7), budget)
-
-
-class TestRhoConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RhoConfig(seed=0, max_restarts=0)

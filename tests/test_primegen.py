@@ -16,7 +16,6 @@ from factorbench.primegen import (
     FixedGroup,
     RandomGroup,
     Semiprime,
-    _random_semiprime_loose,
     dataset_spec_from_dict,
     derive_seed,
     generate_dataset,
@@ -132,7 +131,8 @@ class TestRandomSemiprime:
     def test_unsatisfiable_combination_errors(self):
         # distinct 2-bit primes can only be {2, 3}, whose product has 3 bits,
         # so a 4-bit product is impossible and the resample cap must trip
-        with pytest.raises(GenerationError):
+        message = "^no 4-bit product of distinct 2/2-bit primes after 10000 attempts$"
+        with pytest.raises(GenerationError, match=message):
             random_semiprime(2, 2, 4, random.Random(5))
 
     def test_mismatched_bits_rejected(self):
@@ -199,8 +199,9 @@ class TestGenerateDataset:
             RandomGroup(1, 4)
 
     def test_loose_resampling_is_capped(self):
-        with pytest.raises(GenerationError):
-            _random_semiprime_loose(2, 2, random.Random(0))
+        message = "^no distinct 2/2-bit primes after 10000 attempts$"
+        with pytest.raises(GenerationError, match=message):
+            random_semiprime(2, 2, None, random.Random(0))
 
     def test_fifteen_group_grid(self):
         groups = tuple(

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -71,8 +72,8 @@ def reference_qs(n, params):
             g = extract_factor(n, [(rels[i].b, rels[i].a) for i in sorted(dep.row_indices)])
             if g is not None:
                 return g, round_no, len(rels)
-        b_bound += params.b_increment
-        m_count += params.m_increment
+        b_bound += sieve.B_INCREMENT
+        m_count += sieve.M_INCREMENT
     return None, params.max_rounds, len(rels)
 
 
@@ -254,7 +255,7 @@ class TestQsFactor:
     def test_rounds_exhausted(self):
         sp = random_semiprime(20, 20, 40, random.Random(18))
         with pytest.raises(RoundsExhausted):
-            qs_factor(sp.n, QsParams(b_bound=2, m_count=1, b_increment=1, m_increment=1, max_rounds=2))
+            qs_factor(sp.n, QsParams(b_bound=2, m_count=1, max_rounds=2))
 
     def test_factor_divides(self):
         rng = random.Random(21)
@@ -276,11 +277,11 @@ class TestQsFactor:
     def test_trace_monotone_growth(self):
         # force several rounds with a tiny starting window
         sp = random_semiprime(14, 14, 28, random.Random(6))
-        params = QsParams(b_bound=10, m_count=1, b_increment=10, m_increment=100)
+        params = QsParams(b_bound=10, m_count=1)
         g, trace = qs_factor(sp.n, params, budget_seconds=60.0)
         assert sp.n % g == 0
-        assert trace.final_b == params.b_bound + (trace.rounds - 1) * params.b_increment
-        assert trace.final_m == params.m_count + (trace.rounds - 1) * params.m_increment
+        assert trace.final_b == params.b_bound + (trace.rounds - 1) * sieve.B_INCREMENT
+        assert trace.final_m == params.m_count + (trace.rounds - 1) * sieve.M_INCREMENT
 
     def test_deterministic(self):
         sp = random_semiprime(13, 15, 28, random.Random(19))
@@ -470,13 +471,27 @@ class TestScannerDeadlinePolls:
         assert scanner.seg_ks == [1]
 
 
+class TestScannerMemory:
+    def test_root_entries_grow_linearly_with_the_base(self):
+        # 9592 base primes, two roots each for about half of them: entries
+        # holding the mask bit 1 << j would take about 6 MB more on their own
+        primes = build_factor_base(10**5).primes
+        scanner = _RelationScanner(946613331739179941)
+        tracemalloc.start()
+        try:
+            scanner.advance(primes, 100, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
 class TestQsParams:
     def test_defaults_match_retry_protocol(self):
         params = QsParams()
         assert params.b_bound == 10
         assert params.m_count == 100
-        assert params.b_increment == 10
-        assert params.m_increment == 100
+        assert (sieve.B_INCREMENT, sieve.M_INCREMENT) == (10, 100)
         assert params.max_rounds == 500
 
     def test_validation(self):
@@ -484,7 +499,5 @@ class TestQsParams:
             QsParams(b_bound=1)
         with pytest.raises(ValueError):
             QsParams(m_count=0)
-        with pytest.raises(ValueError):
-            QsParams(b_increment=0)
         with pytest.raises(ValueError):
             QsParams(max_rounds=0)
