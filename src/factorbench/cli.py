@@ -35,7 +35,7 @@ from .bench import (
 )
 from .primegen import generate_dataset, load_dataset_spec, read_dataset_csv, write_dataset_csv
 from .report import TABLE_NAMES, points_csv, render_report
-from .sieve import QsParams
+from .sieve import MAX_B_BOUND, MAX_M_COUNT, QsParams
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,8 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_factor.add_argument("--algo", choices=["pollard", "qs", "auto"], default="auto")
     p_factor.add_argument("--timeout", type=float, default=180.0, help="seconds (default 180)")
     p_factor.add_argument("--seed", type=int, default=None)
-    p_factor.add_argument("--b", type=int, default=QsParams.b_bound, help="sieve smooth bound start")
-    p_factor.add_argument("--m", type=int, default=QsParams.m_count, help="sieve scan window start")
+    p_factor.add_argument(
+        "--b", type=int, default=QsParams.b_bound, help=f"sieve smooth bound start, 2 to {MAX_B_BOUND}"
+    )
+    p_factor.add_argument(
+        "--m", type=int, default=QsParams.m_count, help=f"sieve scan window start, 1 to {MAX_M_COUNT}"
+    )
     p_factor.add_argument(
         "--auto-threshold",
         type=int,

@@ -186,7 +186,10 @@ def generate_dataset(spec: DatasetSpec) -> list[Semiprime]:
 def load_dataset_spec(path: str | Path, seed_override: int | None = None) -> DatasetSpec:
     """Parse a DatasetSpec from its JSON document form."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nests too deeply to parse") from None
     return dataset_spec_from_dict(doc, seed_override=seed_override)
 
 

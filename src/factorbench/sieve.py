@@ -84,12 +84,17 @@ class Relation:
 # fruitless round.
 B_INCREMENT = 10
 M_INCREMENT = 100
+# The largest first-round bound and window. build_factor_base re-sieves its
+# prime table with no deadline poll, and the window's candidates are held in
+# memory, so larger ones would overrun a budget or grow memory unchecked.
+MAX_B_BOUND = MAX_M_COUNT = 10**6
 
 
 @dataclass(frozen=True)
 class QsParams:
-    """The first round's smooth bound and scan window, and the round cap;
-    each later round widens both by B_INCREMENT and M_INCREMENT."""
+    """The first round's smooth bound and scan window, each at most 10**6,
+    and the round cap; each later round widens both by B_INCREMENT and
+    M_INCREMENT."""
 
     b_bound: int = 10
     m_count: int = 100
@@ -98,8 +103,12 @@ class QsParams:
     def __post_init__(self):
         if self.b_bound < 2:
             raise ValueError("b_bound must be >= 2")
+        if self.b_bound > MAX_B_BOUND:
+            raise ValueError(f"b_bound must be <= {MAX_B_BOUND}")
         if self.m_count < 1:
             raise ValueError("m_count must be >= 1")
+        if self.m_count > MAX_M_COUNT:
+            raise ValueError(f"m_count must be <= {MAX_M_COUNT}")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
 
@@ -369,7 +378,9 @@ def qs_factor(
       not polled;
     - before and after each round's matrix step.
     `build_factor_base` takes no deadline (its signature is pinned), so the
-    prime table it re-sieves when a bound passes it is not polled.
+    prime table it re-sieves when a bound passes it is not polled, nor is
+    the first round's check for a base prime dividing n; `QsParams` keeps
+    the first bound at or below MAX_B_BOUND (10**6) so that both stay short.
     A first-round base prime dividing n is returned straight away and
     flagged in the trace. Each relation is kept as (b, a, parity mask).
     Each round's new masks are reduced into one GF(2) basis kept for the

@@ -556,6 +556,18 @@ USAGE_FAILURES = [
     ("factor-b-one", ["factor", "8051", "--b", "1"], None, "b_bound must be >= 2\n"),
     ("factor-m-zero", ["factor", "8051", "--m", "0"], None, "m_count must be >= 1\n"),
     (
+        "factor-b-above-limit",
+        ["factor", "8051", "--b", "1000001"],
+        None,
+        "b_bound must be <= 1000000\n",
+    ),
+    (
+        "factor-m-above-limit",
+        ["factor", "8051", "--m", "1000001"],
+        None,
+        "m_count must be <= 1000000\n",
+    ),
+    (
         "factor-bad-factor",
         ["factor", "8051", "--algo", "pollard"],
         _bad_factor,
@@ -572,6 +584,12 @@ USAGE_FAILURES = [
         ["gen-dataset", "--spec", "{tmp}/nope.json", "--out", "{tmp}/x.csv"],
         None,
         f"invalid dataset spec {{tmp}}/nope.json: {NO_SUCH_FILE}'{{tmp}}/nope.json'\n",
+    ),
+    (
+        "gen-deep-spec",
+        ["gen-dataset", "--spec", "{tmp}/deep.json", "--out", "{tmp}/x.csv"],
+        None,
+        "invalid dataset spec {tmp}/deep.json: JSON nests too deeply to parse\n",
     ),
     (
         "gen-undrawable-spec",
@@ -686,6 +704,8 @@ class TestUsageFailuresGolden:
         (tmp_path / "bad-spec.json").write_text(_spec(3, 8, 12, 21))
         # 3 is the only 2-bit prime, so no product of two distinct ones exists
         (tmp_path / "undrawable.json").write_text(_spec(1, 2, 2, 4))
+        # deeper than the JSON parser's recursion limit
+        (tmp_path / "deep.json").write_text("[" * 200000 + "]" * 200000)
         (tmp_path / "data.csv").write_text(DATASET_HEADER + "8051,83,97,7,7,13\n")
         (tmp_path / "bad-row.csv").write_text(DATASET_HEADER + "255,15,17,4,5,8\n")  # 15 = 3 * 5
         (tmp_path / "empty.csv").write_text(DATASET_HEADER)

@@ -1,18 +1,25 @@
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-import factorbench
+ROOT = Path(__file__).resolve().parents[1]
+LAYERBENCH = ROOT / "layerbench"
 
-LAYERBENCH = Path(__file__).resolve().parents[1] / "layerbench"
 
-
-def test_public_names_resolve_once():
-    names = factorbench.__all__
-    assert len(names) == len(set(names))
-    missing = [name for name in names if not hasattr(factorbench, name)]
-    assert missing == []
+def test_root_imports_no_module():
+    # the package root is a plain namespace: importing it runs no submodule
+    code = (
+        "import sys, factorbench; "
+        "print(sorted(m for m in sys.modules if m.startswith('factorbench')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "['factorbench']\n"
 
 
 def test_benchmark_hooks_resolve(monkeypatch):

@@ -499,5 +499,10 @@ class TestQsParams:
             QsParams(b_bound=1)
         with pytest.raises(ValueError):
             QsParams(m_count=0)
+        QsParams(b_bound=10**6, m_count=10**6)
+        with pytest.raises(ValueError, match="b_bound must be <= 1000000"):
+            QsParams(b_bound=10**6 + 1)
+        with pytest.raises(ValueError, match="m_count must be <= 1000000"):
+            QsParams(m_count=10**6 + 1)
         with pytest.raises(ValueError):
             QsParams(max_rounds=0)
