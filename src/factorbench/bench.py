@@ -1,8 +1,7 @@
 """Benchmark harness: run both factoring algorithms over a dataset with
 per-number time budgets and record the outcomes. `run_attempt` alone
-calls the algorithms and maps how a call ended to a status: a factor or
-perfect square is `success`, `BudgetExceeded` `timeout`,
-`RoundsExhausted`/`RestartsExhausted` `exhausted`, `NotComposite` `error`;
+calls the algorithms and maps how a call ended to a status: a returned
+factor is `success`, and an `errors.FactorError` is its class's `status`;
 any other exception is a bug and propagates.
 
 Timeouts are cooperative: the algorithms poll their deadline at bounded
@@ -115,14 +114,8 @@ def run_attempt(
         else:
             factor, trace = qs_factor(n, qs_params, budget_seconds)
         status = "success"
-    except errors.PerfectSquare as exc:
-        status, factor = "success", exc.root
-    except errors.BudgetExceeded as exc:
-        status, trace = "timeout", exc.trace
-    except (errors.RoundsExhausted, errors.RestartsExhausted) as exc:
-        status, trace = "exhausted", exc.trace
-    except errors.NotComposite as exc:
-        status, trace = "error", exc.trace
+    except errors.FactorError as exc:
+        status, trace = exc.status, exc.trace
     elapsed = time.monotonic() - start
     iterations, b_param, m_param = 0, None, None
     if trace is not None:

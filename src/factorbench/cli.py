@@ -33,7 +33,9 @@ from .bench import (
     verify_outcomes,
     write_results_csv,
 )
-from .primegen import generate_dataset, load_dataset_spec, read_dataset_csv, write_dataset_csv
+from .primegen import (
+    check_n_bits, generate_dataset, load_dataset_spec, read_dataset_csv, write_dataset_csv
+)
 from .report import TABLE_NAMES, points_csv, render_report
 from .sieve import MAX_B_BOUND, MAX_M_COUNT, QsParams
 
@@ -145,6 +147,7 @@ def _cmd_factor(args) -> int:
         n = int(args.n, 10)
         if n < 2:
             raise ValueError(f"nothing to factor below 2: {n}")
+        check_n_bits(n.bit_length())
         if not args.timeout > 0:  # also rejects NaN
             raise ValueError("timeout must be positive")
         seed = _default_seed(args.seed)

@@ -6,12 +6,14 @@ from __future__ import annotations
 class FactorError(Exception):
     """Base class for what an algorithm raises in place of returning a factor.
 
-    Every subclass but PerfectSquare is a failure to factor; PerfectSquare
-    carries the square root, which the harness records as a success.
-    Carries the partial trace (RhoTrace or QsTrace) when one exists, so the
-    harness can still record iteration/round counters for attempts that
-    stopped without a returned factor.
+    Each subclass is one way to fail to factor, and its `status` is the
+    results CSV status the harness records for it. Carries the partial
+    trace (RhoTrace or QsTrace) when one exists, so the harness can still
+    record iteration/round counters for attempts that stopped without a
+    returned factor.
     """
+
+    status: str
 
     def __init__(self, message: str, trace=None):
         super().__init__(message)
@@ -21,25 +23,20 @@ class FactorError(Exception):
 class NotComposite(FactorError):
     """The input passed the primality test; there is nothing to factor."""
 
+    status = "error"
+
 
 class BudgetExceeded(FactorError):
     """The per-call time budget ran out at a polling point."""
 
-
-class RestartsExhausted(FactorError):
-    """Every rho restart ended in a full cycle without a nontrivial gcd."""
+    status = "timeout"
 
 
-class RoundsExhausted(FactorError):
-    """The sieve ran out of retry rounds without finding a factor."""
+class Exhausted(FactorError):
+    """The search gave up within its budget: every rho restart ended in a
+    full cycle without a nontrivial gcd, or the sieve used up its rounds."""
 
-
-class PerfectSquare(FactorError):
-    """The sieve was handed n = k*k; the root is reported out of band."""
-
-    def __init__(self, n: int, root: int):
-        super().__init__(f"{n} is a perfect square ({root}^2)")
-        self.root = root
+    status = "exhausted"
 
 
 class GenerationError(Exception):

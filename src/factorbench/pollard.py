@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 
 from .arith import FIRST_TEN_PRIMES, is_probable_prime
-from .errors import BudgetExceeded, NotComposite, RestartsExhausted
+from .errors import BudgetExceeded, Exhausted, NotComposite
 
 # Floyd steps per gcd once a walk is past its per-step warm-up of 2 batches.
 BATCH = 128
@@ -74,8 +74,8 @@ def pollard_factor(
     Raises ValueError for n < 2 and for a budget that is not a positive
     number (None means no deadline), NotComposite for (probable) primes,
     BudgetExceeded when the time budget runs out (the deadline is polled
-    after every batch of BATCH steps), and RestartsExhausted when every
-    restart ended with gcd = n. Identical (n, seed) pairs produce identical
+    after every batch of BATCH steps), and Exhausted when every restart
+    ended with gcd = n. Identical (n, seed) pairs produce identical
     traces.
     """
     if n < 2:
@@ -121,6 +121,4 @@ def pollard_factor(
                 raise BudgetExceeded(
                     f"pollard budget of {budget_seconds}s exceeded on {n}", trace=trace
                 )
-    raise RestartsExhausted(
-        f"no nontrivial factor of {n} in {MAX_RESTARTS} restarts", trace=trace
-    )
+    raise Exhausted(f"no nontrivial factor of {n} in {MAX_RESTARTS} restarts", trace=trace)

@@ -26,12 +26,20 @@ from .errors import GenerationError
 # is far above 1/2 and the cap is only ever hit on unsatisfiable requests.
 MAX_RESAMPLE_ATTEMPTS = 10_000
 
-# Widest product a spec may ask for. Far above any committed spec, it keeps
-# a random group's list of admissible (p_bits, q_bits) pairs, about
-# MAX_BITS**2 / 2 of them, and a fixed group's prime search small.
+# Widest n the program takes in: a spec's product, a CSV row's n or the
+# number handed to `factor`. Far above any committed spec, it keeps a random
+# group's list of admissible (p_bits, q_bits) pairs, about MAX_BITS**2 / 2
+# of them, a fixed group's prime search and every unpolled primality test
+# small.
 MAX_BITS = 512
 
 DATASET_CSV_HEADER = ["n", "p", "q", "p_bits", "q_bits", "n_bits"]
+
+
+def check_n_bits(n_bits: int) -> None:
+    """A ValueError for a width above MAX_BITS."""
+    if n_bits > MAX_BITS:
+        raise ValueError(f"n_bits must be <= {MAX_BITS}, got {n_bits}")
 
 
 def derive_seed(base: int, *parts) -> int:
@@ -92,8 +100,7 @@ class FixedGroup:
             )
         if min(self.p_bits, self.q_bits) < 2:
             raise ValueError("prime bit lengths must be >= 2")
-        if self.n_bits > MAX_BITS:  # p_bits and q_bits are then below it too
-            raise ValueError(f"n_bits must be <= {MAX_BITS}, got {self.n_bits}")
+        check_n_bits(self.n_bits)  # p_bits and q_bits are then below it too
 
 
 @dataclass(frozen=True)
@@ -223,8 +230,10 @@ def dataset_spec_from_dict(doc: dict, seed_override: int | None = None) -> Datas
 
 def semiprime_from_row(row: dict[str, str]) -> Semiprime:
     """The Semiprime in a CSV row's dataset columns; a row that is not a
-    valid Semiprime of two primes is a ValueError."""
+    valid Semiprime of two primes, or whose n is wider than MAX_BITS, is a
+    ValueError."""
     s = Semiprime(**{name: int(row[name]) for name in DATASET_CSV_HEADER})
+    check_n_bits(s.n_bits)  # before the primality tests, whose cost grows with it
     for name, value in (("p", s.p), ("q", s.q)):
         if not is_probable_prime(value):
             raise ValueError(f"{name} = {value} is not prime")

@@ -52,7 +52,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .arith import _sieve_upto, is_probable_prime, sqrt_mod_prime
-from .errors import BudgetExceeded, NotComposite, PerfectSquare, RoundsExhausted
+from .errors import BudgetExceeded, Exhausted, NotComposite
 from .gf2 import XorBasis
 # not called here: the traced benchmark (layerbench) wraps sieve.eliminate by name
 from .gf2 import eliminate  # noqa: F401
@@ -115,11 +115,14 @@ class QsParams:
 
 @dataclass
 class QsTrace:
+    """Counters for one qs_factor call. `final_b` and `final_m` are the
+    last round's smooth bound and scan window, None until a round runs."""
+
     rounds: int = 0
     relations_found: int = 0
     dependencies_tried: int = 0
-    final_b: int = 0
-    final_m: int = 0
+    final_b: int | None = None
+    final_m: int | None = None
     via_small_factor: bool = False
 
 
@@ -269,8 +272,9 @@ class _RelationScanner:
     equal `collect_relations` over the same base and window.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, trace: QsTrace | None = None):
         self.n = n
+        self.trace = trace  # what a BudgetExceeded from _check carries
         self.start_b = _ceil_sqrt(n)
         self.rem: list[int] = []  # 0 marks a = 0, which is never a relation
         self.par: list[int] = []
@@ -354,7 +358,7 @@ class _RelationScanner:
 
     def _check(self, deadline: float | None) -> None:
         if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(f"sieve over {self.n} ran past its deadline")
+            raise BudgetExceeded(f"sieve over {self.n} ran past its deadline", self.trace)
 
 
 def qs_factor(
@@ -363,11 +367,11 @@ def qs_factor(
     """Factor composite n with the retry loop over (bound, window) settings.
 
     Returns (factor, trace). Raises ValueError for n < 4 and for a budget
-    that is not a positive number (None means no deadline), PerfectSquare
-    when n = k*k (the sieve's congruences all degenerate there),
-    NotComposite for (probable) primes, which no round could split,
-    BudgetExceeded at a polling point past the budget, and RoundsExhausted
-    after max_rounds fruitless rounds.
+    that is not a positive number (None means no deadline), NotComposite
+    for (probable) primes, which no round could split, BudgetExceeded at a
+    polling point past the budget, and Exhausted after max_rounds fruitless
+    rounds. A perfect square n = k*k returns (k, trace) after 0 rounds,
+    since the sieve's congruences all degenerate there.
     The deadline is polled at these points, and only at these:
     - while the window grows, before each FILL new candidates at most;
     - once per run of constant k that has a new prime or a tail to walk;
@@ -395,43 +399,39 @@ def qs_factor(
     if budget_seconds is not None and not budget_seconds > 0:
         raise ValueError("budget_seconds must be positive")
     params = params if params is not None else QsParams()
+    trace = QsTrace()
     root = math.isqrt(n)
     if root * root == n:
-        raise PerfectSquare(n, root)
+        return root, trace
     if is_probable_prime(n):
         raise NotComposite(f"{n} is probably prime")
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-    trace = QsTrace()
     b_bound = params.b_bound
     m_count = params.m_count
-    scanner = _RelationScanner(n)
+    scanner = _RelationScanner(n, trace)
     basis = XorBasis()  # row ids are indices into scanner.smooth
-    try:
-        for round_no in range(1, params.max_rounds + 1):
-            trace.rounds = round_no
-            trace.final_b = b_bound
-            trace.final_m = m_count
-            fb = build_factor_base(b_bound)
-            if round_no == 1:
-                for p in fb.primes:
-                    if p < n and n % p == 0:
-                        trace.via_small_factor = True
-                        return p, trace
-            scanner.advance(fb.primes, m_count, deadline)
-            trace.relations_found = len(scanner.smooth)
-            scanner._check(deadline)
-            for entry in scanner.smooth[basis.n_rows :]:
-                dep = basis.add(entry[2])
-                if dep is None:
-                    continue
-                trace.dependencies_tried += 1
-                g = extract_factor(n, [scanner.smooth[i][:2] for i in sorted(dep.row_indices)])
-                if g is not None:
-                    return g, trace
-            scanner._check(deadline)
-            b_bound += B_INCREMENT
-            m_count += M_INCREMENT
-    except BudgetExceeded as exc:
-        exc.trace = trace
-        raise
-    raise RoundsExhausted(f"no factor of {n} within {params.max_rounds} rounds", trace=trace)
+    for round_no in range(1, params.max_rounds + 1):
+        trace.rounds = round_no
+        trace.final_b = b_bound
+        trace.final_m = m_count
+        fb = build_factor_base(b_bound)
+        if round_no == 1:
+            for p in fb.primes:
+                if p < n and n % p == 0:
+                    trace.via_small_factor = True
+                    return p, trace
+        scanner.advance(fb.primes, m_count, deadline)
+        trace.relations_found = len(scanner.smooth)
+        scanner._check(deadline)
+        for entry in scanner.smooth[basis.n_rows :]:
+            dep = basis.add(entry[2])
+            if dep is None:
+                continue
+            trace.dependencies_tried += 1
+            g = extract_factor(n, [scanner.smooth[i][:2] for i in sorted(dep.row_indices)])
+            if g is not None:
+                return g, trace
+        scanner._check(deadline)
+        b_bound += B_INCREMENT
+        m_count += M_INCREMENT
+    raise Exhausted(f"no factor of {n} within {params.max_rounds} rounds", trace=trace)

@@ -13,6 +13,7 @@ from factorbench.bench import (
     BenchRecord,
     FactorOutcome,
     RESULTS_CSV_HEADER,
+    STATUSES,
     read_results_csv,
     run_attempt,
     run_bench,
@@ -20,7 +21,13 @@ from factorbench.bench import (
     write_results_csv,
 )
 from factorbench.pollard import RhoTrace
-from factorbench.primegen import DatasetSpec, FixedGroup, generate_dataset, random_semiprime
+from factorbench.primegen import (
+    DatasetSpec,
+    FixedGroup,
+    generate_dataset,
+    make_semiprime,
+    random_semiprime,
+)
 from factorbench.sieve import QsParams, QsTrace
 
 
@@ -149,15 +156,31 @@ class TestRunAttemptStatuses:
         assert outcome.status == "success"
         assert outcome.factor == 101
 
-    def test_restarts_exhausted_is_exhausted(self, monkeypatch):
-        def give_up(n, cfg, budget):
-            raise errors.RestartsExhausted("no restart found a factor", trace=RhoTrace(iterations=77))
+    @pytest.mark.parametrize(
+        "error",
+        [errors.NotComposite, errors.BudgetExceeded, errors.Exhausted],
+        ids=lambda error: error.status,
+    )
+    def test_failure_is_its_status(self, monkeypatch, error):
+        def fail(trace):
+            def algorithm(n, settings, budget):
+                raise error("no factor", trace)
 
-        monkeypatch.setattr(factorbench.bench, "pollard_factor", give_up)
-        outcome = run_attempt("pollard", 8051, 0, 5.0)
-        assert outcome.status == "exhausted"
-        assert outcome.factor is None
-        assert outcome.iterations == 77
+            return algorithm
+
+        monkeypatch.setattr(factorbench.bench, "pollard_factor", fail(RhoTrace(iterations=77)))
+        qs_trace = QsTrace(rounds=3, final_b=30, final_m=300)
+        monkeypatch.setattr(factorbench.bench, "qs_factor", fail(qs_trace))
+        for algorithm, counters in (("pollard", (77, None, None)), ("qs", (3, 30, 300))):
+            outcome = run_attempt(algorithm, 8051, 0, 5.0)
+            assert (outcome.status, outcome.factor) == (error.status, None), algorithm
+            assert (outcome.iterations, outcome.b_param, outcome.m_param) == counters
+
+    def test_one_failure_class_per_status(self):
+        classes = errors.FactorError.__subclasses__()
+        failures = {cls.status for cls in classes}
+        assert len(failures) == len(classes)
+        assert failures | {"success"} == set(STATUSES)
 
     @pytest.mark.parametrize("bad", [8051, 7], ids=["n itself", "not a divisor"])
     def test_bad_factor_is_error(self, monkeypatch, bad):
@@ -244,6 +267,28 @@ class TestResultsCsv:
         row = path.read_text().splitlines()[1].split(",")
         assert row[8] == ""  # factor column empty on timeout
         assert read_results_csv(path)[0].outcome.factor is None
+
+    def test_perfect_square_and_prime_rows_keep_their_bytes(self, tmp_path):
+        square = run_attempt("qs", 10201, 0, 5.0)
+        prime = run_attempt("qs", 613, 0, 5.0)
+        counters = lambda o: (o.status, o.factor, o.iterations, o.b_param, o.m_param)
+        assert counters(square) == ("success", 101, 0, None, None)
+        assert counters(prime) == ("error", None, 0, None, None)
+        # a prime has no dataset row of its own: its outcome rides on a semiprime's
+        records = [
+            BenchRecord(make_semiprime(101, 101), square),
+            BenchRecord(make_semiprime(13, 47), prime),
+        ]
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_results_csv(first, records)
+        write_results_csv(second, read_results_csv(first))
+        assert second.read_bytes() == first.read_bytes()
+        rows = [line.split(",") for line in first.read_text().splitlines()[1:]]
+        # every column after the dataset's but elapsed_seconds
+        assert [row[6:9] + row[10:] for row in rows] == [
+            ["qs", "success", "101", "", "", "0", "0"],
+            ["qs", "error", "", "", "", "0", "0"],
+        ]
 
     def test_fixture_roundtrip_byte_identical(self, tmp_path):
         path = tmp_path / "results.csv"

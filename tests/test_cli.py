@@ -568,6 +568,12 @@ USAGE_FAILURES = [
         "m_count must be <= 1000000\n",
     ),
     (
+        "factor-n-above-limit",
+        ["factor", str(2**512)],
+        None,
+        "n_bits must be <= 512, got 513\n",
+    ),
+    (
         "factor-bad-factor",
         ["factor", "8051", "--algo", "pollard"],
         _bad_factor,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from factorbench import pollard
 from factorbench.arith import FIRST_TEN_PRIMES
-from factorbench.errors import BudgetExceeded, NotComposite, RestartsExhausted
+from factorbench.errors import BudgetExceeded, Exhausted, NotComposite
 from factorbench.pollard import BATCH, RhoConfig, RhoTrace, pollard_factor, rho_step
 from factorbench.primegen import random_semiprime
 
@@ -78,7 +78,7 @@ def assert_matches_oracle(n, seed):
     factor, want, walks = per_step_pollard(n, seed, pollard.MAX_RESTARTS)
     cfg = RhoConfig(seed=seed)
     if factor is None:
-        with pytest.raises(RestartsExhausted) as info:
+        with pytest.raises(Exhausted) as info:
             pollard_factor(n, cfg)
         got = info.value.trace
     else:

@@ -24,6 +24,7 @@ from factorbench.primegen import (
     random_prime,
     random_semiprime,
     read_dataset_csv,
+    semiprime_row,
     write_dataset_csv,
 )
 
@@ -372,6 +373,11 @@ class TestDatasetCsv:
             ("256,13,17,4,5,8", r"line 2: p \* q != n"),
             # q = 613 * 653
             ("403891601,1009,400289,10,19,29", "line 2: q = 400289 is not prime"),
+            pytest.param(
+                ",".join(map(str, semiprime_row(random_semiprime(256, 257, 513, random.Random(0))))),
+                "line 2: n_bits must be <= 512, got 513",
+                id="n-above-limit",
+            ),
             pytest.param(
                 "221,13,17,4,5," + "8" * (csv.field_size_limit() + 1),
                 "line 2: field larger than field limit",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from factorbench.arith import is_probable_prime
 from factorbench.bench import TIMEOUT_SLACK_SECONDS
-from factorbench.errors import BudgetExceeded, PerfectSquare, RoundsExhausted
+from factorbench.errors import BudgetExceeded, Exhausted
 from factorbench.gf2 import BitMatrix, eliminate
 from factorbench.pollard import RhoConfig, pollard_factor
 from factorbench.primegen import random_semiprime
@@ -225,9 +225,9 @@ class TestQsFactor:
         assert trace.rounds == 1
 
     def test_perfect_square(self):
-        with pytest.raises(PerfectSquare) as exc_info:
-            qs_factor(101 * 101, QsParams())
-        assert exc_info.value.root == 101
+        g, trace = qs_factor(101 * 101, QsParams())
+        assert g == 101
+        assert trace.rounds == 0
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
@@ -254,7 +254,7 @@ class TestQsFactor:
 
     def test_rounds_exhausted(self):
         sp = random_semiprime(20, 20, 40, random.Random(18))
-        with pytest.raises(RoundsExhausted):
+        with pytest.raises(Exhausted):
             qs_factor(sp.n, QsParams(b_bound=2, m_count=1, max_rounds=2))
 
     def test_factor_divides(self):
