@@ -123,9 +123,9 @@ def test_criterion_04_gf2_soundness_completeness():
 
 
 def test_criterion_05_timeout_protocol():
-    """0.05 s budget on a 60-bit semiprime: deterministic timeout within slack."""
+    """0.01 s budget on a 60-bit semiprime: deterministic timeout within slack."""
     sp = random_semiprime(30, 30, 60, random.Random(5))
-    cfg = BenchConfig(budget_seconds=0.05, algorithms=("qs",), seed=0)
+    cfg = BenchConfig(budget_seconds=0.01, algorithms=("qs",), seed=0)
     first = run_bench([sp], cfg)
     second = run_bench([sp], cfg)
     for records in (first, second):
@@ -133,7 +133,7 @@ def test_criterion_05_timeout_protocol():
         outcome = records[0].outcome
         assert outcome.status == "timeout"
         assert outcome.factor is None
-        assert outcome.elapsed_seconds <= 0.05 + TIMEOUT_SLACK_SECONDS
+        assert outcome.elapsed_seconds <= 0.01 + TIMEOUT_SLACK_SECONDS
     assert [r.outcome.status for r in first] == [r.outcome.status for r in second]
     passed("criterion-5 timeout-protocol")
 
