@@ -26,9 +26,12 @@ bucket of BLOCK candidates. A round walks the entries of the buckets its
 tail overlaps and files each again where its walk stopped, so a prime
 costs a round nothing unless its next hit is near the tail. Every walk,
 a new prime's over a whole run or an old one's over a tail, is the same
-loop over such entries. Each division records the parity of the exponent
-it takes out, so a candidate's parity mask is ready when its residual
-reaches 1. The factor base is still every prime up to the bound, and the
+loop over such entries. A prime below BLOCK only divides; a larger prime
+also notes its base index on the candidate at each division. A
+candidate's parity mask is built once, when its residual reaches 1: the
+bits of the noted primes (a prime noted twice cancels) XOR the bits of
+the primes below BLOCK, found by dividing what the noted primes leave of
+a. The factor base is still every prime up to the bound, and the
 per-round relation sets are identical to fresh reference scans (the tests
 check this), only far cheaper. The sieve keeps each relation as b, a and
 the parity mask of a's exponents, which is all the matrix and extraction
@@ -130,8 +133,14 @@ class QsTrace:
 # under its next hit index // BLOCK; a walk over more candidates than this
 # polls the deadline first.
 BLOCK = 128
-# Candidates appended between two deadline polls while the window grows.
+# Candidates appended between two deadline polls while the window grows,
+# and relations whose masks are built between two polls.
 FILL = 256
+# Bits per base index in a candidate's note of the primes at or above BLOCK
+# that divided it. Base indices stay far below 2**32, and those of such
+# primes are above 0, so a note is 0 exactly when it is empty.
+NOTE_BITS = 32
+_NOTE_MASK = (1 << NOTE_BITS) - 1
 
 # (limit, every prime up to limit); replaced whole, never mutated
 _prime_table: tuple[int, tuple[int, ...]] = (1, ())
@@ -233,8 +242,9 @@ class _RelationScanner:
 
     `rem[i]` is what is left of a = b*b mod n, b = ceil(sqrt(n)) + i, after
     dividing out the full power of every admitted prime that divides it,
-    and `par[i]` has bit j set when the prime of base index j divided a an
-    odd number of times. Writing a = b*b - k*n with k = b*b // n, a prime p
+    and `notes[i]` packs, NOTE_BITS bits each, the base index j of every
+    division by a prime p >= BLOCK, once per division; divisions by smaller
+    primes are not noted. Writing a = b*b - k*n with k = b*b // n, a prime p
     divides a exactly where b*b = k*n (mod p), i.e. on the progressions
     b = +-r (mod p) of the roots r of k*n mod p, and p**e can only divide a
     there too. So each prime visits just its progressions: a newly admitted
@@ -251,25 +261,29 @@ class _RelationScanner:
     rooted primes are kept, each root as an entry (next hit index, p, j),
     j being p's base index, filed in `buckets` under index // BLOCK (the
     bucket sieve of Aoki and Ueda in its simplest form). An entry holds j,
-    not the mask bit 1 << j, which each walk makes when it starts: kept
-    bits would take memory quadratic in the base size. A run's walks are
-    one list of such entries: the roots of its new primes, from their first
-    hit in the run, and, in the old last run, the entries of the blocks its
-    tail overlaps. One loop walks each entry by p up to the run's end,
-    dividing at every hit, and in the last run files it again at the index
-    it stopped on, at or past the window's end; an entry whose next hit is
-    already past the end makes a walk of no hits and goes back. A prime p
-    hits a tail of ~100 candidates about 100/p times a round, so a round's
-    work is its hits and the entries of the blocks it pops, not the size of
-    the base. When a run begun in a call becomes the last, `buckets` starts
-    empty before that run is walked, which drops the state of the run it
-    closed.
+    not the mask bit 1 << j: kept bits would take memory quadratic in the
+    base size. A run's walks are one list of such entries: the roots of its
+    new primes, from their first hit in the run, and, in the old last run,
+    the entries of the blocks its tail overlaps. One loop walks each entry
+    by p up to the run's end, dividing at every hit, and in the last run
+    files it again at the index it stopped on, at or past the window's end;
+    an entry whose next hit is already past the end makes a walk of no hits
+    and goes back. A prime p hits a tail of ~100 candidates about 100/p
+    times a round, so a round's work is its hits and the entries of the
+    blocks it pops, not the size of the base. When a run begun in a call
+    becomes the last, `buckets` starts empty before that run is walked,
+    which drops the state of the run it closed.
 
-    A candidate whose residual reaches 1 is smooth and its parity mask is
-    `par[i]` (later primes cannot divide an already-smooth residue, so the
-    mask never changes). `smooth` holds (b, a, mask) and only grows, so a
-    relation's index in it is a stable id; its per-round sets, in b order,
-    equal `collect_relations` over the same base and window.
+    A candidate whose residual reaches 1 is smooth, and its parity mask is
+    built then, once (later primes cannot divide an already-smooth
+    residue): bit j for each index noted an odd number of times, XOR the
+    bits of the primes below BLOCK, found by dividing what the noted primes
+    leave of a, at most 31 trials. A prime p >= BLOCK divides about one
+    candidate in p/2, so a note stays a word or two wide where a parity int
+    per candidate would grow to π(B) bits. `smooth` holds (b, a, mask) and
+    only grows, so a relation's index in it is a stable id; its per-round
+    sets, in b order, equal `collect_relations` over the same base and
+    window.
     """
 
     def __init__(self, n: int, trace: QsTrace | None = None):
@@ -277,7 +291,7 @@ class _RelationScanner:
         self.trace = trace  # what a BudgetExceeded from _check carries
         self.start_b = _ceil_sqrt(n)
         self.rem: list[int] = []  # 0 marks a = 0, which is never a relation
-        self.par: list[int] = []
+        self.notes: list[int] = []  # base indices of the large-prime divisions, NOTE_BITS each
         self.seg_starts: list[int] = []  # index where each run of equal k begins
         self.seg_ks: list[int] = []
         self.admitted = 0  # base primes whose roots every run has walked
@@ -289,7 +303,7 @@ class _RelationScanner:
         old_m = len(self.rem)
         fresh: list[int] = []  # indices whose residual reached 1 in this call
         self._extend(m_count, deadline, fresh)
-        n, s, rem, par = self.n, self.start_b, self.rem, self.par
+        n, s, rem, notes = self.n, self.start_b, self.rem, self.notes
         m = len(rem)
         ends = self.seg_starts[1:] + [m]
         for seg_lo, seg_hi, k in zip(self.seg_starts, ends, self.seg_ks):
@@ -314,30 +328,70 @@ class _RelationScanner:
             for i, p, j in walks:
                 if seg_hi - i > BLOCK:
                     self._check(deadline)
-                bit = 1 << j
-                while i < seg_hi:
-                    r = rem[i]
-                    if r > 1:
-                        r //= p
-                        par[i] ^= bit
-                        while r % p == 0:
+                if p < BLOCK:  # a small prime's bit is found from a at smooth time
+                    while i < seg_hi:
+                        r = rem[i]
+                        if r > 1:
                             r //= p
-                            par[i] ^= bit
-                        rem[i] = r
-                        if r == 1:
-                            fresh.append(i)
-                    i += p
+                            while r % p == 0:
+                                r //= p
+                            rem[i] = r
+                            if r == 1:
+                                fresh.append(i)
+                        i += p
+                else:
+                    while i < seg_hi:
+                        r = rem[i]
+                        if r > 1:
+                            r //= p
+                            note = notes[i] << NOTE_BITS | j
+                            while r % p == 0:
+                                r //= p
+                                note = note << NOTE_BITS | j
+                            notes[i] = note
+                            rem[i] = r
+                            if r == 1:
+                                fresh.append(i)
+                        i += p
                 if last:
                     buckets[i // BLOCK].append((i, p, j))
         self.admitted = len(primes)
-        for i in sorted(fresh):
+        self._add_relations(sorted(fresh), primes, deadline)
+
+    def _add_relations(
+        self, fresh: list[int], primes: tuple[int, ...], deadline: float | None
+    ) -> None:
+        """Append (b, a, mask) to `smooth` for each index in `fresh`, FILL at
+        most per poll. The notes give the mask bits of the primes at or above
+        BLOCK; what they leave of a is divided by the primes below BLOCK."""
+        n, s, notes = self.n, self.start_b, self.notes
+        small = primes[: bisect.bisect_left(primes, BLOCK)]
+        for t, i in enumerate(fresh):
+            if t % FILL == 0:
+                self._check(deadline)
             b = s + i
-            self.smooth.append((b, b * b % n, par[i]))
+            a = b * b % n
+            mask, r, note = 0, a, notes[i]
+            while note:
+                j = note & _NOTE_MASK
+                mask ^= 1 << j
+                r //= primes[j]
+                note >>= NOTE_BITS
+            for j, p in enumerate(small):
+                if r == 1:
+                    break
+                odd = False
+                while r % p == 0:
+                    r //= p
+                    odd = not odd
+                if odd:
+                    mask ^= 1 << j
+            self.smooth.append((b, a, mask))
 
     def _extend(self, m_count: int, deadline: float | None, fresh: list[int]) -> None:
         """Append candidates up to m_count, FILL at most per poll, one run of
         constant k at a time: a = x*x - k*n up to the first b with k+1."""
-        n, s, rem, par = self.n, self.start_b, self.rem, self.par
+        n, s, rem = self.n, self.start_b, self.rem
         i = len(rem)
         while i < m_count:
             self._check(deadline)
@@ -353,7 +407,7 @@ class _RelationScanner:
             if chunk[0] == 1:
                 fresh.append(i)
             rem.extend(chunk)
-            par.extend([0] * len(chunk))
+            self.notes.extend([0] * len(chunk))
             i = hi
 
     def _check(self, deadline: float | None) -> None:
@@ -380,6 +434,8 @@ def qs_factor(
     - before each root's walk that starts more than BLOCK candidates
       before its run's end; a shorter walk, as most tail walks are, is
       not polled;
+    - while a round's new relations get their parity masks, before each
+      FILL of them at most;
     - before and after each round's matrix step.
     `build_factor_base` takes no deadline (its signature is pinned), so the
     prime table it re-sieves when a bound passes it is not polled, nor is

@@ -196,6 +196,12 @@ class TestRunAttemptStatuses:
             assert (outcome.status, outcome.factor) == ("error", None), algorithm
             assert outcome.iterations == iterations
 
+    @pytest.mark.parametrize("algorithm", ["pollard", "qs"])
+    def test_n_wider_than_max_bits_rejected(self, algorithm):
+        # 513 bits: an unpolled primality screen that wide overruns a small budget
+        with pytest.raises(ValueError, match="512"):
+            run_attempt(algorithm, (1 << 512) | 1, 0, 0.05)
+
     def test_other_exceptions_propagate(self, monkeypatch):
         def broken(n, params, budget):
             raise ValueError("a bug in the sieve")

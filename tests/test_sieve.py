@@ -387,6 +387,23 @@ class TestScannerMatchesReference:
         sp = random_semiprime(15, 15, 30, random.Random(9))
         self.check(sp.n, [(300, 12 * sieve.FILL + 7), (310, 12 * sieve.FILL + 107), (420, 14 * sieve.FILL)])
 
+    def test_prime_past_block_squared(self):
+        # b = 1281 (index 219) gives a = 2 * 3 * 5 * 131**2: the notes hold 131
+        # twice, so its bit must come out even while 2, 3 and 5 stay odd
+        self.check(1126131, [(140, 250)])
+        self.check(1126131, [(100, 150), (140, 250), (150, 350)])
+
+    def test_prime_past_block_cubed(self):
+        # b = 30655 (index 220) gives a = 2 * 3 * 131**3, found by a new
+        # prime's walk over the whole window and by an old prime's tail walk
+        self.check(926240479, [(100, 230), (140, 330)])
+        self.check(926240479, [(140, 100), (150, 250)])
+
+    def test_base_crossing_block_within_a_call(self):
+        # one call admits 101..127 and 131..157 together; b = 6091 (index 220)
+        # gives a = 2 * 7 * 11 * 131**2
+        self.check(34457487, [(100, 150), (160, 300), (170, 400)])
+
     @given(
         st.integers(6, 10**6),
         st.lists(st.tuples(st.integers(0, 40), st.integers(0, 400)), min_size=1, max_size=4),
@@ -469,6 +486,39 @@ class TestScannerDeadlinePolls:
         assert len(primes) > 2 * sieve.FILL
         assert rooted == (extra_polls - 1) * sieve.FILL
         assert scanner.seg_ks == [1]
+
+
+    # extra_polls: 0 lets the deadline pass right after the last walk, so the
+    # poll before the first mask catches it; 1 lets that poll pass too, so
+    # only the poll before the FILL-th mask can
+    @pytest.mark.parametrize("extra_polls", [0, 1])
+    def test_building_many_masks_polls(self, monkeypatch, extra_polls):
+        sp = random_semiprime(15, 15, 30, random.Random(12))
+        fb = build_factor_base(3000)
+        scanner = _RelationScanner(sp.n)
+        polls_left = None  # None until the walks are over
+        fresh_count = 0
+
+        def clock():
+            nonlocal polls_left
+            if polls_left == 0:
+                return 2.0
+            if polls_left is not None:
+                polls_left -= 1
+            return 0.0
+
+        add_relations = scanner._add_relations
+
+        def expire_then_add(fresh, *args):
+            nonlocal polls_left, fresh_count
+            polls_left, fresh_count = extra_polls, len(fresh)
+            add_relations(fresh, *args)
+
+        monkeypatch.setattr(sieve.time, "monotonic", clock)
+        monkeypatch.setattr(scanner, "_add_relations", expire_then_add)
+        with pytest.raises(BudgetExceeded):
+            scanner.advance(fb.primes, 1500, 1.0)
+        assert fresh_count > sieve.FILL
 
 
 class TestScannerMemory:
