@@ -28,7 +28,6 @@ from .pollard import RhoConfig, pollard_factor
 from .primegen import (
     DATASET_CSV_HEADER,
     Semiprime,
-    check_n_bits,
     derive_seed,
     read_csv_rows,
     semiprime_from_row,
@@ -104,12 +103,11 @@ def run_attempt(
     qs_params: QsParams | None = None,
 ) -> FactorOutcome:
     """One timed factorization; its ending becomes a status as the module
-    docstring lists. Any other exception, a ValueError included, propagates.
-    An n wider than `primegen.MAX_BITS` is a ValueError before the clock
-    starts, since the algorithms' primality screens are not polled."""
+    docstring lists. Any other exception, a ValueError included, propagates:
+    each algorithm rejects an n wider than `primegen.MAX_BITS` before its
+    unpolled primality screen."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    check_n_bits(n.bit_length())
     start = time.monotonic()
     factor = trace = None
     try:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from .arith import FIRST_TEN_PRIMES, is_probable_prime
 from .errors import BudgetExceeded, Exhausted, NotComposite
+from .primegen import check_n_bits
 
 # Floyd steps per gcd once a walk is past its per-step warm-up of 2 batches.
 BATCH = 128
@@ -71,15 +72,17 @@ def pollard_factor(
 ) -> tuple[int, RhoTrace]:
     """Find a nontrivial factor of composite n.
 
-    Raises ValueError for n < 2 and for a budget that is not a positive
-    number (None means no deadline), NotComposite for (probable) primes,
-    BudgetExceeded when the time budget runs out (the deadline is polled
-    after every batch of BATCH steps), and Exhausted when every restart
-    ended with gcd = n. Identical (n, seed) pairs produce identical
+    Raises ValueError for n < 2, for n wider than `primegen.MAX_BITS`
+    (before the unpolled primality screen) and for a budget that is not a
+    positive number (None means no deadline), NotComposite for (probable)
+    primes, BudgetExceeded when the time budget runs out (the deadline is
+    polled after every batch of BATCH steps), and Exhausted when every
+    restart ended with gcd = n. Identical (n, seed) pairs produce identical
     traces.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    check_n_bits(n.bit_length())
     if budget_seconds is not None and not budget_seconds > 0:
         raise ValueError("budget_seconds must be positive")
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds

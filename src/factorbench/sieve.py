@@ -15,27 +15,33 @@ setting: it trial-divides every candidate by every base prime. `qs_factor`
 runs the retry loop on top of a root-indexed sieve that keeps each
 candidate's undivided residual between rounds. Each base prime's square
 roots of n are found once (Tonelli-Shanks), and the prime then divides only
-the candidates b = +-r (mod p) where it must divide a: over the whole
-window when it is newly admitted, over the newly added tail after that.
-Primes of which n is a quadratic non-residue are dropped after that one
-check and never enter a loop again. The window grows a run of constant
-k = b*b // n at a time, as b*b - k*n, with no division per candidate, and
-only its last run ever gets a tail, so walk state is kept for that run
-alone: each root of each rooted prime waits as its next hit index in a
-bucket of BLOCK candidates. A round walks the entries of the buckets its
-tail overlaps and files each again where its walk stopped, so a prime
-costs a round nothing unless its next hit is near the tail. Every walk,
-a new prime's over a whole run or an old one's over a tail, is the same
-loop over such entries. A prime below BLOCK only divides; a larger prime
-also notes its base index on the candidate at each division. A
-candidate's parity mask is built once, when its residual reaches 1: the
-bits of the noted primes (a prime noted twice cancels) XOR the bits of
-the primes below BLOCK, found by dividing what the noted primes leave of
-a. The factor base is still every prime up to the bound, and the
-per-round relation sets are identical to fresh reference scans (the tests
-check this), only far cheaper. The sieve keeps each relation as b, a and
-the parity mask of a's exponents, which is all the matrix and extraction
-steps need; no exponent vector is kept.
+the candidates b = +-r (mod p) where it must divide a. Primes of which n is
+a quadratic non-residue are dropped after that one check and never enter a
+loop again. The sieved region grows in whole blocks of BLOCK candidates,
+to the first block edge at or past the round's window, so it runs ahead of
+the window by less than a block and grows only about once every
+BLOCK / M_INCREMENT rounds: a newly admitted prime walks the whole region,
+an older one only the blocks added. A candidate past the window whose
+residual reaches 1 waits, and becomes a relation in the round whose window
+reaches it, so every round's relations are those of the window alone.
+The region grows a run of constant k = b*b // n at a time, as b*b - k*n,
+with no division per candidate, and only its last run ever gets new
+blocks, so walk state is kept for that run alone: each root of each
+rooted prime waits as its next hit index in a bucket of BLOCK candidates
+(the segmented bucket sieve of Aoki and Ueda). New blocks are walked by
+the entries of their buckets, each filed again where its walk stopped, so
+a prime costs nothing until its next hit falls in a new block. Every walk,
+a new prime's over a whole run or an old one's over new blocks, is the
+same loop over such entries. A prime below NOTE_MIN only divides; a larger
+prime also notes its base index on the candidate at each division. A
+candidate's parity mask is built once, when it becomes a relation: the
+bits of the noted primes (a prime noted twice cancels) XOR the bits of the
+primes below NOTE_MIN, found by dividing what the noted primes leave of a.
+The factor base is still every prime up to the bound, and the per-round
+relation sets are identical to fresh reference scans (the tests check
+this), only far cheaper. The sieve keeps each relation as b, a and the
+parity mask of a's exponents, which is all the matrix and extraction steps
+need; no exponent vector is kept.
 
 The matrix step is incremental as well. One `XorBasis` lives for the whole
 call; each round reduces only the relations that are new in it, and only
@@ -57,6 +63,7 @@ from dataclasses import dataclass
 from .arith import _sieve_upto, is_probable_prime, sqrt_mod_prime
 from .errors import BudgetExceeded, Exhausted, NotComposite
 from .gf2 import XorBasis
+from .primegen import check_n_bits
 # not called here: the traced benchmark (layerbench) wraps sieve.eliminate by name
 from .gf2 import eliminate  # noqa: F401
 
@@ -129,16 +136,21 @@ class QsTrace:
     via_small_factor: bool = False
 
 
-# Candidates per bucket of the scanner's walk state, which files each root
+# Candidates per block of the scanner's sieved region, which grows a whole
+# block at a time, and per bucket of its walk state, which files each root
 # under its next hit index // BLOCK; a walk over more candidates than this
 # polls the deadline first.
-BLOCK = 128
+BLOCK = 1024
+# Primes below this only divide; a larger prime also notes its base index
+# on each candidate it divides. It bounds the trial divisions that find
+# the small primes' mask bits to the 31 primes below it.
+NOTE_MIN = 128
 # Candidates appended between two deadline polls while the window grows,
 # and relations whose masks are built between two polls.
 FILL = 256
-# Bits per base index in a candidate's note of the primes at or above BLOCK
-# that divided it. Base indices stay far below 2**32, and those of such
-# primes are above 0, so a note is 0 exactly when it is empty.
+# Bits per base index in a candidate's note of the primes at or above
+# NOTE_MIN that divided it. Base indices stay far below 2**32, and those of
+# such primes are above 0, so a note is 0 exactly when it is empty.
 NOTE_BITS = 32
 _NOTE_MASK = (1 << NOTE_BITS) - 1
 
@@ -158,6 +170,15 @@ def build_factor_base(bound: int) -> FactorBase:
         primes = tuple(_sieve_upto(limit))
         _prime_table = limit, primes
     return FactorBase(bound, primes[: bisect.bisect_right(primes, bound)])
+
+
+def _primes_above(low: int, bound: int) -> tuple[int, ...]:
+    """The primes in (low, bound], cut from the shared prime table, which
+    build_factor_base re-sieves first if the bound passes it."""
+    if bound > _prime_table[0]:
+        build_factor_base(bound)
+    primes = _prime_table[1]
+    return primes[bisect.bisect_right(primes, low) : bisect.bisect_right(primes, bound)]
 
 
 def smooth_decompose(a: int, fb: FactorBase) -> list[int] | None:
@@ -240,76 +261,86 @@ def extract_factor(n: int, pairs: list[tuple[int, int]]) -> int | None:
 class _RelationScanner:
     """Root-indexed exact sieve shared across retry rounds.
 
-    `rem[i]` is what is left of a = b*b mod n, b = ceil(sqrt(n)) + i, after
-    dividing out the full power of every admitted prime that divides it,
-    and `notes[i]` packs, NOTE_BITS bits each, the base index j of every
-    division by a prime p >= BLOCK, once per division; divisions by smaller
-    primes are not noted. Writing a = b*b - k*n with k = b*b // n, a prime p
-    divides a exactly where b*b = k*n (mod p), i.e. on the progressions
-    b = +-r (mod p) of the roots r of k*n mod p, and p**e can only divide a
-    there too. So each prime visits just its progressions: a newly admitted
-    prime walks the whole window, an older one only the tail added this
-    round. k is constant on runs of consecutive candidates
-    (`seg_starts`/`seg_ks`); for n of 40 bits and more at the default
-    windows it is always 1.
+    `primes` is the factor base so far; each `advance` appends its round's
+    new primes, so base indices never change. `rem[i]` is what is left of
+    a = b*b mod n, b = ceil(sqrt(n)) + i, after dividing out the full power
+    of every walked prime that divides it, and `notes[i]` packs, NOTE_BITS
+    bits each, the base index j of every division by a prime p >= NOTE_MIN,
+    once per division; divisions by smaller primes are not noted. Writing
+    a = b*b - k*n with k = b*b // n, a prime p divides a exactly where
+    b*b = k*n (mod p), i.e. on the progressions b = +-r (mod p) of the roots
+    r of k*n mod p, and p**e can only divide a there too. So each prime
+    visits just its progressions. k is constant on runs of consecutive
+    candidates (`seg_starts`/`seg_ks`); for n of 40 bits and more at the
+    default windows it is always 1.
 
-    After each call every run has walked the first `admitted` base primes,
-    so in the next call a run that began before it walks the primes from
-    `admitted` on and a run begun in it walks them all. A prime with no root
-    of k*n is never kept, so it costs nothing after that one check. Only the
-    last run before a call can get a tail in it, so only the last run's
-    rooted primes are kept, each root as an entry (next hit index, p, j),
-    j being p's base index, filed in `buckets` under index // BLOCK (the
-    bucket sieve of Aoki and Ueda in its simplest form). An entry holds j,
-    not the mask bit 1 << j: kept bits would take memory quadratic in the
-    base size. A run's walks are one list of such entries: the roots of its
-    new primes, from their first hit in the run, and, in the old last run,
-    the entries of the blocks its tail overlaps. One loop walks each entry
-    by p up to the run's end, dividing at every hit, and in the last run
-    files it again at the index it stopped on, at or past the window's end;
-    an entry whose next hit is already past the end makes a walk of no hits
-    and goes back. A prime p hits a tail of ~100 candidates about 100/p
-    times a round, so a round's work is its hits and the entries of the
-    blocks it pops, not the size of the base. When a run begun in a call
-    becomes the last, `buckets` starts empty before that run is walked,
-    which drops the state of the run it closed.
+    The sieved region, `rem`'s length, grows to the first multiple of BLOCK
+    at or past each call's window, so it grows only in whole blocks, and
+    only in a call whose window passes it. In each call a run that began
+    before it walks the primes new in it, over the whole run, and a run
+    begun in it walks every prime. A prime with no root of k*n is never
+    kept, so it costs nothing after that one check. Only the last run can
+    get new blocks, so only its rooted primes are kept, each root as an
+    entry (next hit index, p, j), j being p's base index, filed in
+    `buckets` under index // BLOCK (the bucket sieve of Aoki and Ueda). An
+    entry holds j, not the mask bit 1 << j: kept bits would take memory
+    quadratic in the base size. A run's walks are one list of such
+    entries: the roots of its new primes, from their first hit in the run,
+    and, in the old last run, the entries of the buckets of its new blocks.
+    One loop walks each entry by p up to the run's end, dividing at every
+    hit, and in the last run files it again at the index it stopped on, at
+    or past the region's end. New blocks start on a bucket's edge, so an
+    entry is popped only when its next hit lies in them: a call's work is
+    the hits in its new blocks, not the size of the base. When a run begun
+    in a call becomes the last, `buckets` starts empty before that run is
+    walked, which drops the state of the run it closed.
 
-    A candidate whose residual reaches 1 is smooth, and its parity mask is
-    built then, once (later primes cannot divide an already-smooth
-    residue): bit j for each index noted an odd number of times, XOR the
-    bits of the primes below BLOCK, found by dividing what the noted primes
-    leave of a, at most 31 trials. A prime p >= BLOCK divides about one
-    candidate in p/2, so a note stays a word or two wide where a parity int
-    per candidate would grow to π(B) bits. `smooth` holds (b, a, mask) and
-    only grows, so a relation's index in it is a stable id; its per-round
-    sets, in b order, equal `collect_relations` over the same base and
-    window.
+    A candidate whose residual reaches 1 is smooth; later primes cannot
+    divide it. It becomes a relation in the call whose window first covers
+    it: at once when it is in the window, else it waits in `pending` until
+    a later window reaches it. Its parity mask is built then, once: bit j
+    for each index noted an odd number of times, XOR the bits of the
+    primes below NOTE_MIN, found by dividing what the noted primes leave of
+    a, at most 31 trials. A prime p >= NOTE_MIN divides about one candidate
+    in p/2, so a note stays a word or two wide where a parity int per
+    candidate would grow to π(B) bits. `smooth` holds (b, a, mask) and only
+    grows, so a relation's index in it is a stable id; its per-call sets,
+    in b order, equal `collect_relations` over the same base and window.
     """
 
     def __init__(self, n: int, trace: QsTrace | None = None):
         self.n = n
         self.trace = trace  # what a BudgetExceeded from _check carries
         self.start_b = _ceil_sqrt(n)
+        self.primes: list[int] = []
         self.rem: list[int] = []  # 0 marks a = 0, which is never a relation
         self.notes: list[int] = []  # base indices of the large-prime divisions, NOTE_BITS each
         self.seg_starts: list[int] = []  # index where each run of equal k begins
         self.seg_ks: list[int] = []
-        self.admitted = 0  # base primes whose roots every run has walked
         # the last run's block -> (next hit index, p, base index) of each root of a rooted prime
         self.buckets: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
+        self.pending: list[int] = []  # smooth indices past the window so far
         self.smooth: list[tuple[int, int, int]] = []  # (b, a, parity mask), in the order found
 
-    def advance(self, primes: tuple[int, ...], m_count: int, deadline: float | None) -> None:
+    def advance(
+        self, new_primes: tuple[int, ...], m_count: int, deadline: float | None
+    ) -> None:
+        """Append `new_primes`, the base primes above the last call's, to the
+        base, widen the window to m_count candidates, and append the
+        window's new relations to `smooth` in b order."""
+        primes = self.primes
+        old_primes = len(primes)
+        primes.extend(new_primes)
         old_m = len(self.rem)
-        fresh: list[int] = []  # indices whose residual reached 1 in this call
-        self._extend(m_count, deadline, fresh)
+        done = self.pending  # indices whose residual reached 1, in or past the window
+        self._extend(-(-m_count // BLOCK) * BLOCK, deadline, done)
         n, s, rem, notes = self.n, self.start_b, self.rem, self.notes
         m = len(rem)
         ends = self.seg_starts[1:] + [m]
         for seg_lo, seg_hi, k in zip(self.seg_starts, ends, self.seg_ks):
-            first = self.admitted if seg_lo < old_m else 0  # a run begun now walks every prime
+            first = old_primes if seg_lo < old_m else 0  # a run begun now walks every prime
             if first == len(primes) and seg_hi <= old_m:
-                continue  # no new prime and no tail: nothing to walk
+                continue  # no new prime and no new block: nothing to walk
             self._check(deadline)
             walks = []  # (next hit index, p, base index); a new prime walks the whole run
             for j in range(first, len(primes)):
@@ -321,14 +352,14 @@ class _RelationScanner:
             if seg_lo >= old_m and seg_hi == m:  # a run begun now is the last one
                 self.buckets = defaultdict(list)
             buckets = self.buckets
-            if seg_lo < old_m < seg_hi:  # only the old last run has a tail
+            if seg_lo < old_m < seg_hi:  # only the old last run gets new blocks
                 for blk in range(old_m // BLOCK, (seg_hi - 1) // BLOCK + 1):
                     walks += buckets.pop(blk, ())
             last = seg_hi == m  # only the last run grows
             for i, p, j in walks:
                 if seg_hi - i > BLOCK:
                     self._check(deadline)
-                if p < BLOCK:  # a small prime's bit is found from a at smooth time
+                if p < NOTE_MIN:  # a small prime's bit is found from a at smooth time
                     while i < seg_hi:
                         r = rem[i]
                         if r > 1:
@@ -337,7 +368,7 @@ class _RelationScanner:
                                 r //= p
                             rem[i] = r
                             if r == 1:
-                                fresh.append(i)
+                                done.append(i)
                         i += p
                 else:
                     while i < seg_hi:
@@ -351,21 +382,19 @@ class _RelationScanner:
                             notes[i] = note
                             rem[i] = r
                             if r == 1:
-                                fresh.append(i)
+                                done.append(i)
                         i += p
                 if last:
                     buckets[i // BLOCK].append((i, p, j))
-        self.admitted = len(primes)
-        self._add_relations(sorted(fresh), primes, deadline)
+        self.pending = [i for i in done if i >= m_count]
+        self._add_relations(sorted(i for i in done if i < m_count), deadline)
 
-    def _add_relations(
-        self, fresh: list[int], primes: tuple[int, ...], deadline: float | None
-    ) -> None:
+    def _add_relations(self, fresh: list[int], deadline: float | None) -> None:
         """Append (b, a, mask) to `smooth` for each index in `fresh`, FILL at
         most per poll. The notes give the mask bits of the primes at or above
-        BLOCK; what they leave of a is divided by the primes below BLOCK."""
-        n, s, notes = self.n, self.start_b, self.notes
-        small = primes[: bisect.bisect_left(primes, BLOCK)]
+        NOTE_MIN; what they leave of a is divided by the primes below it."""
+        n, s, notes, primes = self.n, self.start_b, self.notes, self.primes
+        small = primes[: bisect.bisect_left(primes, NOTE_MIN)]
         for t, i in enumerate(fresh):
             if t % FILL == 0:
                 self._check(deadline)
@@ -388,24 +417,25 @@ class _RelationScanner:
                     mask ^= 1 << j
             self.smooth.append((b, a, mask))
 
-    def _extend(self, m_count: int, deadline: float | None, fresh: list[int]) -> None:
-        """Append candidates up to m_count, FILL at most per poll, one run of
-        constant k at a time: a = x*x - k*n up to the first b with k+1."""
+    def _extend(self, m_end: int, deadline: float | None, done: list[int]) -> None:
+        """Append candidates up to index m_end, FILL at most per poll, one
+        run of constant k at a time: a = x*x - k*n up to the first b with
+        k+1. An a of 1 is smooth at once, and its index goes to `done`."""
         n, s, rem = self.n, self.start_b, self.rem
         i = len(rem)
-        while i < m_count:
+        while i < m_end:
             self._check(deadline)
             b = s + i
             k = b * b // n
             if not self.seg_ks or self.seg_ks[-1] != k:
                 self.seg_starts.append(i)
                 self.seg_ks.append(k)
-            hi = min(m_count, i + FILL, _ceil_sqrt((k + 1) * n) - s)
+            hi = min(m_end, i + FILL, _ceil_sqrt((k + 1) * n) - s)
             kn = k * n
             chunk = [x * x - kn for x in range(b, s + hi)]
             # a grows by 2b + 1 a step within a run, so only its first a can be 1
             if chunk[0] == 1:
-                fresh.append(i)
+                done.append(i)
             rem.extend(chunk)
             self.notes.extend([0] * len(chunk))
             i = hi
@@ -420,29 +450,36 @@ def qs_factor(
 ) -> tuple[int, QsTrace]:
     """Factor composite n with the retry loop over (bound, window) settings.
 
-    Returns (factor, trace). Raises ValueError for n < 4 and for a budget
-    that is not a positive number (None means no deadline), NotComposite
-    for (probable) primes, which no round could split, BudgetExceeded at a
-    polling point past the budget, and Exhausted after max_rounds fruitless
-    rounds. A perfect square n = k*k returns (k, trace) after 0 rounds,
-    since the sieve's congruences all degenerate there.
+    Returns (factor, trace). Raises ValueError for n < 4, for n wider than
+    `primegen.MAX_BITS` (before the unpolled primality screen) and for a
+    budget that is not a positive number (None means no deadline),
+    NotComposite for (probable) primes, which no round could split,
+    BudgetExceeded at a polling point past the budget, and Exhausted after
+    max_rounds fruitless rounds. A perfect square n = k*k returns
+    (k, trace) after 0 rounds, since the sieve's congruences all degenerate
+    there.
     The deadline is polled at these points, and only at these:
-    - while the window grows, before each FILL new candidates at most;
-    - once per run of constant k that has a new prime or a tail to walk;
+    - in the first round's check for a base prime dividing n, before each
+      FILL primes;
+    - while the sieved region grows, before each FILL new candidates at
+      most;
+    - once per run of constant k that has a new prime or a new block to
+      walk;
     - while a run roots its new primes, before each prime whose base index
       is a multiple of FILL;
     - before each root's walk that starts more than BLOCK candidates
-      before its run's end; a shorter walk, as most tail walks are, is
-      not polled;
+      before its run's end; a shorter walk, up to BLOCK candidates as is
+      most walks over new blocks, is not polled;
     - while a round's new relations get their parity masks, before each
       FILL of them at most;
     - before and after each round's matrix step.
     `build_factor_base` takes no deadline (its signature is pinned), so the
-    prime table it re-sieves when a bound passes it is not polled, nor is
-    the first round's check for a base prime dividing n; `QsParams` keeps
-    the first bound at or below MAX_B_BOUND (10**6) so that both stay short.
-    A first-round base prime dividing n is returned straight away and
-    flagged in the trace. Each relation is kept as (b, a, parity mask).
+    prime table it sieves in the first round, and re-sieves when a later
+    bound passes it, is not polled; `QsParams` keeps the first bound at or
+    below MAX_B_BOUND (10**6) so that it stays short. Later rounds hand the
+    scanner only their new primes, cut from that table. A first-round base
+    prime dividing n is returned straight away and flagged in the trace.
+    Each relation is kept as (b, a, parity mask).
     Each round's new masks are reduced into one GF(2) basis kept for the
     whole call, and each dependency that basis reports is tried once, in
     the round that completes it, by handing its (b, a) pairs to
@@ -452,6 +489,7 @@ def qs_factor(
     """
     if n < 4:
         raise ValueError("n must be >= 4")
+    check_n_bits(n.bit_length())
     if budget_seconds is not None and not budget_seconds > 0:
         raise ValueError("budget_seconds must be positive")
     params = params if params is not None else QsParams()
@@ -470,13 +508,17 @@ def qs_factor(
         trace.rounds = round_no
         trace.final_b = b_bound
         trace.final_m = m_count
-        fb = build_factor_base(b_bound)
         if round_no == 1:
-            for p in fb.primes:
+            new_primes = build_factor_base(b_bound).primes
+            for j, p in enumerate(new_primes):
+                if j % FILL == 0:
+                    scanner._check(deadline)
                 if p < n and n % p == 0:
                     trace.via_small_factor = True
                     return p, trace
-        scanner.advance(fb.primes, m_count, deadline)
+        else:
+            new_primes = _primes_above(b_bound - B_INCREMENT, b_bound)
+        scanner.advance(new_primes, m_count, deadline)
         trace.relations_found = len(scanner.smooth)
         scanner._check(deadline)
         for entry in scanner.smooth[basis.n_rows :]:

@@ -125,6 +125,15 @@ class TestPollardFactor:
         with pytest.raises(ValueError):
             pollard_factor(1, RhoConfig(seed=0))
 
+    def test_n_wider_than_max_bits_rejected_before_the_screen(self, monkeypatch):
+        # 2**513 + 1 is divisible by 3, which the trial division would return
+        def no_screen(n):
+            raise AssertionError("the primality screen ran")
+
+        monkeypatch.setattr(pollard, "is_probable_prime", no_screen)
+        with pytest.raises(ValueError, match="n_bits must be <= 512"):
+            pollard_factor(2**513 + 1, RhoConfig(seed=0), 0.05)
+
     def test_factor_always_divides(self):
         rng = random.Random(31337)
         for _ in range(60):

@@ -233,6 +233,15 @@ class TestQsFactor:
         with pytest.raises(ValueError):
             qs_factor(3, QsParams())
 
+    def test_n_wider_than_max_bits_rejected_before_the_screen(self, monkeypatch):
+        # 2**513 + 1 is divisible by 3, which the small-factor check would return
+        def no_screen(n):
+            raise AssertionError("the primality screen ran")
+
+        monkeypatch.setattr(sieve, "is_probable_prime", no_screen)
+        with pytest.raises(ValueError, match="n_bits must be <= 512"):
+            qs_factor(2**513 + 1, QsParams(), 0.05)
+
     @pytest.mark.parametrize("budget", [float("nan"), 0.0, -1.0])
     def test_non_positive_or_nan_budget_rejected(self, budget):
         with pytest.raises(ValueError, match="budget_seconds must be positive"):
@@ -251,6 +260,28 @@ class TestQsFactor:
         with pytest.raises(BudgetExceeded):
             qs_factor(sp.n, QsParams(m_count=10**6), budget_seconds=0.02)
         assert time.monotonic() - start <= 0.02 + TIMEOUT_SLACK_SECONDS
+
+    # extra_polls: 0 lets the deadline pass at the check's first poll, 1 at
+    # its second, before the FILL-th prime; no walk is ever reached
+    @pytest.mark.parametrize("extra_polls", [0, 1])
+    def test_first_round_small_factor_check_polls(self, monkeypatch, extra_polls):
+        sp = random_semiprime(30, 30, 60, random.Random(12))
+        reads = 0
+
+        def clock():  # the first read sets the deadline
+            nonlocal reads
+            reads += 1
+            return 0.0 if reads <= 1 + extra_polls else 2.0
+
+        def no_advance(*args):
+            raise AssertionError("the scanner ran")
+
+        monkeypatch.setattr(sieve.time, "monotonic", clock)
+        monkeypatch.setattr(_RelationScanner, "advance", no_advance)
+        with pytest.raises(BudgetExceeded):
+            qs_factor(sp.n, QsParams(b_bound=20000), 1.0)
+        assert reads == 2 + extra_polls
+        assert len(build_factor_base(20000).primes) > 2 * sieve.FILL
 
     def test_rounds_exhausted(self):
         sp = random_semiprime(20, 20, 40, random.Random(18))
@@ -314,16 +345,24 @@ class TestQsFactorMatchesReference:
 class TestScannerMatchesReference:
     """The incremental scanner must reproduce fresh rescans exactly."""
 
+    def step(self, scanner, bound, m_count):
+        """One call with the base up to `bound`: every relation of the window
+        so far, none past it, and this call's new ones in b order."""
+        fb = build_factor_base(bound)
+        before = len(scanner.smooth)
+        scanner.advance(fb.primes[len(scanner.primes) :], m_count, None)
+        reference = [
+            (rel.b, rel.a, parity_mask(rel.parity))
+            for rel in collect_relations(scanner.n, fb, m_count)
+        ]
+        assert sorted(scanner.smooth) == reference, (scanner.n, bound, m_count)
+        new = scanner.smooth[before:]
+        assert new == sorted(new)
+
     def check(self, n, schedule):
         scanner = _RelationScanner(n)
         for bound, m_count in schedule:
-            fb = build_factor_base(bound)
-            scanner.advance(fb.primes, m_count, None)
-            reference = [
-                (rel.b, rel.a, parity_mask(rel.parity))
-                for rel in collect_relations(n, fb, m_count)
-            ]
-            assert sorted(scanner.smooth) == reference, (n, bound, m_count)
+            self.step(scanner, bound, m_count)
 
     def test_staged_rounds_small(self):
         self.check(10403, [(10, 50), (20, 150), (30, 250), (40, 350)])
@@ -363,23 +402,34 @@ class TestScannerMatchesReference:
         assert scanner.smooth == [(30, 1, 0)]
 
     def test_bucketed_primes_across_k_boundaries(self):
-        # primes past BLOCK join every round or two while k changes every few
-        # candidates, so bucket entries cross both block and run edges
+        # primes past NOTE_MIN join every round or two while k changes every
+        # few candidates, so bucket entries cross run edges, and in the last
+        # call a block edge
         self.check(10403, [(150 + 10 * j, 200 + 137 * j) for j in range(15)])
 
     def test_run_starting_at_the_old_window_end(self):
-        # the runs of 10403 begin at indices 43, 75, 102 and 127; each begins
-        # at the window's end of the call before and gets a tail in the call
-        # after, and the base is past BLOCK from the start, so the closed
-        # run's bucket entries, small and large primes alike, must be dropped
+        # the runs of 10403 begin at indices 43, 75, 102 and 127, each at the
+        # window's end of the call before, inside the first block
         ends = [43, 60, 75, 90, 102, 115, 127, 140]
         self.check(10403, [(150 + 10 * j, m_count) for j, m_count in enumerate(ends)])
+        # a run of n begins at the first block's edge, so it becomes the last
+        # run in the call that adds the second block, and the closed run's
+        # bucket entries must be dropped: those of primes past BLOCK lie in
+        # blocks that later calls add
+        def run_begins_at_block_edge(n):
+            b = math.isqrt(n - 1) + 1 + sieve.BLOCK  # b*b // n is k
+            return not is_probable_prime(n) and b * b // n != (b - 1) ** 2 // n
+
+        n = next(filter(run_begins_at_block_edge, range(10**6 + 1, 2 * 10**6, 2)))
+        bound = sieve.BLOCK + 500
+        windows = [sieve.BLOCK - 5, sieve.BLOCK + 50, 2 * sieve.BLOCK + 50, 3 * sieve.BLOCK]
+        self.check(n, [(bound + 10 * j, m_count) for j, m_count in enumerate(windows)])
 
     @pytest.mark.parametrize("bits", [20, 32])
     def test_default_schedule_past_block(self, bits):
-        # 30 rounds of the +10/+100 schedule: the base passes BLOCK, and the
-        # tails of 100 candidates cross the edges of 128-wide blocks; k
-        # changes every few rounds at 20 bits and never at 32
+        # 30 rounds of the +10/+100 schedule: the base passes NOTE_MIN, the
+        # window a block edge, and relations wait past each window; k changes
+        # every few rounds at 20 bits and never at 32
         sp = random_semiprime(bits // 2, bits // 2, bits, random.Random(8))
         self.check(sp.n, [(10 + 10 * j, 100 + 100 * j) for j in range(30)])
 
@@ -398,6 +448,49 @@ class TestScannerMatchesReference:
         # prime's walk over the whole window and by an old prime's tail walk
         self.check(926240479, [(100, 230), (140, 330)])
         self.check(926240479, [(140, 100), (150, 250)])
+
+    def test_windows_ending_inside_a_block(self):
+        sp = random_semiprime(15, 15, 30, random.Random(9))
+        half = sieve.BLOCK // 2
+        self.check(sp.n, [(100, half - 1), (150, half + 3), (200, sieve.BLOCK + half)])
+
+    def test_windows_inside_the_sieved_blocks(self):
+        # every window after the first stays inside the first block: new
+        # primes walk the whole block, and the relations past each window
+        # wait, with or without new primes
+        sp = random_semiprime(15, 15, 30, random.Random(9))
+        m = sieve.BLOCK // 8
+        self.check(sp.n, [(30, 1), (60, m), (60, 2 * m), (200, 3 * m), (200, sieve.BLOCK)])
+
+    def test_bound_jump_smooths_candidates_past_the_window(self):
+        # the jump from 30 to 600 makes candidates past the window smooth;
+        # they must wait for the window to reach them
+        sp = random_semiprime(15, 15, 30, random.Random(9))
+        scanner = _RelationScanner(sp.n)
+        self.step(scanner, 30, 100)
+        self.step(scanner, 600, 200)
+        fb = build_factor_base(30)
+        assert any(
+            smooth_decompose((scanner.start_b + i) ** 2 % sp.n, fb) is None
+            for i in scanner.pending
+        )
+        self.step(scanner, 610, 300)
+        self.step(scanner, 620, sieve.BLOCK + 1)
+
+    def test_first_window_a_multiple_of_block(self):
+        sp = random_semiprime(15, 15, 30, random.Random(9))
+        self.check(sp.n, [(200, sieve.BLOCK), (210, sieve.BLOCK + 100), (220, 2 * sieve.BLOCK)])
+
+    def test_window_crossing_several_blocks_in_one_call(self):
+        # the second call adds three blocks at once, so old primes walk them
+        # in one go and file their entries past all of them
+        sp = random_semiprime(15, 15, 30, random.Random(9))
+        self.check(sp.n, [(150, 50), (160, 3 * sieve.BLOCK + 17), (170, 3 * sieve.BLOCK + 117)])
+        self.check(10403, [(150, 50), (160, 3 * sieve.BLOCK + 17), (170, 4 * sieve.BLOCK)])
+        # primes past BLOCK, which hit a block at most once per root
+        bound = sieve.BLOCK + 300
+        windows = [50, 3 * sieve.BLOCK + 17, 4 * sieve.BLOCK + 1]
+        self.check(sp.n, [(bound + 10 * j, m_count) for j, m_count in enumerate(windows)])
 
     def test_base_crossing_block_within_a_call(self):
         # one call admits 101..127 and 131..157 together; b = 6091 (index 220)
@@ -448,23 +541,25 @@ class TestScannerDeadlinePolls:
 
     # extra_polls: 0 lets the deadline pass right after _extend's last poll,
     # 1 after the run's poll as well, so only a walk's own poll can catch it;
-    # old_m: 0 has new primes walk a fresh window, 100 has old primes walk a
-    # tail, both wider than BLOCK
+    # old_m: 0 has new primes walk a fresh region, 100 has old primes walk
+    # three new blocks, both wider than BLOCK
     @pytest.mark.parametrize("extra_polls", [0, 1])
     @pytest.mark.parametrize("old_m", [0, 100])
     def test_walk_wider_than_block_polls(self, monkeypatch, extra_polls, old_m):
         sp = random_semiprime(15, 15, 30, random.Random(12))
         fb = build_factor_base(60)
         scanner = _RelationScanner(sp.n)
+        new_primes = fb.primes
         if old_m:
-            scanner.advance(fb.primes, old_m, None)
+            scanner.advance(new_primes, old_m, None)
+            new_primes = ()
         self.expire_after(monkeypatch, scanner, extra_polls)
         with pytest.raises(BudgetExceeded):
-            scanner.advance(fb.primes, old_m + 3 * sieve.BLOCK, 1.0)
+            scanner.advance(new_primes, old_m + 3 * sieve.BLOCK, 1.0)
         assert scanner.seg_ks == [1]  # one run, so one run poll
 
     # extra_polls: 1 lets the deadline pass right after the run's poll, 2
-    # after the root loop's first poll as well; the window is narrower than
+    # after the root loop's first poll as well; the sieved region is one
     # BLOCK, so no walk polls
     @pytest.mark.parametrize("extra_polls", [1, 2])
     def test_rooting_many_new_primes_polls(self, monkeypatch, extra_polls):
