@@ -1,10 +1,10 @@
 """Basic quadratic sieve: factor base, relation collection, matrix step,
 congruence-of-squares extraction, and the bound/window retry loop.
 
-Candidates b = ceil(sqrt(n)), ceil(sqrt(n))+1, ... give residues
-a = b*b mod n; the ones that factor completely over the prime base become
-relations. A subset of relations whose exponent parities cancel has a
-product of a values that is a perfect square, so x = prod b and
+Candidates b = ceil(sqrt(n)), ceil(sqrt(n))+1, ... give a = b*b - n, the
+basic sieve's polynomial Q(b); the ones whose a factors completely over the
+prime base become relations. A subset of relations whose exponent parities
+cancel has a product of a values that is a perfect square, so x = prod b and
 y = isqrt(prod a) satisfy x*x = y*y (mod n), and gcd(x-y, n) then splits n
 unless the congruence is degenerate. When no split falls out, the smooth
 bound and the scan window both grow by fixed increments and the process
@@ -14,34 +14,32 @@ repeats.
 setting: it trial-divides every candidate by every base prime. `qs_factor`
 runs the retry loop on top of a root-indexed sieve that keeps each
 candidate's undivided residual between rounds. Each base prime's square
-roots of n are found once (Tonelli-Shanks), and the prime then divides only
-the candidates b = +-r (mod p) where it must divide a. Primes of which n is
-a quadratic non-residue are dropped after that one check and never enter a
-loop again. The sieved region grows in whole blocks of BLOCK candidates,
-to the first block edge at or past the round's window, so it runs ahead of
-the window by less than a block and grows only about once every
-BLOCK / M_INCREMENT rounds: a newly admitted prime walks the whole region,
-an older one only the blocks added. A candidate past the window whose
-residual reaches 1 waits, and becomes a relation in the round whose window
-reaches it, so every round's relations are those of the window alone.
-The region grows a run of constant k = b*b // n at a time, as b*b - k*n,
-with no division per candidate, and only its last run ever gets new
-blocks, so walk state is kept for that run alone: each root of each
-rooted prime waits as its next hit index in a bucket of BLOCK candidates
-(the segmented bucket sieve of Aoki and Ueda). New blocks are walked by
-the entries of their buckets, each filed again where its walk stopped, so
-a prime costs nothing until its next hit falls in a new block. Every walk,
-a new prime's over a whole run or an old one's over new blocks, is the
-same loop over such entries. A prime below NOTE_MIN only divides; a larger
-prime also notes its base index on the candidate at each division. A
-candidate's parity mask is built once, when it becomes a relation: the
-bits of the noted primes (a prime noted twice cancels) XOR the bits of the
-primes below NOTE_MIN, found by dividing what the noted primes leave of a.
-The factor base is still every prime up to the bound, and the per-round
-relation sets are identical to fresh reference scans (the tests check
-this), only far cheaper. The sieve keeps each relation as b, a and the
-parity mask of a's exponents, which is all the matrix and extraction steps
-need; no exponent vector is kept.
+roots of n are found once, when it is admitted (Tonelli-Shanks), and the
+prime then divides only the candidates b = +-r (mod p) where it must divide
+a. Primes of which n is a quadratic non-residue are dropped after that one
+check and never enter a loop again. The sieved region grows in whole blocks
+of BLOCK candidates, to the first block edge at or past the round's window,
+so it runs ahead of the window by less than a block and grows only about
+once every BLOCK / M_INCREMENT rounds: a newly admitted prime walks the
+whole region, an older one only the blocks added. A candidate past the
+window whose residual reaches 1 waits, and becomes a relation in the round
+whose window reaches it, so every round's relations are those of the window
+alone. The region grows as x*x - n, with no division per candidate. Walk
+state is each root of each rooted prime, waiting as its next hit index in a
+bucket of BLOCK candidates (the segmented bucket sieve of Aoki and Ueda).
+New blocks are walked by the entries of their buckets, each filed again
+where its walk stopped, so a prime costs nothing until its next hit falls
+in a new block. Every walk, a new prime's over the whole region or an old
+one's over new blocks, is the same loop over such entries. A prime below
+NOTE_MIN only divides; a larger prime also notes its base index on the
+candidate at each division. A candidate's parity mask is built once, when
+it becomes a relation: the bits of the noted primes (a prime noted twice
+cancels) XOR the bits of the primes below NOTE_MIN, found by dividing what
+the noted primes leave of a. The factor base is still every prime up to the
+bound, and the per-round relation sets are identical to fresh reference
+scans (the tests check this), only far cheaper. The sieve keeps each
+relation as b, a and the parity mask of a's exponents, which is all the
+matrix and extraction steps need; no exponent vector is kept.
 
 The matrix step is incremental as well. One `XorBasis` lives for the whole
 call; each round reduces only the relations that are new in it, and only
@@ -78,7 +76,7 @@ class FactorBase:
 
 @dataclass(frozen=True)
 class Relation:
-    """One candidate b with b*b = a (mod n) and a fully smooth over the base."""
+    """One candidate b with a = b*b - n fully smooth over the base."""
 
     b: int
     a: int
@@ -212,8 +210,8 @@ def _ceil_sqrt(n: int) -> int:
 def collect_relations(
     n: int, fb: FactorBase, m_count: int, deadline: float | None = None
 ) -> list[Relation]:
-    """Scan m_count consecutive candidates from ceil(sqrt(n)) and keep the
-    smooth ones, in scan order.
+    """Scan m_count consecutive candidates b from ceil(sqrt(n)) and keep
+    those whose a = b*b - n is smooth, in scan order.
 
     `deadline` is an absolute time.monotonic() timestamp; crossing it raises
     BudgetExceeded and the partial scan is discarded.
@@ -223,7 +221,7 @@ def collect_relations(
     for _ in range(m_count):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded(f"relation scan over {n} ran past its deadline")
-        a = b * b % n
+        a = b * b - n
         if a != 0:
             exps = smooth_decompose(a, fb)
             if exps is not None:
@@ -263,37 +261,30 @@ class _RelationScanner:
 
     `primes` is the factor base so far; each `advance` appends its round's
     new primes, so base indices never change. `rem[i]` is what is left of
-    a = b*b mod n, b = ceil(sqrt(n)) + i, after dividing out the full power
+    a = b*b - n, b = ceil(sqrt(n)) + i, after dividing out the full power
     of every walked prime that divides it, and `notes[i]` packs, NOTE_BITS
     bits each, the base index j of every division by a prime p >= NOTE_MIN,
-    once per division; divisions by smaller primes are not noted. Writing
-    a = b*b - k*n with k = b*b // n, a prime p divides a exactly where
-    b*b = k*n (mod p), i.e. on the progressions b = +-r (mod p) of the roots
-    r of k*n mod p, and p**e can only divide a there too. So each prime
-    visits just its progressions. k is constant on runs of consecutive
-    candidates (`seg_starts`/`seg_ks`); for n of 40 bits and more at the
-    default windows it is always 1.
+    once per division; divisions by smaller primes are not noted. A prime p
+    divides a exactly where b*b = n (mod p), i.e. on the progressions
+    b = +-r (mod p) of the roots r of n mod p, and p**e can only divide a
+    there too. So each prime is rooted once, in the call that admits it,
+    and visits just its progressions. A prime with no root of n is never
+    kept, so it costs nothing after that one check.
 
     The sieved region, `rem`'s length, grows to the first multiple of BLOCK
     at or past each call's window, so it grows only in whole blocks, and
-    only in a call whose window passes it. In each call a run that began
-    before it walks the primes new in it, over the whole run, and a run
-    begun in it walks every prime. A prime with no root of k*n is never
-    kept, so it costs nothing after that one check. Only the last run can
-    get new blocks, so only its rooted primes are kept, each root as an
-    entry (next hit index, p, j), j being p's base index, filed in
-    `buckets` under index // BLOCK (the bucket sieve of Aoki and Ueda). An
-    entry holds j, not the mask bit 1 << j: kept bits would take memory
-    quadratic in the base size. A run's walks are one list of such
-    entries: the roots of its new primes, from their first hit in the run,
-    and, in the old last run, the entries of the buckets of its new blocks.
-    One loop walks each entry by p up to the run's end, dividing at every
-    hit, and in the last run files it again at the index it stopped on, at
-    or past the region's end. New blocks start on a bucket's edge, so an
-    entry is popped only when its next hit lies in them: a call's work is
-    the hits in its new blocks, not the size of the base. When a run begun
-    in a call becomes the last, `buckets` starts empty before that run is
-    walked, which drops the state of the run it closed.
+    only in a call whose window passes it. Each root of each rooted prime
+    is kept as an entry (next hit index, p, j), j being p's base index,
+    filed in `buckets` under index // BLOCK (the bucket sieve of Aoki and
+    Ueda). An entry holds j, not the mask bit 1 << j: kept bits would take
+    memory quadratic in the base size. A call's walks are one list of such
+    entries: the roots of its new primes, from their first hit, and the
+    entries of the buckets of its new blocks. One loop walks each entry by
+    p up to the region's end, dividing at every hit, and files it again at
+    the index it stopped on, at or past the region's end. New blocks start
+    on a bucket's edge, so an entry is popped only when its next hit lies in
+    them: a call's work is the hits in its new blocks, not the size of the
+    base.
 
     A candidate whose residual reaches 1 is smooth; later primes cannot
     divide it. It becomes a relation in the call whose window first covers
@@ -313,11 +304,11 @@ class _RelationScanner:
         self.trace = trace  # what a BudgetExceeded from _check carries
         self.start_b = _ceil_sqrt(n)
         self.primes: list[int] = []
-        self.rem: list[int] = []  # 0 marks a = 0, which is never a relation
+        # a = 0 only at b = sqrt(n) of a square n, which qs_factor screens
+        # out first; a residual of 0 is never divided or made a relation
+        self.rem: list[int] = []
         self.notes: list[int] = []  # base indices of the large-prime divisions, NOTE_BITS each
-        self.seg_starts: list[int] = []  # index where each run of equal k begins
-        self.seg_ks: list[int] = []
-        # the last run's block -> (next hit index, p, base index) of each root of a rooted prime
+        # block -> (next hit index, p, base index) of each root of a rooted prime
         self.buckets: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
         self.pending: list[int] = []  # smooth indices past the window so far
         self.smooth: list[tuple[int, int, int]] = []  # (b, a, parity mask), in the order found
@@ -334,33 +325,24 @@ class _RelationScanner:
         old_m = len(self.rem)
         done = self.pending  # indices whose residual reached 1, in or past the window
         self._extend(-(-m_count // BLOCK) * BLOCK, deadline, done)
-        n, s, rem, notes = self.n, self.start_b, self.rem, self.notes
+        n, s, rem, notes, buckets = self.n, self.start_b, self.rem, self.notes, self.buckets
         m = len(rem)
-        ends = self.seg_starts[1:] + [m]
-        for seg_lo, seg_hi, k in zip(self.seg_starts, ends, self.seg_ks):
-            first = old_primes if seg_lo < old_m else 0  # a run begun now walks every prime
-            if first == len(primes) and seg_hi <= old_m:
-                continue  # no new prime and no new block: nothing to walk
+        if old_primes < len(primes) or old_m < m:
             self._check(deadline)
-            walks = []  # (next hit index, p, base index); a new prime walks the whole run
-            for j in range(first, len(primes)):
+            walks = []  # (next hit index, p, base index); a new prime walks the whole region
+            for j in range(old_primes, len(primes)):
                 if j % FILL == 0:
                     self._check(deadline)
                 p = primes[j]
-                for r in sqrt_mod_prime(k * n, p):
-                    walks.append((seg_lo + (r - s - seg_lo) % p, p, j))
-            if seg_lo >= old_m and seg_hi == m:  # a run begun now is the last one
-                self.buckets = defaultdict(list)
-            buckets = self.buckets
-            if seg_lo < old_m < seg_hi:  # only the old last run gets new blocks
-                for blk in range(old_m // BLOCK, (seg_hi - 1) // BLOCK + 1):
-                    walks += buckets.pop(blk, ())
-            last = seg_hi == m  # only the last run grows
+                for r in sqrt_mod_prime(n, p):
+                    walks.append(((r - s) % p, p, j))
+            for blk in range(old_m // BLOCK, m // BLOCK):
+                walks += buckets.pop(blk, ())
             for i, p, j in walks:
-                if seg_hi - i > BLOCK:
+                if m - i > BLOCK:
                     self._check(deadline)
                 if p < NOTE_MIN:  # a small prime's bit is found from a at smooth time
-                    while i < seg_hi:
+                    while i < m:
                         r = rem[i]
                         if r > 1:
                             r //= p
@@ -371,7 +353,7 @@ class _RelationScanner:
                                 done.append(i)
                         i += p
                 else:
-                    while i < seg_hi:
+                    while i < m:
                         r = rem[i]
                         if r > 1:
                             r //= p
@@ -384,8 +366,7 @@ class _RelationScanner:
                             if r == 1:
                                 done.append(i)
                         i += p
-                if last:
-                    buckets[i // BLOCK].append((i, p, j))
+                buckets[i // BLOCK].append((i, p, j))
         self.pending = [i for i in done if i >= m_count]
         self._add_relations(sorted(i for i in done if i < m_count), deadline)
 
@@ -399,7 +380,7 @@ class _RelationScanner:
             if t % FILL == 0:
                 self._check(deadline)
             b = s + i
-            a = b * b % n
+            a = b * b - n
             mask, r, note = 0, a, notes[i]
             while note:
                 j = note & _NOTE_MASK
@@ -418,22 +399,15 @@ class _RelationScanner:
             self.smooth.append((b, a, mask))
 
     def _extend(self, m_end: int, deadline: float | None, done: list[int]) -> None:
-        """Append candidates up to index m_end, FILL at most per poll, one
-        run of constant k at a time: a = x*x - k*n up to the first b with
-        k+1. An a of 1 is smooth at once, and its index goes to `done`."""
+        """Append the candidates' a = x*x - n up to index m_end, FILL at most
+        per poll. An a of 1 is smooth at once, and its index goes to `done`."""
         n, s, rem = self.n, self.start_b, self.rem
         i = len(rem)
         while i < m_end:
             self._check(deadline)
-            b = s + i
-            k = b * b // n
-            if not self.seg_ks or self.seg_ks[-1] != k:
-                self.seg_starts.append(i)
-                self.seg_ks.append(k)
-            hi = min(m_end, i + FILL, _ceil_sqrt((k + 1) * n) - s)
-            kn = k * n
-            chunk = [x * x - kn for x in range(b, s + hi)]
-            # a grows by 2b + 1 a step within a run, so only its first a can be 1
+            hi = min(m_end, i + FILL)
+            chunk = [x * x - n for x in range(s + i, s + hi)]
+            # a rises with x, so only the first candidate's a can be 1
             if chunk[0] == 1:
                 done.append(i)
             rem.extend(chunk)
@@ -463,12 +437,11 @@ def qs_factor(
       FILL primes;
     - while the sieved region grows, before each FILL new candidates at
       most;
-    - once per run of constant k that has a new prime or a new block to
-      walk;
-    - while a run roots its new primes, before each prime whose base index
+    - once per call that has a new prime or a new block to walk;
+    - while a call roots its new primes, before each prime whose base index
       is a multiple of FILL;
     - before each root's walk that starts more than BLOCK candidates
-      before its run's end; a shorter walk, up to BLOCK candidates as is
+      before the region's end; a shorter walk, up to BLOCK candidates as is
       most walks over new blocks, is not polled;
     - while a round's new relations get their parity masks, before each
       FILL of them at most;

@@ -10,7 +10,7 @@ from factorbench import pollard
 from factorbench.arith import FIRST_TEN_PRIMES
 from factorbench.errors import BudgetExceeded, Exhausted, NotComposite
 from factorbench.pollard import BATCH, RhoConfig, RhoTrace, pollard_factor, rho_step
-from factorbench.primegen import random_semiprime
+from factorbench.primegen import make_semiprime, random_semiprime
 
 
 def trial_division_factor(n):
@@ -56,6 +56,54 @@ def per_step_pollard(n, seed, walk_cap):
         if d != n:
             return d, trace, walks
     return None, trace, walks
+
+
+def brent_tail_and_cycle(x0, c, p):
+    """Tail length mu and cycle length lam of x -> x*x + c (mod p) from x0,
+    by Brent's cycle finder."""
+    power = lam = 1
+    tortoise, hare = x0, (x0 * x0 + c) % p
+    while tortoise != hare:
+        if power == lam:
+            tortoise, power, lam = hare, 2 * power, 0
+        hare = (hare * hare + c) % p
+        lam += 1
+    tortoise = hare = x0
+    for _ in range(lam):
+        hare = (hare * hare + c) % p
+    mu = 0
+    while tortoise != hare:
+        tortoise, hare = (tortoise * tortoise + c) % p, (hare * hare + c) % p
+        mu += 1
+    return mu, lam
+
+
+def rho_work_oracle(p, q, seed):
+    """Oracle: (factor, iterations, restarts) of pollard_factor on n = p*q,
+    p and q distinct primes above the trial-division primes, from the cycle
+    structure of the walk mod p and mod q alone; factor is None when every
+    restart ended with gcd = n.
+
+    Step i compares x_i with x_{2i+1}, so mod a prime with tail mu and cycle
+    lam the walk stops at the first i >= 1 with i >= mu and lam | i + 1. On
+    n it stops at the smaller of the two primes' indices, exposing that
+    prime, and restarts when they are equal. (c, x0) are redrawn in
+    pollard_factor's order.
+    """
+    n = p * q
+    rng = random.Random(seed)
+    iterations = 0
+    for attempt in range(pollard.MAX_RESTARTS):
+        c = rng.randrange(1, n)
+        x0 = rng.randrange(1, n)
+        stops = {}
+        for r in (p, q):
+            mu, lam = brent_tail_and_cycle(x0 % r, c % r, r)
+            stops[r] = -(-(max(mu, 1) + 1) // lam) * lam - 1
+        iterations += min(stops.values())
+        if stops[p] != stops[q]:
+            return min(stops, key=stops.get), iterations, attempt
+    return None, iterations, pollard.MAX_RESTARTS - 1
 
 
 def floyd_differences(n, seed, steps):
@@ -248,6 +296,41 @@ class TestBatchedWalkMatchesPerStep:
         # the first poll, after the first batch, already finds the deadline past
         assert trace.iterations == BATCH
         assert trace.restarts == 0 and len(trace.c_values) == 1
+
+
+class TestWorkMatchesCycleOracle:
+    """Iterations and restarts follow from (p, q, seed) through the cycle
+    structure of x -> x*x + c mod each prime, not from the walk on n."""
+
+    @staticmethod
+    def check(sp, seed):
+        factor, iterations, restarts = rho_work_oracle(sp.p, sp.q, seed)
+        if factor is None:
+            with pytest.raises(Exhausted) as info:
+                pollard_factor(sp.n, RhoConfig(seed=seed))
+            trace = info.value.trace
+        else:
+            d, trace = pollard_factor(sp.n, RhoConfig(seed=seed))
+            assert d == factor
+        assert (trace.iterations, trace.restarts) == (iterations, restarts), sp
+
+    def test_balanced_40_bit(self):
+        rng = random.Random(40)
+        for seed in range(200):
+            self.check(random_semiprime(20, 20, 40, rng), seed)
+
+    # the oracle walks mod the larger prime too, so q stays below 2**30
+    @pytest.mark.parametrize("p_bits, q_bits", [(8, 28), (12, 28), (14, 30), (16, 24)])
+    def test_unbalanced(self, p_bits, q_bits):
+        rng = random.Random(p_bits * 100 + q_bits)
+        for seed in range(10):
+            self.check(random_semiprime(p_bits, q_bits, p_bits + q_bits, rng), seed)
+
+    def test_restart(self):
+        # seed 6 collides mod both primes at step 735, then finds 491653
+        sp = make_semiprime(491653, 230940722119 // 491653)
+        assert rho_work_oracle(sp.p, sp.q, 6) == (491653, 735 + 243, 1)
+        self.check(sp, 6)
 
 
 class TestBudgetValidation:

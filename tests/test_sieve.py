@@ -155,10 +155,11 @@ class TestCollectRelations:
     def test_relations_verified_by_remultiplication(self):
         n = 10403  # 101 * 103
         fb = build_factor_base(30)
+        # the window passes b*b = 2n at index 43, where b*b mod n would wrap
         rels = collect_relations(n, fb, 200)
-        assert rels
+        assert rels[-1].b * rels[-1].b > 2 * n
         for rel in rels:
-            assert rel.b * rel.b % n == rel.a
+            assert rel.b * rel.b - n == rel.a
             assert reconstruct(rel.exponents, fb) == rel.a
             assert rel.parity == tuple(e & 1 for e in rel.exponents)
 
@@ -331,7 +332,7 @@ class TestQsFactorMatchesReference:
     def test_rounds_and_relations(self):
         rng = random.Random(2024)
         params = QsParams()
-        for n_bits in [24, 26, 28, 30, 32, 34, 36, 38, 40] * 2 + [25, 33]:
+        for n_bits in [24, 26, 28, 30, 32, 34, 36, 38, 40] * 2 + [25, 33, 12, 16, 20]:
             p_bits = rng.randrange(5, n_bits // 2 + 1)
             sp = random_semiprime(p_bits, n_bits - p_bits, n_bits, rng)
             g, trace = qs_factor(sp.n, params)
@@ -385,10 +386,29 @@ class TestScannerMatchesReference:
         self.check(sp.n, [(10, 60), (20, 160), (30, 260)])
 
     def test_windows_past_twice_n(self):
-        # b*b mod n = b*b - k*n with k > 1 once b*b >= 2n; on n = 91 the
-        # window also reaches b = 91, 182, 273, where a = 0
+        # a = b*b - n keeps growing past b*b = 2n, where b*b mod n would
+        # wrap; on n = 91 the window also passes b = 91, 182, 273, where
+        # b*b mod n would be 0
         self.check(10403, [(10, 200), (30, 1000), (50, 2000)])
         self.check(91, [(5, 10), (10, 100), (20, 300)])
+
+    def test_each_prime_rooted_once_past_twice_n(self, monkeypatch):
+        # the windows reach b*b = 20n and more on a 24-bit n, yet every base
+        # prime's roots of n are found once, in the call that admits it
+        rooted = []
+        real_sqrt_mod_prime = sieve.sqrt_mod_prime
+
+        def counting_sqrt_mod_prime(c, p):
+            rooted.append(p)
+            return real_sqrt_mod_prime(c, p)
+
+        monkeypatch.setattr(sieve, "sqrt_mod_prime", counting_sqrt_mod_prime)
+        sp = random_semiprime(12, 12, 24, random.Random(5))
+        scanner = _RelationScanner(sp.n)
+        for bound, m_count in [(500, 3000), (1000, 9000), (2000, 20000)]:
+            self.step(scanner, bound, m_count)
+        assert (scanner.start_b + 20000) ** 2 > 20 * sp.n
+        assert rooted == scanner.primes == list(build_factor_base(2000).primes)
 
     def test_base_prime_dividing_n_admitted_late(self):
         self.check(10403, [(50, 200), (110, 400)])  # 101 and 103 join in round 2
@@ -402,25 +422,25 @@ class TestScannerMatchesReference:
         assert scanner.smooth == [(30, 1, 0)]
 
     def test_bucketed_primes_across_k_boundaries(self):
-        # primes past NOTE_MIN join every round or two while k changes every
-        # few candidates, so bucket entries cross run edges, and in the last
-        # call a block edge
+        # primes past NOTE_MIN join every round or two while the windows
+        # pass b*b = 2n, 3n, ... every few candidates, so bucket entries are
+        # filed across those points, and in the last call across a block edge
         self.check(10403, [(150 + 10 * j, 200 + 137 * j) for j in range(15)])
 
     def test_run_starting_at_the_old_window_end(self):
-        # the runs of 10403 begin at indices 43, 75, 102 and 127, each at the
-        # window's end of the call before, inside the first block
+        # on 10403, b*b passes 2n, 3n, 4n and 5n at indices 43, 75, 102 and
+        # 127, each at the window's end of the call before, inside the first
+        # block
         ends = [43, 60, 75, 90, 102, 115, 127, 140]
         self.check(10403, [(150 + 10 * j, m_count) for j, m_count in enumerate(ends)])
-        # a run of n begins at the first block's edge, so it becomes the last
-        # run in the call that adds the second block, and the closed run's
-        # bucket entries must be dropped: those of primes past BLOCK lie in
-        # blocks that later calls add
-        def run_begins_at_block_edge(n):
-            b = math.isqrt(n - 1) + 1 + sieve.BLOCK  # b*b // n is k
+        # b*b passes a multiple of n at the first block's edge, in the call
+        # that adds the second block, and the base runs past BLOCK, so the
+        # entries of its largest primes are filed in blocks that later calls add
+        def multiple_of_n_at_block_edge(n):
+            b = math.isqrt(n - 1) + 1 + sieve.BLOCK  # the second block's first b
             return not is_probable_prime(n) and b * b // n != (b - 1) ** 2 // n
 
-        n = next(filter(run_begins_at_block_edge, range(10**6 + 1, 2 * 10**6, 2)))
+        n = next(filter(multiple_of_n_at_block_edge, range(10**6 + 1, 2 * 10**6, 2)))
         bound = sieve.BLOCK + 500
         windows = [sieve.BLOCK - 5, sieve.BLOCK + 50, 2 * sieve.BLOCK + 50, 3 * sieve.BLOCK]
         self.check(n, [(bound + 10 * j, m_count) for j, m_count in enumerate(windows)])
@@ -428,8 +448,8 @@ class TestScannerMatchesReference:
     @pytest.mark.parametrize("bits", [20, 32])
     def test_default_schedule_past_block(self, bits):
         # 30 rounds of the +10/+100 schedule: the base passes NOTE_MIN, the
-        # window a block edge, and relations wait past each window; k changes
-        # every few rounds at 20 bits and never at 32
+        # window a block edge, and relations wait past each window; at 20
+        # bits the windows pass b*b = 2n, 3n, ..., at 32 bits they stay below 2n
         sp = random_semiprime(bits // 2, bits // 2, bits, random.Random(8))
         self.check(sp.n, [(10 + 10 * j, 100 + 100 * j) for j in range(30)])
 
@@ -471,7 +491,7 @@ class TestScannerMatchesReference:
         self.step(scanner, 600, 200)
         fb = build_factor_base(30)
         assert any(
-            smooth_decompose((scanner.start_b + i) ** 2 % sp.n, fb) is None
+            smooth_decompose((scanner.start_b + i) ** 2 - sp.n, fb) is None
             for i in scanner.pending
         )
         self.step(scanner, 610, 300)
@@ -513,7 +533,7 @@ class TestScannerMatchesReference:
 
 class TestScannerDeadlinePolls:
     """A deadline that passes once the window has grown is still caught
-    before `advance` returns, by the run's poll, a root loop's or a walk's."""
+    before `advance` returns, by the call's poll, a root loop's or a walk's."""
 
     @staticmethod
     def expire_after(monkeypatch, scanner, extra_polls):
@@ -540,7 +560,7 @@ class TestScannerDeadlinePolls:
         monkeypatch.setattr(scanner, "_extend", extend_then_expire)
 
     # extra_polls: 0 lets the deadline pass right after _extend's last poll,
-    # 1 after the run's poll as well, so only a walk's own poll can catch it;
+    # 1 after the call's poll as well, so only a walk's own poll can catch it;
     # old_m: 0 has new primes walk a fresh region, 100 has old primes walk
     # three new blocks, both wider than BLOCK
     @pytest.mark.parametrize("extra_polls", [0, 1])
@@ -556,9 +576,8 @@ class TestScannerDeadlinePolls:
         self.expire_after(monkeypatch, scanner, extra_polls)
         with pytest.raises(BudgetExceeded):
             scanner.advance(new_primes, old_m + 3 * sieve.BLOCK, 1.0)
-        assert scanner.seg_ks == [1]  # one run, so one run poll
 
-    # extra_polls: 1 lets the deadline pass right after the run's poll, 2
+    # extra_polls: 1 lets the deadline pass right after the call's poll, 2
     # after the root loop's first poll as well; the sieved region is one
     # BLOCK, so no walk polls
     @pytest.mark.parametrize("extra_polls", [1, 2])
@@ -580,7 +599,6 @@ class TestScannerDeadlinePolls:
             scanner.advance(primes, 100, 1.0)
         assert len(primes) > 2 * sieve.FILL
         assert rooted == (extra_polls - 1) * sieve.FILL
-        assert scanner.seg_ks == [1]
 
 
     # extra_polls: 0 lets the deadline pass right after the last walk, so the
