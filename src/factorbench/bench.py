@@ -4,10 +4,13 @@ calls the algorithms and maps how a call ended to a status: a returned
 factor is `success`, and an `errors.FactorError` is its class's `status`;
 any other exception is a bug and propagates.
 
-Timeouts are cooperative: the algorithms poll their deadline at bounded
-intervals (rho after every batch of `pollard.BATCH` steps; the sieve at
-the points `sieve.qs_factor`'s docstring lists), so a recorded elapsed
-time may overshoot the budget by one polling interval.
+Both algorithms share one entry rule: an n below 2 or wider than
+`primegen.MAX_BITS` is a ValueError before any work (`primegen.check_n`),
+and every prime, 2 and 3 included, is `errors.NotComposite`. Timeouts are
+cooperative: each call checks one `errors.Deadline`, started at its entry,
+at bounded intervals (rho after every batch of `pollard.BATCH` steps; the
+sieve at the points `sieve.qs_factor`'s docstring lists), so a recorded
+elapsed time may overshoot the budget by one polling interval.
 Every record carries a seed derived from (config seed, row index,
 algorithm), which makes results independent of worker scheduling.
 """
@@ -103,9 +106,10 @@ def run_attempt(
     qs_params: QsParams | None = None,
 ) -> FactorOutcome:
     """One timed factorization; its ending becomes a status as the module
-    docstring lists. Any other exception, a ValueError included, propagates:
-    each algorithm rejects an n wider than `primegen.MAX_BITS` before its
-    unpolled primality screen."""
+    docstring lists. Any other exception, a ValueError included, propagates
+    with no outcome recorded: the algorithm raises one for an n outside
+    the entry rule (below 2 or wider than `primegen.MAX_BITS`) before its
+    unpolled primality screen, and for a budget that is not positive."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     start = time.monotonic()

@@ -1,6 +1,9 @@
-"""Exception types shared across the factoring algorithms and the bench harness."""
+"""Exception types shared across the factoring algorithms and the bench
+harness, and the per-call Deadline whose check raises BudgetExceeded."""
 
 from __future__ import annotations
+
+import time
 
 
 class FactorError(Exception):
@@ -30,6 +33,23 @@ class BudgetExceeded(FactorError):
     """The per-call time budget ran out at a polling point."""
 
     status = "timeout"
+
+
+class Deadline:
+    """The end of one call's time budget on time.monotonic(), fixed when it
+    is made. A budget of None never ends; any other must be a positive
+    number (NaN is not). `check` raises BudgetExceeded, carrying `trace`,
+    once the end has passed."""
+
+    def __init__(self, budget_seconds: float | None, trace=None):
+        if budget_seconds is not None and not budget_seconds > 0:  # also rejects NaN
+            raise ValueError("budget_seconds must be positive")
+        self.end = None if budget_seconds is None else time.monotonic() + budget_seconds
+        self.trace = trace
+
+    def check(self) -> None:
+        if self.end is not None and time.monotonic() > self.end:
+            raise BudgetExceeded("the time budget ran out", self.trace)
 
 
 class Exhausted(FactorError):

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, field
 
 from .arith import FIRST_TEN_PRIMES, is_probable_prime
-from .errors import BudgetExceeded, Exhausted, NotComposite
-from .primegen import check_n_bits
+from .errors import Deadline, Exhausted, NotComposite
+from .primegen import check_n
 
 # Floyd steps per gcd once a walk is past its per-step warm-up of 2 batches.
 BATCH = 128
@@ -72,21 +71,19 @@ def pollard_factor(
 ) -> tuple[int, RhoTrace]:
     """Find a nontrivial factor of composite n.
 
-    Raises ValueError for n < 2, for n wider than `primegen.MAX_BITS`
-    (before the unpolled primality screen) and for a budget that is not a
-    positive number (None means no deadline), NotComposite for (probable)
-    primes, BudgetExceeded when the time budget runs out (the deadline is
-    polled after every batch of BATCH steps), and Exhausted when every
+    Raises ValueError for n < 2 or wider than `primegen.MAX_BITS`, before
+    the unpolled primality screen (`primegen.check_n`, the entry rule
+    `sieve.qs_factor` shares), and for a budget that is not a positive
+    number (None means no deadline; `errors.Deadline` holds the rule);
+    NotComposite for (probable) primes, 2 and 3 included; BudgetExceeded
+    when the time budget, which starts at entry, runs out (the deadline is
+    polled after every batch of BATCH steps); and Exhausted when every
     restart ended with gcd = n. Identical (n, seed) pairs produce identical
     traces.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    check_n_bits(n.bit_length())
-    if budget_seconds is not None and not budget_seconds > 0:
-        raise ValueError("budget_seconds must be positive")
-    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
+    check_n(n)
     trace = RhoTrace()
+    deadline = Deadline(budget_seconds, trace)
     if is_probable_prime(n):
         raise NotComposite(f"{n} is probably prime")
     for p in FIRST_TEN_PRIMES:
@@ -120,8 +117,5 @@ def pollard_factor(
                     return d, trace
                 break  # walkers met; restart with fresh c and x0
             walked += BATCH
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExceeded(
-                    f"pollard budget of {budget_seconds}s exceeded on {n}", trace=trace
-                )
+            deadline.check()
     raise Exhausted(f"no nontrivial factor of {n} in {MAX_RESTARTS} restarts", trace=trace)

@@ -42,6 +42,14 @@ def check_n_bits(n_bits: int) -> None:
         raise ValueError(f"n_bits must be <= {MAX_BITS}, got {n_bits}")
 
 
+def check_n(n: int) -> None:
+    """The factoring algorithms' entry rule: a ValueError for n below 2 or
+    wider than MAX_BITS, checked before any primality test of n."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    check_n_bits(n.bit_length())
+
+
 def derive_seed(base: int, *parts) -> int:
     """Fold identifying parts into a base seed, stably across platforms."""
     text = ":".join([str(base), *(str(p) for p in parts)])

@@ -54,14 +54,13 @@ from __future__ import annotations
 
 import bisect
 import math
-import time
 from collections import defaultdict
 from dataclasses import dataclass
 
 from .arith import _sieve_upto, is_probable_prime, sqrt_mod_prime
-from .errors import BudgetExceeded, Exhausted, NotComposite
+from .errors import Deadline, Exhausted, NotComposite
 from .gf2 import XorBasis
-from .primegen import check_n_bits
+from .primegen import check_n
 # not called here: the traced benchmark (layerbench) wraps sieve.eliminate by name
 from .gf2 import eliminate  # noqa: F401
 
@@ -135,16 +134,16 @@ class QsTrace:
 
 
 # Candidates per block of the scanner's sieved region, which grows a whole
-# block at a time, and per bucket of its walk state, which files each root
-# under its next hit index // BLOCK; a walk over more candidates than this
-# polls the deadline first.
+# block at a time with one deadline poll per block, and per bucket of its
+# walk state, which files each root under its next hit index // BLOCK; a
+# walk over more candidates than this polls the deadline first.
 BLOCK = 1024
 # Primes below this only divide; a larger prime also notes its base index
 # on each candidate it divides. It bounds the trial divisions that find
 # the small primes' mask bits to the 31 primes below it.
 NOTE_MIN = 128
-# Candidates appended between two deadline polls while the window grows,
-# and relations whose masks are built between two polls.
+# New primes rooted between two deadline polls, and relations whose masks
+# are built between two polls.
 FILL = 256
 # Bits per base index in a candidate's note of the primes at or above
 # NOTE_MIN that divided it. Base indices stay far below 2**32, and those of
@@ -207,20 +206,12 @@ def _ceil_sqrt(n: int) -> int:
     return r + 1 if r * r < n else r
 
 
-def collect_relations(
-    n: int, fb: FactorBase, m_count: int, deadline: float | None = None
-) -> list[Relation]:
+def collect_relations(n: int, fb: FactorBase, m_count: int) -> list[Relation]:
     """Scan m_count consecutive candidates b from ceil(sqrt(n)) and keep
-    those whose a = b*b - n is smooth, in scan order.
-
-    `deadline` is an absolute time.monotonic() timestamp; crossing it raises
-    BudgetExceeded and the partial scan is discarded.
-    """
+    those whose a = b*b - n is smooth, in scan order."""
     relations = []
     b = _ceil_sqrt(n)
     for _ in range(m_count):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(f"relation scan over {n} ran past its deadline")
         a = b * b - n
         if a != 0:
             exps = smooth_decompose(a, fb)
@@ -277,14 +268,15 @@ class _RelationScanner:
     is kept as an entry (next hit index, p, j), j being p's base index,
     filed in `buckets` under index // BLOCK (the bucket sieve of Aoki and
     Ueda). An entry holds j, not the mask bit 1 << j: kept bits would take
-    memory quadratic in the base size. A call's walks are one list of such
-    entries: the roots of its new primes, from their first hit, and the
-    entries of the buckets of its new blocks. One loop walks each entry by
-    p up to the region's end, dividing at every hit, and files it again at
-    the index it stopped on, at or past the region's end. New blocks start
-    on a bucket's edge, so an entry is popped only when its next hit lies in
-    them: a call's work is the hits in its new blocks, not the size of the
-    base.
+    memory quadratic in the base size. One loop over a call's new blocks
+    appends each block's a values, pops its bucket and polls the Deadline
+    the scanner was made with. The call's walks are one list of entries:
+    those popped, and the roots of its new primes from their first hit.
+    One loop walks each entry by p up to the region's end, dividing at
+    every hit, and files it again at the index it stopped on, at or past
+    the region's end. New blocks start on a bucket's edge, so an entry is
+    popped only when its next hit lies in them: a call's work is the hits
+    in its new blocks, not the size of the base.
 
     A candidate whose residual reaches 1 is smooth; later primes cannot
     divide it. It becomes a relation in the call whose window first covers
@@ -299,9 +291,9 @@ class _RelationScanner:
     in b order, equal `collect_relations` over the same base and window.
     """
 
-    def __init__(self, n: int, trace: QsTrace | None = None):
+    def __init__(self, n: int, deadline: Deadline):
         self.n = n
-        self.trace = trace  # what a BudgetExceeded from _check carries
+        self.deadline = deadline  # the qs_factor call's, polled by every advance
         self.start_b = _ceil_sqrt(n)
         self.primes: list[int] = []
         # a = 0 only at b = sqrt(n) of a square n, which qs_factor screens
@@ -310,67 +302,68 @@ class _RelationScanner:
         self.notes: list[int] = []  # base indices of the large-prime divisions, NOTE_BITS each
         # block -> (next hit index, p, base index) of each root of a rooted prime
         self.buckets: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
-        self.pending: list[int] = []  # smooth indices past the window so far
+        # smooth indices past the window so far; a rises with b, so only
+        # candidate 0's a can be 1, which is smooth before any prime walks
+        self.pending: list[int] = [0] if self.start_b * self.start_b - n == 1 else []
         self.smooth: list[tuple[int, int, int]] = []  # (b, a, parity mask), in the order found
 
-    def advance(
-        self, new_primes: tuple[int, ...], m_count: int, deadline: float | None
-    ) -> None:
+    def advance(self, new_primes: tuple[int, ...], m_count: int) -> None:
         """Append `new_primes`, the base primes above the last call's, to the
         base, widen the window to m_count candidates, and append the
         window's new relations to `smooth` in b order."""
+        n, s, rem, notes, buckets = self.n, self.start_b, self.rem, self.notes, self.buckets
+        check = self.deadline.check
         primes = self.primes
         old_primes = len(primes)
         primes.extend(new_primes)
-        old_m = len(self.rem)
-        done = self.pending  # indices whose residual reached 1, in or past the window
-        self._extend(-(-m_count // BLOCK) * BLOCK, deadline, done)
-        n, s, rem, notes, buckets = self.n, self.start_b, self.rem, self.notes, self.buckets
+        walks = []  # (next hit index, p, base index); a new prime walks the whole region
+        for blk in range(len(rem) // BLOCK, -(-m_count // BLOCK)):
+            b0 = s + blk * BLOCK
+            rem.extend([b * b - n for b in range(b0, b0 + BLOCK)])
+            notes.extend([0] * BLOCK)
+            walks += buckets.pop(blk, ())
+            check()
         m = len(rem)
-        if old_primes < len(primes) or old_m < m:
-            self._check(deadline)
-            walks = []  # (next hit index, p, base index); a new prime walks the whole region
-            for j in range(old_primes, len(primes)):
-                if j % FILL == 0:
-                    self._check(deadline)
-                p = primes[j]
-                for r in sqrt_mod_prime(n, p):
-                    walks.append(((r - s) % p, p, j))
-            for blk in range(old_m // BLOCK, m // BLOCK):
-                walks += buckets.pop(blk, ())
-            for i, p, j in walks:
-                if m - i > BLOCK:
-                    self._check(deadline)
-                if p < NOTE_MIN:  # a small prime's bit is found from a at smooth time
-                    while i < m:
-                        r = rem[i]
-                        if r > 1:
+        for j in range(old_primes, len(primes)):
+            if j % FILL == 0:
+                check()
+            p = primes[j]
+            for r in sqrt_mod_prime(n, p):
+                walks.append(((r - s) % p, p, j))
+        done = self.pending  # indices whose residual reached 1, in or past the window
+        for i, p, j in walks:
+            if m - i > BLOCK:
+                check()
+            if p < NOTE_MIN:  # a small prime's bit is found from a at smooth time
+                while i < m:
+                    r = rem[i]
+                    if r > 1:
+                        r //= p
+                        while r % p == 0:
                             r //= p
-                            while r % p == 0:
-                                r //= p
-                            rem[i] = r
-                            if r == 1:
-                                done.append(i)
-                        i += p
-                else:
-                    while i < m:
-                        r = rem[i]
-                        if r > 1:
+                        rem[i] = r
+                        if r == 1:
+                            done.append(i)
+                    i += p
+            else:
+                while i < m:
+                    r = rem[i]
+                    if r > 1:
+                        r //= p
+                        note = notes[i] << NOTE_BITS | j
+                        while r % p == 0:
                             r //= p
-                            note = notes[i] << NOTE_BITS | j
-                            while r % p == 0:
-                                r //= p
-                                note = note << NOTE_BITS | j
-                            notes[i] = note
-                            rem[i] = r
-                            if r == 1:
-                                done.append(i)
-                        i += p
-                buckets[i // BLOCK].append((i, p, j))
+                            note = note << NOTE_BITS | j
+                        notes[i] = note
+                        rem[i] = r
+                        if r == 1:
+                            done.append(i)
+                    i += p
+            buckets[i // BLOCK].append((i, p, j))
         self.pending = [i for i in done if i >= m_count]
-        self._add_relations(sorted(i for i in done if i < m_count), deadline)
+        self._add_relations(sorted(i for i in done if i < m_count))
 
-    def _add_relations(self, fresh: list[int], deadline: float | None) -> None:
+    def _add_relations(self, fresh: list[int]) -> None:
         """Append (b, a, mask) to `smooth` for each index in `fresh`, FILL at
         most per poll. The notes give the mask bits of the primes at or above
         NOTE_MIN; what they leave of a is divided by the primes below it."""
@@ -378,7 +371,7 @@ class _RelationScanner:
         small = primes[: bisect.bisect_left(primes, NOTE_MIN)]
         for t, i in enumerate(fresh):
             if t % FILL == 0:
-                self._check(deadline)
+                self.deadline.check()
             b = s + i
             a = b * b - n
             mask, r, note = 0, a, notes[i]
@@ -398,46 +391,27 @@ class _RelationScanner:
                     mask ^= 1 << j
             self.smooth.append((b, a, mask))
 
-    def _extend(self, m_end: int, deadline: float | None, done: list[int]) -> None:
-        """Append the candidates' a = x*x - n up to index m_end, FILL at most
-        per poll. An a of 1 is smooth at once, and its index goes to `done`."""
-        n, s, rem = self.n, self.start_b, self.rem
-        i = len(rem)
-        while i < m_end:
-            self._check(deadline)
-            hi = min(m_end, i + FILL)
-            chunk = [x * x - n for x in range(s + i, s + hi)]
-            # a rises with x, so only the first candidate's a can be 1
-            if chunk[0] == 1:
-                done.append(i)
-            rem.extend(chunk)
-            self.notes.extend([0] * len(chunk))
-            i = hi
-
-    def _check(self, deadline: float | None) -> None:
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(f"sieve over {self.n} ran past its deadline", self.trace)
-
 
 def qs_factor(
     n: int, params: QsParams | None = None, budget_seconds: float | None = None
 ) -> tuple[int, QsTrace]:
     """Factor composite n with the retry loop over (bound, window) settings.
 
-    Returns (factor, trace). Raises ValueError for n < 4, for n wider than
-    `primegen.MAX_BITS` (before the unpolled primality screen) and for a
-    budget that is not a positive number (None means no deadline),
-    NotComposite for (probable) primes, which no round could split,
-    BudgetExceeded at a polling point past the budget, and Exhausted after
-    max_rounds fruitless rounds. A perfect square n = k*k returns
+    Returns (factor, trace). Raises ValueError for n < 2 or wider than
+    `primegen.MAX_BITS`, before the unpolled primality screen
+    (`primegen.check_n`, the entry rule `pollard.pollard_factor` shares),
+    and for a budget that is not a positive number (None means no deadline;
+    `errors.Deadline` holds the rule); NotComposite for (probable) primes,
+    2 and 3 included, which no round could split; BudgetExceeded at a
+    polling point past the budget, which starts at entry; and Exhausted
+    after max_rounds fruitless rounds. A perfect square n = k*k returns
     (k, trace) after 0 rounds, since the sieve's congruences all degenerate
     there.
     The deadline is polled at these points, and only at these:
     - in the first round's check for a base prime dividing n, before each
       FILL primes;
-    - while the sieved region grows, before each FILL new candidates at
-      most;
-    - once per call that has a new prime or a new block to walk;
+    - once for each new block of BLOCK candidates the sieved region grows
+      by, after its a values are appended;
     - while a call roots its new primes, before each prime whose base index
       is a multiple of FILL;
     - before each root's walk that starts more than BLOCK candidates
@@ -460,22 +434,18 @@ def qs_factor(
     counts basis dependencies. A relation with all-even exponents is such
     a dependency on its own.
     """
-    if n < 4:
-        raise ValueError("n must be >= 4")
-    check_n_bits(n.bit_length())
-    if budget_seconds is not None and not budget_seconds > 0:
-        raise ValueError("budget_seconds must be positive")
-    params = params if params is not None else QsParams()
+    check_n(n)
     trace = QsTrace()
+    deadline = Deadline(budget_seconds, trace)
+    params = params if params is not None else QsParams()
     root = math.isqrt(n)
     if root * root == n:
         return root, trace
     if is_probable_prime(n):
         raise NotComposite(f"{n} is probably prime")
-    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     b_bound = params.b_bound
     m_count = params.m_count
-    scanner = _RelationScanner(n, trace)
+    scanner = _RelationScanner(n, deadline)
     basis = XorBasis()  # row ids are indices into scanner.smooth
     for round_no in range(1, params.max_rounds + 1):
         trace.rounds = round_no
@@ -485,15 +455,15 @@ def qs_factor(
             new_primes = build_factor_base(b_bound).primes
             for j, p in enumerate(new_primes):
                 if j % FILL == 0:
-                    scanner._check(deadline)
+                    deadline.check()
                 if p < n and n % p == 0:
                     trace.via_small_factor = True
                     return p, trace
         else:
             new_primes = _primes_above(b_bound - B_INCREMENT, b_bound)
-        scanner.advance(new_primes, m_count, deadline)
+        scanner.advance(new_primes, m_count)
         trace.relations_found = len(scanner.smooth)
-        scanner._check(deadline)
+        deadline.check()
         for entry in scanner.smooth[basis.n_rows :]:
             dep = basis.add(entry[2])
             if dep is None:
@@ -502,7 +472,7 @@ def qs_factor(
             g = extract_factor(n, [scanner.smooth[i][:2] for i in sorted(dep.row_indices)])
             if g is not None:
                 return g, trace
-        scanner._check(deadline)
+        deadline.check()
         b_bound += B_INCREMENT
         m_count += M_INCREMENT
     raise Exhausted(f"no factor of {n} within {params.max_rounds} rounds", trace=trace)

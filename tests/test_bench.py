@@ -1,19 +1,26 @@
 import csv
 import dataclasses
 import random
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import factorbench.bench
 import factorbench.primegen
 from factorbench import errors
+from factorbench.arith import FIRST_TEN_PRIMES, is_probable_prime
 from factorbench.bench import (
+    ALGORITHMS,
     BenchConfig,
     BenchRecord,
     FactorOutcome,
     RESULTS_CSV_HEADER,
     STATUSES,
+    TIMEOUT_SLACK_SECONDS,
+    _outcome_violation,
     read_results_csv,
     run_attempt,
     run_bench,
@@ -22,10 +29,12 @@ from factorbench.bench import (
 )
 from factorbench.pollard import RhoTrace
 from factorbench.primegen import (
+    MAX_BITS,
     DatasetSpec,
     FixedGroup,
     generate_dataset,
     make_semiprime,
+    random_prime,
     random_semiprime,
 )
 from factorbench.sieve import QsParams, QsTrace
@@ -39,6 +48,30 @@ GOOD_ROW = "581363,29,20047,5,15,20,qs,success,20047,0.1830000,60,600,6,62388328
 def small_dataset(count=3, seed=2):
     spec = DatasetSpec(seed=seed, groups=(FixedGroup(count, 10, 12, 22),))
     return generate_dataset(spec)
+
+
+def seeded(make):
+    """Draws make(rng) from a seeded generator, so a small drawn seed still
+    gives a number of full width."""
+    return st.builds(lambda seed: make(random.Random(seed)), st.integers(0, 2**32))
+
+
+def kinds_of_n():
+    """The kinds of n from 2 to MAX_BITS bits that an algorithm's entry takes."""
+    widths = st.integers(2, MAX_BITS)
+    return st.one_of(
+        st.tuples(st.integers(3, 32), st.integers(3, 32)).flatmap(
+            lambda bits: seeded(lambda rng: random_semiprime(*bits, None, rng).n)
+        ),
+        st.sampled_from([2, 3]),
+        widths.flatmap(lambda bits: seeded(lambda rng: random_prime(bits, rng))),
+        seeded(lambda rng: rng.randrange(2, 2 ** (MAX_BITS // 2)) ** 2),
+        st.tuples(st.integers(2, 64), st.integers(2, 8)).flatmap(
+            lambda be: seeded(lambda rng: random_prime(be[0], rng) ** be[1])
+        ),
+        seeded(lambda rng: rng.choice(FIRST_TEN_PRIMES) * rng.randrange(2, 2 ** (MAX_BITS - 5))),
+        widths.flatmap(lambda bits: seeded(lambda rng: rng.randrange(3, 2**bits, 2))),
+    )
 
 
 class TestRunBench:
@@ -201,6 +234,36 @@ class TestRunAttemptStatuses:
         # 513 bits: an unpolled primality screen that wide overruns a small budget
         with pytest.raises(ValueError, match="512"):
             run_attempt(algorithm, (1 << 512) | 1, 0, 0.05)
+
+    @given(
+        n=kinds_of_n(),
+        budget=st.floats(0.02, 0.1),
+        b_bound=st.integers(2, 10**4),
+        m_count=st.integers(1, 2000),
+    )
+    @example(n=1, budget=0.05, b_bound=10, m_count=100)
+    @example(n=2, budget=0.05, b_bound=10, m_count=100)
+    @example(n=3, budget=0.05, b_bound=10, m_count=100)
+    @example(n=2**MAX_BITS + 1, budget=0.05, b_bound=10, m_count=100)
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    def test_every_n_gets_a_status_or_a_value_error_at_once(self, n, budget, b_bound, m_count):
+        # the one entry rule of both algorithms: n below 2 or wider than
+        # MAX_BITS is a ValueError before any work; every other n, 2 and 3
+        # included, ends in a status, `error` exactly for primes, within
+        # the budget and its slack
+        params = QsParams(b_bound=b_bound, m_count=m_count)
+        for algorithm in ALGORITHMS:
+            start = time.monotonic()
+            if not 2 <= n < 2**MAX_BITS:
+                with pytest.raises(ValueError):
+                    run_attempt(algorithm, n, 0, budget, params)
+                assert time.monotonic() - start < budget
+                continue
+            outcome = run_attempt(algorithm, n, 0, budget, params)
+            assert outcome.status in STATUSES
+            assert _outcome_violation(outcome) is None
+            assert (outcome.status == "error") == is_probable_prime(n), (algorithm, outcome)
+            assert outcome.elapsed_seconds <= budget + TIMEOUT_SLACK_SECONDS
 
     def test_other_exceptions_propagate(self, monkeypatch):
         def broken(n, params, budget):

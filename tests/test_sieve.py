@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from factorbench.arith import is_probable_prime
 from factorbench.bench import TIMEOUT_SLACK_SECONDS
-from factorbench.errors import BudgetExceeded, Exhausted
+from factorbench.errors import BudgetExceeded, Deadline, Exhausted, NotComposite
 from factorbench.gf2 import BitMatrix, eliminate
 from factorbench.pollard import RhoConfig, pollard_factor
 from factorbench.primegen import random_semiprime
-from factorbench import sieve
+from factorbench import errors, sieve
 from factorbench.sieve import (
     FactorBase,
     QsParams,
@@ -168,11 +168,6 @@ class TestCollectRelations:
         bs = [r.b for r in rels]
         assert bs == sorted(bs)
 
-    def test_deadline(self):
-        fb = build_factor_base(1000)
-        with pytest.raises(BudgetExceeded):
-            collect_relations(2**59 + 3**35, fb, 10**9, deadline=time.monotonic() + 0.02)
-
 
 class TestExtractFactor:
     def test_worked_example_zero_parity(self):
@@ -231,8 +226,15 @@ class TestQsFactor:
         assert trace.rounds == 0
 
     def test_small_n_rejected(self):
-        with pytest.raises(ValueError):
-            qs_factor(3, QsParams())
+        # the entry rule pollard_factor shares: n = 1 is no input, and 2 and
+        # 3 are primes like any other
+        calls = (lambda n: qs_factor(n, QsParams()), lambda n: pollard_factor(n, RhoConfig(seed=0)))
+        for factor in calls:
+            with pytest.raises(ValueError, match="n must be >= 2"):
+                factor(1)
+            for n in (2, 3):
+                with pytest.raises(NotComposite):
+                    factor(n)
 
     def test_n_wider_than_max_bits_rejected_before_the_screen(self, monkeypatch):
         # 2**513 + 1 is divisible by 3, which the small-factor check would return
@@ -277,7 +279,7 @@ class TestQsFactor:
         def no_advance(*args):
             raise AssertionError("the scanner ran")
 
-        monkeypatch.setattr(sieve.time, "monotonic", clock)
+        monkeypatch.setattr(errors.time, "monotonic", clock)
         monkeypatch.setattr(_RelationScanner, "advance", no_advance)
         with pytest.raises(BudgetExceeded):
             qs_factor(sp.n, QsParams(b_bound=20000), 1.0)
@@ -351,7 +353,7 @@ class TestScannerMatchesReference:
         so far, none past it, and this call's new ones in b order."""
         fb = build_factor_base(bound)
         before = len(scanner.smooth)
-        scanner.advance(fb.primes[len(scanner.primes) :], m_count, None)
+        scanner.advance(fb.primes[len(scanner.primes) :], m_count)
         reference = [
             (rel.b, rel.a, parity_mask(rel.parity))
             for rel in collect_relations(scanner.n, fb, m_count)
@@ -361,7 +363,7 @@ class TestScannerMatchesReference:
         assert new == sorted(new)
 
     def check(self, n, schedule):
-        scanner = _RelationScanner(n)
+        scanner = _RelationScanner(n, Deadline(None))
         for bound, m_count in schedule:
             self.step(scanner, bound, m_count)
 
@@ -404,7 +406,7 @@ class TestScannerMatchesReference:
 
         monkeypatch.setattr(sieve, "sqrt_mod_prime", counting_sqrt_mod_prime)
         sp = random_semiprime(12, 12, 24, random.Random(5))
-        scanner = _RelationScanner(sp.n)
+        scanner = _RelationScanner(sp.n, Deadline(None))
         for bound, m_count in [(500, 3000), (1000, 9000), (2000, 20000)]:
             self.step(scanner, bound, m_count)
         assert (scanner.start_b + 20000) ** 2 > 20 * sp.n
@@ -417,8 +419,8 @@ class TestScannerMatchesReference:
     def test_a_equal_to_one(self):
         n = 899  # 29 * 31 = 30**2 - 1, so b = 30 gives a = 1
         self.check(n, [(2, 1), (5, 50), (20, 200)])
-        scanner = _RelationScanner(n)
-        scanner.advance((2,), 1, None)
+        scanner = _RelationScanner(n, Deadline(None))
+        scanner.advance((2,), 1)
         assert scanner.smooth == [(30, 1, 0)]
 
     def test_bucketed_primes_across_k_boundaries(self):
@@ -486,7 +488,7 @@ class TestScannerMatchesReference:
         # the jump from 30 to 600 makes candidates past the window smooth;
         # they must wait for the window to reach them
         sp = random_semiprime(15, 15, 30, random.Random(9))
-        scanner = _RelationScanner(sp.n)
+        scanner = _RelationScanner(sp.n, Deadline(None))
         self.step(scanner, 30, 100)
         self.step(scanner, 600, 200)
         fb = build_factor_base(30)
@@ -532,59 +534,75 @@ class TestScannerMatchesReference:
 
 
 class TestScannerDeadlinePolls:
-    """A deadline that passes once the window has grown is still caught
-    before `advance` returns, by the call's poll, a root loop's or a walk's."""
+    """A deadline that passes once the region has grown is still caught
+    before `advance` returns, by a new block's poll, a root loop's, a
+    walk's or a mask loop's."""
 
     @staticmethod
-    def expire_after(monkeypatch, scanner, extra_polls):
-        """Fake the clock so the deadline passes after `_extend` returns and
-        `extra_polls` more clock reads."""
-        polls_left = None  # None until the window has grown
+    def expire_after(monkeypatch, started, polls):
+        """Fake the clock Deadline reads: from the first read at which
+        `started()` holds, `polls` reads still get the real time, and every
+        later one a time two minutes on, past a Deadline(60.0) made before."""
+        real = time.monotonic
+        left = None
 
         def clock():
-            nonlocal polls_left
-            if polls_left == 0:
-                return 2.0
-            if polls_left is not None:
-                polls_left -= 1
-            return 0.0
+            nonlocal left
+            if left is None and started():
+                left = polls
+            if left == 0:
+                return real() + 120.0
+            if left is not None:
+                left -= 1
+            return real()
 
-        extend = scanner._extend
+        monkeypatch.setattr(errors.time, "monotonic", clock)
 
-        def extend_then_expire(*args):
-            nonlocal polls_left
-            extend(*args)
-            polls_left = extra_polls
+    @staticmethod
+    def no_masks(fresh):
+        raise AssertionError("the walks finished")
 
-        monkeypatch.setattr(sieve.time, "monotonic", clock)
-        monkeypatch.setattr(scanner, "_extend", extend_then_expire)
+    def test_each_new_block_polls(self, monkeypatch):
+        # with no primes only the block loop reads the clock; the deadline
+        # passes at the third new block's poll, so no fourth is appended
+        sp = random_semiprime(15, 15, 30, random.Random(12))
+        scanner = _RelationScanner(sp.n, Deadline(60.0))
+        self.expire_after(monkeypatch, lambda: len(scanner.rem) >= 3 * sieve.BLOCK, 0)
+        with pytest.raises(BudgetExceeded):
+            scanner.advance((), 5 * sieve.BLOCK)
+        assert len(scanner.rem) == 3 * sieve.BLOCK
 
-    # extra_polls: 0 lets the deadline pass right after _extend's last poll,
-    # 1 after the call's poll as well, so only a walk's own poll can catch it;
-    # old_m: 0 has new primes walk a fresh region, 100 has old primes walk
-    # three new blocks, both wider than BLOCK
+    # extra_polls: 0 lets the deadline pass right after the polls that come
+    # before any walk, the last new block's and, with new primes, the root
+    # loop's first, so only the first walk's poll can catch it; 1 lets that
+    # poll pass too, so only the second walk's can; the masks are never
+    # built. old_m: 0 has new primes walk a fresh region, 100 has old
+    # primes walk three new blocks, both wider than BLOCK
     @pytest.mark.parametrize("extra_polls", [0, 1])
     @pytest.mark.parametrize("old_m", [0, 100])
     def test_walk_wider_than_block_polls(self, monkeypatch, extra_polls, old_m):
         sp = random_semiprime(15, 15, 30, random.Random(12))
         fb = build_factor_base(60)
-        scanner = _RelationScanner(sp.n)
+        scanner = _RelationScanner(sp.n, Deadline(60.0))
         new_primes = fb.primes
         if old_m:
-            scanner.advance(new_primes, old_m, None)
+            scanner.advance(new_primes, old_m)
             new_primes = ()
-        self.expire_after(monkeypatch, scanner, extra_polls)
+        m_count = old_m + 3 * sieve.BLOCK
+        polls = 1 + bool(new_primes) + extra_polls
+        self.expire_after(monkeypatch, lambda: len(scanner.rem) >= m_count, polls)
+        monkeypatch.setattr(scanner, "_add_relations", self.no_masks)
         with pytest.raises(BudgetExceeded):
-            scanner.advance(new_primes, old_m + 3 * sieve.BLOCK, 1.0)
+            scanner.advance(new_primes, m_count)
 
-    # extra_polls: 1 lets the deadline pass right after the call's poll, 2
-    # after the root loop's first poll as well; the sieved region is one
-    # BLOCK, so no walk polls
+    # extra_polls: 1 lets the deadline pass right after the one new block's
+    # poll, 2 after the root loop's first poll as well; the sieved region is
+    # one BLOCK, so no walk polls
     @pytest.mark.parametrize("extra_polls", [1, 2])
     def test_rooting_many_new_primes_polls(self, monkeypatch, extra_polls):
         sp = random_semiprime(15, 15, 30, random.Random(12))
         primes = build_factor_base(20000).primes
-        scanner = _RelationScanner(sp.n)
+        scanner = _RelationScanner(sp.n, Deadline(60.0))
         rooted = 0
         real_sqrt_mod_prime = sieve.sqrt_mod_prime
 
@@ -594,12 +612,11 @@ class TestScannerDeadlinePolls:
             return real_sqrt_mod_prime(*args)
 
         monkeypatch.setattr(sieve, "sqrt_mod_prime", counting_sqrt_mod_prime)
-        self.expire_after(monkeypatch, scanner, extra_polls)
+        self.expire_after(monkeypatch, lambda: len(scanner.rem) >= 100, extra_polls)
         with pytest.raises(BudgetExceeded):
-            scanner.advance(primes, 100, 1.0)
+            scanner.advance(primes, 100)
         assert len(primes) > 2 * sieve.FILL
         assert rooted == (extra_polls - 1) * sieve.FILL
-
 
     # extra_polls: 0 lets the deadline pass right after the last walk, so the
     # poll before the first mask catches it; 1 lets that poll pass too, so
@@ -608,29 +625,19 @@ class TestScannerDeadlinePolls:
     def test_building_many_masks_polls(self, monkeypatch, extra_polls):
         sp = random_semiprime(15, 15, 30, random.Random(12))
         fb = build_factor_base(3000)
-        scanner = _RelationScanner(sp.n)
-        polls_left = None  # None until the walks are over
-        fresh_count = 0
-
-        def clock():
-            nonlocal polls_left
-            if polls_left == 0:
-                return 2.0
-            if polls_left is not None:
-                polls_left -= 1
-            return 0.0
-
+        scanner = _RelationScanner(sp.n, Deadline(60.0))
+        fresh_count = None  # None until the walks are over
         add_relations = scanner._add_relations
 
-        def expire_then_add(fresh, *args):
-            nonlocal polls_left, fresh_count
-            polls_left, fresh_count = extra_polls, len(fresh)
-            add_relations(fresh, *args)
+        def count_then_add(fresh):
+            nonlocal fresh_count
+            fresh_count = len(fresh)
+            add_relations(fresh)
 
-        monkeypatch.setattr(sieve.time, "monotonic", clock)
-        monkeypatch.setattr(scanner, "_add_relations", expire_then_add)
+        self.expire_after(monkeypatch, lambda: fresh_count is not None, extra_polls)
+        monkeypatch.setattr(scanner, "_add_relations", count_then_add)
         with pytest.raises(BudgetExceeded):
-            scanner.advance(fb.primes, 1500, 1.0)
+            scanner.advance(fb.primes, 1500)
         assert fresh_count > sieve.FILL
 
 
@@ -639,10 +646,10 @@ class TestScannerMemory:
         # 9592 base primes, two roots each for about half of them: entries
         # holding the mask bit 1 << j would take about 6 MB more on their own
         primes = build_factor_base(10**5).primes
-        scanner = _RelationScanner(946613331739179941)
+        scanner = _RelationScanner(946613331739179941, Deadline(None))
         tracemalloc.start()
         try:
-            scanner.advance(primes, 100, None)
+            scanner.advance(primes, 100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
