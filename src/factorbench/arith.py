@@ -112,19 +112,17 @@ def _strong_tests(n: int, bases: Iterable[int]) -> bool:
     return True
 
 
-def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Primality test, exact for every n below psi_13 (about 3.3e24, 81.5 bits).
 
     Cheapest screen first: a lookup among the primes below _SMALL_LIMIT, six
     word-sized remainders (by 2, 3, 5, 7, 11 and 13), then one gcd with the
     product of the primes below _SMALL_LIMIT, after which n < _SMALL_SQUARE
     is prime. Then one strong-test loop: below psi_13 to the first k primes,
-    the fewest that _PSI proves enough for n; above it to `rounds` witnesses
-    from `rng` (seeded by n when None, so calls agree), wrong with
-    probability at most 4**-rounds.
+    the fewest that _PSI proves enough for n; above it to 40 witnesses
+    drawn from random.Random(n), so calls agree, wrong with probability at
+    most 4**-40.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
     if n < _SMALL_LIMIT:
         return n in _SMALL_PRIME_SET
     if not (n & 1 and n % 3 and n % 5 and n % 7 and n % 11 and n % 13):
@@ -133,5 +131,5 @@ def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None
         return False
     if n < _PSI[-1]:
         return n < _SMALL_SQUARE or _strong_tests(n, _PSI_BASES[bisect_right(_PSI, n)])
-    rng = rng if rng is not None else random.Random(n)
-    return _strong_tests(n, (rng.randrange(2, n - 1) for _ in range(rounds)))
+    rng = random.Random(n)
+    return _strong_tests(n, (rng.randrange(2, n - 1) for _ in range(40)))

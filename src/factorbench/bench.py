@@ -113,7 +113,7 @@ def run_attempt(
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     start = time.monotonic()
-    factor = trace = None
+    factor = None
     try:
         if algorithm == "pollard":
             factor, trace = pollard_factor(n, RhoConfig(seed=seed), budget_seconds)
@@ -123,12 +123,10 @@ def run_attempt(
     except errors.FactorError as exc:
         status, trace = exc.status, exc.trace
     elapsed = time.monotonic() - start
-    iterations, b_param, m_param = 0, None, None
-    if trace is not None:
-        if algorithm == "pollard":
-            iterations = trace.iterations
-        else:
-            iterations, b_param, m_param = trace.rounds, trace.final_b, trace.final_m
+    if algorithm == "pollard":
+        iterations, b_param, m_param = trace.iterations, None, None
+    else:
+        iterations, b_param, m_param = trace.rounds, trace.final_b, trace.final_m
     outcome = FactorOutcome(
         algorithm=algorithm,
         n=n,

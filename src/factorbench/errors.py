@@ -10,10 +10,10 @@ class FactorError(Exception):
     """Base class for what an algorithm raises in place of returning a factor.
 
     Each subclass is one way to fail to factor, and its `status` is the
-    results CSV status the harness records for it. Carries the partial
-    trace (RhoTrace or QsTrace) when one exists, so the harness can still
-    record iteration/round counters for attempts that stopped without a
-    returned factor.
+    results CSV status the harness records for it. Every raise carries the
+    call's trace (RhoTrace or QsTrace) as far as the call got, so the
+    harness records iteration/round counters for attempts that stopped
+    without a returned factor; a NotComposite's trace shows no work.
     """
 
     status: str

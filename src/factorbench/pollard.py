@@ -85,7 +85,7 @@ def pollard_factor(
     trace = RhoTrace()
     deadline = Deadline(budget_seconds, trace)
     if is_probable_prime(n):
-        raise NotComposite(f"{n} is probably prime")
+        raise NotComposite(f"{n} is probably prime", trace=trace)
     for p in FIRST_TEN_PRIMES:
         if p < n and n % p == 0:
             return p, trace

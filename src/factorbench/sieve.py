@@ -91,8 +91,8 @@ class Relation:
 # fruitless round.
 B_INCREMENT = 10
 M_INCREMENT = 100
-# The largest first-round bound and window. build_factor_base re-sieves its
-# prime table with no deadline poll, and the window's candidates are held in
+# The largest first-round bound and window. _primes_upto re-sieves the prime
+# table with no deadline poll, and the window's candidates are held in
 # memory, so larger ones would overrun a budget or grow memory unchecked.
 MAX_B_BOUND = MAX_M_COUNT = 10**6
 
@@ -155,27 +155,24 @@ _NOTE_MASK = (1 << NOTE_BITS) - 1
 _prime_table: tuple[int, tuple[int, ...]] = (1, ())
 
 
-def build_factor_base(bound: int) -> FactorBase:
-    """All primes up to the smooth bound, cut from a shared prime table that
-    is re-sieved at double its limit (or at the bound) when a bound passes it."""
+def _primes_upto(bound: int) -> tuple[int, ...]:
+    """The shared prime table, every prime up to its limit. A bound past the
+    limit first re-sieves it to max(bound, twice the limit)."""
     global _prime_table
-    if bound < 2:
-        raise ValueError("bound must be >= 2")
     limit, primes = _prime_table
     if bound > limit:
         limit = max(bound, 2 * limit)
         primes = tuple(_sieve_upto(limit))
         _prime_table = limit, primes
+    return primes
+
+
+def build_factor_base(bound: int) -> FactorBase:
+    """All primes up to the smooth bound, cut from the shared prime table."""
+    if bound < 2:
+        raise ValueError("bound must be >= 2")
+    primes = _primes_upto(bound)
     return FactorBase(bound, primes[: bisect.bisect_right(primes, bound)])
-
-
-def _primes_above(low: int, bound: int) -> tuple[int, ...]:
-    """The primes in (low, bound], cut from the shared prime table, which
-    build_factor_base re-sieves first if the bound passes it."""
-    if bound > _prime_table[0]:
-        build_factor_base(bound)
-    primes = _prime_table[1]
-    return primes[bisect.bisect_right(primes, low) : bisect.bisect_right(primes, bound)]
 
 
 def smooth_decompose(a: int, fb: FactorBase) -> list[int] | None:
@@ -420,11 +417,11 @@ def qs_factor(
     - while a round's new relations get their parity masks, before each
       FILL of them at most;
     - before and after each round's matrix step.
-    `build_factor_base` takes no deadline (its signature is pinned), so the
-    prime table it sieves in the first round, and re-sieves when a later
-    bound passes it, is not polled; `QsParams` keeps the first bound at or
-    below MAX_B_BOUND (10**6) so that it stays short. Later rounds hand the
-    scanner only their new primes, cut from that table. A first-round base
+    Every round takes its primes from `_primes_upto`, which sieves the
+    shared prime table when the round's bound first passes it, with no
+    poll; `QsParams` keeps the first bound at or below MAX_B_BOUND (10**6)
+    so that the sieve stays short. Each round hands the scanner only the
+    primes above its base so far, cut from that table. A first-round base
     prime dividing n is returned straight away and flagged in the trace.
     Each relation is kept as (b, a, parity mask).
     Each round's new masks are reduced into one GF(2) basis kept for the
@@ -442,7 +439,7 @@ def qs_factor(
     if root * root == n:
         return root, trace
     if is_probable_prime(n):
-        raise NotComposite(f"{n} is probably prime")
+        raise NotComposite(f"{n} is probably prime", trace=trace)
     b_bound = params.b_bound
     m_count = params.m_count
     scanner = _RelationScanner(n, deadline)
@@ -451,16 +448,15 @@ def qs_factor(
         trace.rounds = round_no
         trace.final_b = b_bound
         trace.final_m = m_count
+        table = _primes_upto(b_bound)
+        new_primes = table[len(scanner.primes) : bisect.bisect_right(table, b_bound)]
         if round_no == 1:
-            new_primes = build_factor_base(b_bound).primes
             for j, p in enumerate(new_primes):
                 if j % FILL == 0:
                     deadline.check()
                 if p < n and n % p == 0:
                     trace.via_small_factor = True
                     return p, trace
-        else:
-            new_primes = _primes_above(b_bound - B_INCREMENT, b_bound)
         scanner.advance(new_primes, m_count)
         trace.relations_found = len(scanner.smooth)
         deadline.check()

@@ -74,8 +74,8 @@ def test_criterion_02_pollard_cited_inputs():
         elapsed = time.monotonic() - start
         assert elapsed < 10.0
         assert 1 < d < n and n % d == 0
-        assert is_probable_prime(d, 40)
-        assert is_probable_prime(n // d, 40)
+        assert is_probable_prime(d)
+        assert is_probable_prime(n // d)
     passed("criterion-2 pollard-cited-inputs")
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factorbench import arith
 from factorbench.arith import (
     _PSI,
     _SMALL_PRIMES,
@@ -30,6 +32,28 @@ def trial_division_is_prime(n):
 def random_witnesses(n, rounds, rng):
     """The lazy witness draw is_probable_prime makes above psi_13."""
     return (rng.randrange(2, n - 1) for _ in range(rounds))
+
+
+@pytest.fixture
+def generators(monkeypatch):
+    """Replace the random.Random that is_probable_prime makes with a subclass
+    that records its seed and every randrange draw; returns the list of
+    (seed, draws) of each generator made."""
+    made = []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.draws = []
+            made.append((seed, self.draws))
+
+        def randrange(self, *args):
+            value = super().randrange(*args)
+            self.draws.append(value)
+            return value
+
+    monkeypatch.setattr(arith.random, "Random", Recording)
+    return made
 
 
 def strong_pseudoprime_to(n, a):
@@ -80,10 +104,6 @@ class TestIsProbablePrime:
         assert is_probable_prime(0) is False
         assert is_probable_prime(2) is True
 
-    def test_rounds_validated(self):
-        with pytest.raises(ValueError):
-            is_probable_prime(17, rounds=0)
-
     def test_agrees_with_trial_division_below_1e5(self):
         for n in range(100_000):
             assert is_probable_prime(n) == trial_division_is_prime(n), n
@@ -98,10 +118,6 @@ class TestIsProbablePrime:
         assert is_probable_prime(2**61 - 1) is True  # Mersenne prime
         assert is_probable_prime(2**67 - 1) is False  # classic composite
         assert is_probable_prime(3425927) and is_probable_prime(3430517)
-
-    def test_explicit_generator_accepted(self):
-        rng = random.Random(42)
-        assert is_probable_prime(10**9 + 7, rng=rng) is True
 
 
 def random_witnesses_say_prime(n):
@@ -152,34 +168,40 @@ class TestExactBelowPsi13:
     def test_agrees_with_random_witnesses_below_psi13(self, n):
         assert is_probable_prime(n) == random_witnesses_say_prime(n)
 
-    def test_generator_drawn_from_only_above_psi13(self):
-        rng = random.Random(3)
-        state = rng.getstate()
-        assert is_probable_prime(2**61 - 1, rng=rng) and rng.getstate() == state
-        assert is_probable_prime(2**89 - 1, rng=rng) and rng.getstate() != state
+    def test_generator_drawn_from_only_above_psi13(self, generators):
+        for n in (2**61 - 1, 10**24 + 7, _PSI[-1] - 2):
+            is_probable_prime(n)
+        assert generators == []
+        assert is_probable_prime(2**89 - 1)
+        assert [(seed, len(draws)) for seed, draws in generators] == [(2**89 - 1, 40)]
 
-    def test_witnesses_drawn_lazily_above_psi13(self):
-        # p * (2p - 1) with both prime: about a quarter of all bases are strong
-        # liars, so some seeds need a second or third witness to reject it
-        n = 8796093024067 * 17592186048133
-        assert n > _PSI[-1]
+    def test_witnesses_drawn_lazily_above_psi13(self, generators):
+        # p * (2p - 1) with both prime and p = 3 (mod 4): about a quarter of
+        # all bases are strong liars, so some such n need a second or third
+        # witness to reject them
+        primes = (p for p in itertools.count(2**41 + 3, 4) if is_probable_prime(p))
+        pairs = (p for p in primes if is_probable_prime(2 * p - 1))
         needed = []
-        for seed in range(40):
-            rng, replica = random.Random(seed), random.Random(seed)
-            assert is_probable_prime(n, rounds=40, rng=rng) is False
-            drawn = 1
-            while strong_pseudoprime_to(n, replica.randrange(2, n - 1)):
-                drawn += 1
-            assert rng.getstate() == replica.getstate(), seed
-            needed.append(drawn)
+        for p in itertools.islice(pairs, 40):
+            n = p * (2 * p - 1)
+            assert n > _PSI[-1]
+            generators.clear()
+            assert is_probable_prime(n) is False
+            [(seed, draws)] = generators
+            assert seed == n
+            # every witness drawn but the last is a liar: the draw stops at
+            # the first witness that rejects n
+            liars = [strong_pseudoprime_to(n, a) for a in draws]
+            assert liars == [True] * (len(draws) - 1) + [False], n
+            needed.append(len(draws))
         assert max(needed) > 1
-        # a prime draws every round; a composite with a small factor draws none
-        for n, rounds, drawn in ((2**89 - 1, 5, 5), (2**107 - 1, 40, 40), (3 * (2**89 - 1), 40, 0)):
-            rng, replica = random.Random(n), random.Random(n)
-            assert is_probable_prime(n, rounds=rounds, rng=rng) is (drawn > 0)
-            for _ in range(drawn):
-                replica.randrange(2, n - 1)
-            assert rng.getstate() == replica.getstate(), n
+        # a prime draws every witness; a composite with a small factor none
+        generators.clear()
+        assert is_probable_prime(2**107 - 1) is True
+        assert [(seed, len(draws)) for seed, draws in generators] == [(2**107 - 1, 40)]
+        generators.clear()
+        assert is_probable_prime(3 * (2**89 - 1)) is False
+        assert generators == []
 
 
 class TestFirstTenPrimes:

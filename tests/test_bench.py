@@ -168,6 +168,7 @@ class TestRunBench:
             for n in (613, 1000003):
                 outcome = run_attempt(algorithm, n, seed=0, budget_seconds=5.0)
                 assert (outcome.status, outcome.factor, outcome.iterations) == ("error", None, 0)
+                assert (outcome.b_param, outcome.m_param) == (None, None)
 
     def test_per_record_seeds_differ(self):
         records = run_bench(small_dataset(2), BenchConfig(budget_seconds=30.0))

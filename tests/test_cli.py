@@ -13,6 +13,7 @@ import factorbench.bench
 import factorbench.cli
 from factorbench.bench import STATUSES
 from factorbench.cli import EXIT_CODES, main
+from factorbench.pollard import RhoTrace
 
 
 RESULTS_FIXTURE = Path(__file__).parent / "data" / "results_fixture.csv"
@@ -83,7 +84,7 @@ class TestFactorCommand:
 
     def test_bad_factor_reported(self, capsys, monkeypatch):
         # a factor of n itself is a bug in the algorithm: run_attempt records `error`
-        monkeypatch.setattr(factorbench.bench, "pollard_factor", lambda n, cfg, budget: (n, None))
+        monkeypatch.setattr(factorbench.bench, "pollard_factor", lambda n, cfg, budget: (n, RhoTrace()))
         code, out, err = run_cli(capsys, "factor", "8051", "--algo", "pollard")
         assert code == 1
         assert out == ""
@@ -514,7 +515,7 @@ def _spec(seed, p_bits, q_bits, n_bits):
 
 def _bad_factor(monkeypatch):
     # a factor of n itself is a bug in the algorithm: run_attempt records `error`
-    monkeypatch.setattr(factorbench.bench, "pollard_factor", lambda n, cfg, budget: (n, None))
+    monkeypatch.setattr(factorbench.bench, "pollard_factor", lambda n, cfg, budget: (n, RhoTrace()))
 
 
 def _bad_env_seed(monkeypatch):

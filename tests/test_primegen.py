@@ -97,7 +97,7 @@ class TestRandomPrime:
         for _ in range(10):
             p = random_prime(30, rng)
             assert p.bit_length() == 30
-            assert is_probable_prime(p, 40)
+            assert is_probable_prime(p)
 
     def test_bits_validated(self):
         with pytest.raises(ValueError):
@@ -124,7 +124,7 @@ class TestRandomSemiprime:
             sp = random_semiprime(12, 18, 30, rng)
             assert sp.p * sp.q == sp.n
             assert sp.p <= sp.q
-            assert is_probable_prime(sp.p, 40) and is_probable_prime(sp.q, 40)
+            assert is_probable_prime(sp.p) and is_probable_prime(sp.q)
             assert sp.p.bit_length() == sp.p_bits
             assert sp.q.bit_length() == sp.q_bits
             assert sp.n.bit_length() == sp.n_bits

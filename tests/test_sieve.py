@@ -11,12 +11,13 @@ from factorbench.arith import is_probable_prime
 from factorbench.bench import TIMEOUT_SLACK_SECONDS
 from factorbench.errors import BudgetExceeded, Deadline, Exhausted, NotComposite
 from factorbench.gf2 import BitMatrix, eliminate
-from factorbench.pollard import RhoConfig, pollard_factor
+from factorbench.pollard import RhoConfig, RhoTrace, pollard_factor
 from factorbench.primegen import random_semiprime
 from factorbench import errors, sieve
 from factorbench.sieve import (
     FactorBase,
     QsParams,
+    QsTrace,
     _RelationScanner,
     build_factor_base,
     collect_relations,
@@ -236,6 +237,19 @@ class TestQsFactor:
                 with pytest.raises(NotComposite):
                     factor(n)
 
+    def test_not_composite_carries_a_trace_of_no_work(self):
+        # every FactorError carries its call's trace; a prime stops at the
+        # screen, before any walk or round
+        calls = (
+            (lambda n: qs_factor(n, QsParams()), QsTrace()),
+            (lambda n: pollard_factor(n, RhoConfig(seed=0)), RhoTrace()),
+        )
+        for factor, no_work in calls:
+            for n in (2, 3, 613, 10**9 + 7, 2**89 - 1):
+                with pytest.raises(NotComposite) as exc_info:
+                    factor(n)
+                assert exc_info.value.trace == no_work, n
+
     def test_n_wider_than_max_bits_rejected_before_the_screen(self, monkeypatch):
         # 2**513 + 1 is divisible by 3, which the small-factor check would return
         def no_screen(n):
@@ -337,6 +351,22 @@ class TestQsFactorMatchesReference:
         for n_bits in [24, 26, 28, 30, 32, 34, 36, 38, 40] * 2 + [25, 33, 12, 16, 20]:
             p_bits = rng.randrange(5, n_bits // 2 + 1)
             sp = random_semiprime(p_bits, n_bits - p_bits, n_bits, rng)
+            g, trace = qs_factor(sp.n, params)
+            ref_g, ref_rounds, ref_relations = reference_qs(sp.n, params)
+            assert ref_g is not None
+            assert 1 < g < sp.n and sp.n % g == 0
+            assert trace.rounds == ref_rounds, sp
+            assert trace.relations_found == ref_relations, sp
+
+    def test_rounds_and_relations_from_a_cold_prime_table(self, monkeypatch):
+        # each call starts with an empty prime table, so its own rounds grow
+        # it (at rounds 1, 2, 3, 5, 9, 17, ... of the default schedule)
+        rng = random.Random(2025)
+        params = QsParams()
+        for n_bits in [12, 20, 24, 28, 32, 36]:
+            p_bits = rng.randrange(5, n_bits // 2 + 1)
+            sp = random_semiprime(p_bits, n_bits - p_bits, n_bits, rng)
+            monkeypatch.setattr(sieve, "_prime_table", (1, ()))
             g, trace = qs_factor(sp.n, params)
             ref_g, ref_rounds, ref_relations = reference_qs(sp.n, params)
             assert ref_g is not None
