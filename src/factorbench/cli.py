@@ -7,9 +7,14 @@ restart cap `exhausted`, a perfect square `success`, a bad factor `error`
 (exit 1, one line on stderr); anything else propagates. `factor` and
 `bench` take their seed from FACTORBENCH_SEED when --seed is absent, then
 0; `gen-dataset` uses the spec's own seed unless --seed overrides it.
+`factor` checks n by `primegen.check_n` and, like `bench`, its budget by
+`BenchConfig` and its sieve settings by `QsParams`, so a rejection prints
+the library's own text.
 A usage, I/O, generation or verification failure is raised where it
 happens and reported once by `main`: its message on stderr, exit 1. Every
-other exception propagates with its traceback.
+other exception propagates with its traceback. `report` writes its
+Markdown before the optional points CSV, so a failure on the second
+leaves the first written.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .bench import (
     write_results_csv,
 )
 from .primegen import (
-    check_n_bits, generate_dataset, load_dataset_spec, read_dataset_csv, write_dataset_csv
+    check_n, generate_dataset, load_dataset_spec, read_dataset_csv, write_dataset_csv
 )
 from .report import TABLE_NAMES, points_csv, render_report
 from .sieve import MAX_B_BOUND, MAX_M_COUNT, QsParams
@@ -145,26 +150,26 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_factor(args) -> int:
     with _usage_on("", ValueError):
         n = int(args.n, 10)
-        if n < 2:
-            raise ValueError(f"nothing to factor below 2: {n}")
-        check_n_bits(n.bit_length())
-        if not args.timeout > 0:  # also rejects NaN
-            raise ValueError("timeout must be positive")
-        seed = _default_seed(args.seed)
-        qs_params = QsParams(b_bound=args.b, m_count=args.m)
+        check_n(n)
+        algo = args.algo
+        if algo == "auto":
+            algo = "pollard" if n.bit_length() < args.auto_threshold else "qs"
+        cfg = BenchConfig(
+            budget_seconds=args.timeout,
+            algorithms=(algo,),
+            seed=_default_seed(args.seed),
+            qs_params=QsParams(b_bound=args.b, m_count=args.m),
+        )
     if is_probable_prime(n):
         print(f"{n} is prime")
         return EXIT_PRIME
-    algo = args.algo
-    if algo == "auto":
-        algo = "pollard" if n.bit_length() < args.auto_threshold else "qs"
-    outcome = run_attempt(algo, n, seed, args.timeout, qs_params)
+    outcome = run_attempt(algo, n, cfg.seed, cfg.budget_seconds, cfg.qs_params)
     if outcome.status == "success":
         p, q = sorted((outcome.factor, n // outcome.factor))
         print(f"{n} = {p} * {q}")
         print(f"elapsed_seconds {outcome.elapsed_seconds:.7f}")
     elif outcome.status == "timeout":
-        print(f"timeout: no factor of {n} within {args.timeout} s")
+        print(f"timeout: no factor of {n} within {cfg.budget_seconds} s")
     elif outcome.status == "exhausted":
         print(f"gave up: {algo} found no factor of {n} (iterations={outcome.iterations})")
     elif outcome.status == "error":

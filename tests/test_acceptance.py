@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v` (add -s to see the PASS lines
 inline). The trend criterion benches 450 semiprimes at a 180 s budget and
 dominates the suite's runtime: about 4-6 s on a 2-core VM with Python
-3.11.7, where the whole test suite takes 14-20 s.
+3.11.7, where the whole test suite takes 18-22 s.
 """
 
 import itertools
