@@ -52,6 +52,14 @@ class TestFactorCommand:
         assert code == 0
         assert out.splitlines()[0] == "400289 = 613 * 653"
 
+    def test_malformed_number(self, capsys):
+        code, _, err = run_cli(capsys, "factor", "twelve")
+        assert code == 1
+
+    def test_below_two(self, capsys):
+        code, _, _ = run_cli(capsys, "factor", "1")
+        assert code == 1
+
     def test_timeout_exit_code(self, capsys):
         # 60-bit balanced semiprime; the sieve cannot finish in 10 ms
         n = 946613331739179941  # 958788427 * 987301583
@@ -82,6 +90,13 @@ class TestFactorCommand:
         assert code == 3
         assert out.startswith("gave up")
 
+    def test_bad_factor_reported(self, capsys, monkeypatch):
+        _bad_factor(monkeypatch)
+        code, out, err = run_cli(capsys, "factor", "8051", "--algo", "pollard")
+        assert code == 1
+        assert out == ""
+        assert err == "error: pollard returned an invalid factor of 8051\n"
+
     def test_exit_codes_cover_every_status(self):
         assert set(EXIT_CODES) == set(STATUSES)
 
@@ -94,6 +109,39 @@ class TestFactorCommand:
         code, out, _ = run_cli(capsys, "factor", "8051", "--algo", "pollard")
         assert code == 0
         assert out.splitlines()[0] == "8051 = 83 * 97"
+
+    def test_invalid_env_seed_reported(self, capsys, monkeypatch):
+        _bad_env_seed(monkeypatch)
+        code, out, err = run_cli(capsys, "factor", "8051", "--algo", "pollard")
+        assert code == 1
+        assert out == ""
+        assert "FACTORBENCH_SEED" in err and "'abc'" in err
+
+    def test_smooth_bound_below_two_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "factor", "8051", "--algo", "qs", "--b", "1")
+        assert code == 1
+        assert out == ""
+        assert "b_bound" in err
+
+    def test_empty_window_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "factor", "8051", "--algo", "qs", "--m", "0")
+        assert code == 1
+        assert out == ""
+        assert "m_count" in err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_timeout_rejected(self, capsys, value):
+        code, out, err = run_cli(capsys, "factor", "8051", "--algo", "qs", f"--timeout={value}")
+        assert code == 1
+        assert out == ""
+        assert "budget_seconds must be positive" in err
+
+    def test_nan_timeout_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "factor", "8051", "--algo", "pollard", "--timeout", "nan")
+        assert code == 1
+        assert out == ""
+        assert "budget_seconds must be positive" in err
+
 
 class TestGenDatasetCommand:
     def test_generates_and_counts(self, capsys, tmp_path):
@@ -111,6 +159,36 @@ class TestGenDatasetCommand:
         assert run_cli(capsys, "gen-dataset", "--spec", spec, "--out", a)[0] == 0
         assert run_cli(capsys, "gen-dataset", "--spec", spec, "--out", b)[0] == 0
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_invalid_bit_sum_rejected(self, capsys, tmp_path):
+        spec = _write_spec(tmp_path / "spec.json", 3, 8, 12, 21)
+        code, _, err = run_cli(capsys, "gen-dataset", "--spec", spec, "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert "invalid dataset spec" in err
+
+    def test_missing_spec_file(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "gen-dataset", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.csv")
+        )
+        assert code == 1
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        spec = _write_spec(tmp_path / "spec.json", 3, 8, 12, 20)
+        out_csv = tmp_path / "no-such-dir" / "x.csv"
+        code, out, err = run_cli(capsys, "gen-dataset", "--spec", spec, "--out", str(out_csv))
+        assert code == 1
+        assert out == ""
+        assert "cannot write" in err
+
+    def test_undrawable_group_reported(self, capsys, tmp_path):
+        # 3 is the only 2-bit prime, so no product of two distinct ones exists
+        spec = _write_spec(tmp_path / "spec.json", 1, 2, 2, 4)
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "gen-dataset", "--spec", spec, "--out", str(out_csv))
+        assert code == 1
+        assert out == ""
+        assert "cannot generate" in err
+        assert not out_csv.exists()
 
     def test_env_seed_ignored(self, capsys, tmp_path, monkeypatch):
         spec = _write_spec(tmp_path / "spec.json", 3, 8, 12, 20, count=3)
@@ -154,6 +232,69 @@ class TestBenchCommand:
         ]
         assert strip(a) == strip(b)
 
+    def test_unknown_algorithm_rejected(self, capsys, tmp_path, dataset):
+        code, _, err = run_cli(
+            capsys, "bench", "--dataset", dataset, "--out", str(tmp_path / "r.csv"), "--algos", "fermat"
+        )
+        assert code == 1
+        assert "unknown algorithms" in err
+
+    def test_repeated_algorithm_rejected(self, capsys, tmp_path, dataset):
+        results = tmp_path / "r.csv"
+        code, out, err = run_cli(
+            capsys, "bench", "--dataset", dataset, "--out", str(results), "--algos", "pollard,pollard"
+        )
+        assert code == 1
+        assert out == ""
+        assert "repeated algorithms" in err
+        assert not results.exists()
+
+    def test_missing_dataset(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "bench", "--dataset", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "r.csv")
+        )
+        assert code == 1
+
+    def test_composite_factor_rejected(self, capsys, tmp_path):
+        dataset = tmp_path / "data.csv"
+        dataset.write_text(DATASET_HEADER + "255,15,17,4,5,8\n")  # 15 = 3 * 5
+        results = tmp_path / "r.csv"
+        code, _, err = run_cli(capsys, "bench", "--dataset", str(dataset), "--out", str(results))
+        assert code == 1
+        assert "cannot read dataset" in err and "line 2: p = 15 is not prime" in err
+        assert not results.exists()
+
+    def test_empty_algorithm_list_rejected(self, capsys, tmp_path, dataset):
+        code, _, err = run_cli(
+            capsys, "bench", "--dataset", dataset, "--out", str(tmp_path / "r.csv"), "--algos", ","
+        )
+        assert code == 1
+        assert "unknown algorithms" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message", [("--workers", "0", "workers"), ("--timeout", "0", "budget")]
+    )
+    def test_invalid_config_rejected(self, capsys, tmp_path, dataset, flag, value, message):
+        results = tmp_path / "r.csv"
+        code, out, err = run_cli(
+            capsys, "bench", "--dataset", dataset, "--out", str(results), flag, value
+        )
+        assert code == 1
+        assert out == ""
+        assert message in err
+        assert not results.exists()
+
+    def test_violation_writes_nothing(self, capsys, tmp_path, dataset, monkeypatch):
+        _violation(monkeypatch)
+        results = tmp_path / "r.csv"
+        code, out, err = run_cli(
+            capsys, "bench", "--dataset", dataset, "--out", str(results), "--algos", "pollard"
+        )
+        assert code == 1
+        assert "record 0" in err
+        assert "records written" not in out
+        assert not results.exists()
+
 
 class TestReportCommand:
     @pytest.fixture
@@ -188,6 +329,13 @@ class TestReportCommand:
         assert "Mean runtime" in doc
         assert "Failure counts" not in doc
 
+    def test_unknown_table_rejected(self, capsys, tmp_path, results):
+        code, _, err = run_cli(
+            capsys, "report", "--results", results, "--out", str(tmp_path / "r.md"), "--tables", "bogus"
+        )
+        assert code == 1
+        assert "failure-counts" in err  # error lists the valid names
+
     def test_points_csv_export(self, capsys, tmp_path, results):
         out_md = str(tmp_path / "report.md")
         points = str(tmp_path / "points.csv")
@@ -198,6 +346,32 @@ class TestReportCommand:
         lines = open(points).read().splitlines()
         assert lines[0] == "n_bits,algorithm,elapsed_seconds,status"
         assert len(lines) == 7  # header + 3 semiprimes x 2 algorithms
+
+    def test_empty_table_list_rejected(self, capsys, tmp_path, results):
+        out_md = tmp_path / "r.md"
+        code, _, err = run_cli(
+            capsys, "report", "--results", results, "--out", str(out_md), "--tables", ","
+        )
+        assert code == 1
+        assert "failure-counts" in err
+        assert not out_md.exists()
+
+    def test_unwritable_out(self, capsys, tmp_path, results):
+        out_md = tmp_path / "no-such-dir" / "report.md"
+        code, out, err = run_cli(capsys, "report", "--results", results, "--out", str(out_md))
+        assert code == 1
+        assert out == ""
+        assert "cannot write" in err
+
+    def test_unwritable_points_csv(self, capsys, tmp_path, results):
+        points = tmp_path / "no-such-dir" / "points.csv"
+        code, out, err = run_cli(
+            capsys, "report", "--results", results, "--out", str(tmp_path / "r.md"),
+            "--points-csv", str(points),
+        )
+        assert code == 1
+        assert out == ""
+        assert "cannot write" in err
 
     def test_empty_results_file(self, capsys, tmp_path):
         empty = tmp_path / "empty.csv"
