@@ -12,9 +12,9 @@ restart cap `exhausted`, a perfect square `success`, a bad factor `error`
 the library's own text.
 A usage, I/O, generation or verification failure is raised where it
 happens and reported once by `main`: its message on stderr, exit 1. Every
-other exception propagates with its traceback. `report` writes its
-Markdown before the optional points CSV, so a failure on the second
-leaves the first written.
+other exception propagates with its traceback. `report` renders its
+Markdown and the optional points CSV before it writes either, and removes
+what it wrote when a later write fails, so a failed call leaves no output.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import itertools
 import os
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from . import errors
@@ -231,10 +231,13 @@ def _cmd_report(args) -> int:
         records = read_results_csv(args.results)
     with _usage_on("", ValueError):
         document = render_report(records, tables)
-    with _usage_on("cannot write report output: ", OSError):
+    points = points_csv(records) if args.points_csv else None
+    with _usage_on("cannot write report output: ", OSError), ExitStack() as undo:
         Path(args.out).write_text(document, encoding="utf-8")
-        if args.points_csv:
-            Path(args.points_csv).write_text(points_csv(records), encoding="utf-8")
+        undo.callback(Path(args.out).unlink)  # run only if the points CSV fails
+        if points is not None:
+            Path(args.points_csv).write_text(points, encoding="utf-8")
+        undo.pop_all()
     print(f"report written to {args.out}")
     return EXIT_OK
 

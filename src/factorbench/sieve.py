@@ -32,14 +32,11 @@ where its walk stopped, so a prime costs nothing until its next hit falls
 in a new block. Every walk, a new prime's over the whole region or an old
 one's over new blocks, is the same loop over such entries. A prime below
 NOTE_MIN only divides; a larger prime also notes its base index on the
-candidate at each division. A candidate's parity mask is built once, when
-it becomes a relation: the bits of the noted primes (a prime noted twice
-cancels) XOR the bits of the primes below NOTE_MIN, found by dividing what
-the noted primes leave of a. The factor base is still every prime up to the
+candidate at each division. The factor base is still every prime up to the
 bound, and the per-round relation sets are identical to fresh reference
 scans (the tests check this), only far cheaper. The sieve keeps each
-relation as b, a and the parity mask of a's exponents, which is all the
-matrix and extraction steps need; no exponent vector is kept.
+relation as just its candidate index, which gives b and a: extraction needs
+nothing more, and no mask or exponent vector is kept.
 
 The matrix step is incremental as well. One `XorBasis` lives for the whole
 call; each round reduces only the relations that are new in it, and only
@@ -48,7 +45,12 @@ to x/y mod n maps its null space homomorphically into the square roots of
 1, so a round splits n iff some vector of a null-space basis does, and
 the basis vectors of earlier rounds were all tried and found trivial.
 Rounds to success are therefore those of re-running `gf2.eliminate` on
-every relation every round, which stays the reference.
+every relation every round, which stays the reference. A relation's
+parity mask is built only as the basis reduces it, and kept nowhere: the
+bits of the noted primes (a prime noted twice cancels) XOR the bits of the
+primes below NOTE_MIN, found by dividing what the noted primes leave of a.
+A round that splits n stops there, so the relations after the one that
+completes the splitting dependency never get a mask.
 """
 from __future__ import annotations
 
@@ -142,8 +144,8 @@ BLOCK = 1024
 # on each candidate it divides. It bounds the trial divisions that find
 # the small primes' mask bits to the 31 primes below it.
 NOTE_MIN = 128
-# New primes rooted between two deadline polls, and relations whose masks
-# are built between two polls.
+# New primes rooted between two deadline polls, and relations reduced into
+# the GF(2) basis between two polls.
 FILL = 256
 # Bits per base index in a candidate's note of the primes at or above
 # NOTE_MIN that divided it. Base indices stay far below 2**32, and those of
@@ -278,14 +280,16 @@ class _RelationScanner:
     A candidate whose residual reaches 1 is smooth; later primes cannot
     divide it. It becomes a relation in the call whose window first covers
     it: at once when it is in the window, else it waits in `pending` until
-    a later window reaches it. Its parity mask is built then, once: bit j
-    for each index noted an odd number of times, XOR the bits of the
-    primes below NOTE_MIN, found by dividing what the noted primes leave of
-    a, at most 31 trials. A prime p >= NOTE_MIN divides about one candidate
-    in p/2, so a note stays a word or two wide where a parity int per
-    candidate would grow to π(B) bits. `smooth` holds (b, a, mask) and only
-    grows, so a relation's index in it is a stable id; its per-call sets,
-    in b order, equal `collect_relations` over the same base and window.
+    a later window reaches it. `smooth` holds relations by candidate index
+    and only grows, so a relation's position in it is a stable id; its
+    per-call sets, in b order, equal `collect_relations` over the same base
+    and window. `pair` gives a relation's b and a, and `mask` its parity
+    mask, built on each call and kept nowhere: bit j for each index noted
+    an odd number of times, XOR the bits of the primes below NOTE_MIN,
+    found by dividing what the noted primes leave of a, at most 31 trials.
+    A prime p >= NOTE_MIN divides about one candidate in p/2, so a note
+    stays a word or two wide where a parity int per candidate would grow
+    to π(B) bits.
     """
 
     def __init__(self, n: int, deadline: Deadline):
@@ -302,7 +306,7 @@ class _RelationScanner:
         # smooth indices past the window so far; a rises with b, so only
         # candidate 0's a can be 1, which is smooth before any prime walks
         self.pending: list[int] = [0] if self.start_b * self.start_b - n == 1 else []
-        self.smooth: list[tuple[int, int, int]] = []  # (b, a, parity mask), in the order found
+        self.smooth: list[int] = []  # indices of the relations, in the order found
 
     def advance(self, new_primes: tuple[int, ...], m_count: int) -> None:
         """Append `new_primes`, the base primes above the last call's, to the
@@ -358,35 +362,32 @@ class _RelationScanner:
                     i += p
             buckets[i // BLOCK].append((i, p, j))
         self.pending = [i for i in done if i >= m_count]
-        self._add_relations(sorted(i for i in done if i < m_count))
+        self.smooth += sorted(i for i in done if i < m_count)
 
-    def _add_relations(self, fresh: list[int]) -> None:
-        """Append (b, a, mask) to `smooth` for each index in `fresh`, FILL at
-        most per poll. The notes give the mask bits of the primes at or above
-        NOTE_MIN; what they leave of a is divided by the primes below it."""
-        n, s, notes, primes = self.n, self.start_b, self.notes, self.primes
-        small = primes[: bisect.bisect_left(primes, NOTE_MIN)]
-        for t, i in enumerate(fresh):
-            if t % FILL == 0:
-                self.deadline.check()
-            b = s + i
-            a = b * b - n
-            mask, r, note = 0, a, notes[i]
-            while note:
-                j = note & _NOTE_MASK
+    def pair(self, i: int) -> tuple[int, int]:
+        """Candidate i's b and a = b*b - n."""
+        return self.start_b + i, (self.start_b + i) ** 2 - self.n
+
+    def mask(self, i: int) -> int:
+        """The parity mask of smooth candidate i's a. The notes give the bits
+        of the primes at or above NOTE_MIN; what they leave of a is divided
+        by the primes below it, which are the first in the base."""
+        mask, r, note = 0, self.pair(i)[1], self.notes[i]
+        while note:
+            j = note & _NOTE_MASK
+            mask ^= 1 << j
+            r //= self.primes[j]
+            note >>= NOTE_BITS
+        for j, p in enumerate(self.primes):
+            if r == 1:
+                break
+            odd = False
+            while r % p == 0:
+                r //= p
+                odd = not odd
+            if odd:
                 mask ^= 1 << j
-                r //= primes[j]
-                note >>= NOTE_BITS
-            for j, p in enumerate(small):
-                if r == 1:
-                    break
-                odd = False
-                while r % p == 0:
-                    r //= p
-                    odd = not odd
-                if odd:
-                    mask ^= 1 << j
-            self.smooth.append((b, a, mask))
+        return mask
 
 
 def qs_factor(
@@ -414,18 +415,18 @@ def qs_factor(
     - before each root's walk that starts more than BLOCK candidates
       before the region's end; a shorter walk, up to BLOCK candidates as is
       most walks over new blocks, is not polled;
-    - while a round's new relations get their parity masks, before each
-      FILL of them at most;
-    - before and after each round's matrix step.
+    - in each round's matrix step, before its first new row and every FILL
+      rows after, and once after the step.
     Every round takes its primes from `_primes_upto`, which sieves the
     shared prime table when the round's bound first passes it, with no
     poll; `QsParams` keeps the first bound at or below MAX_B_BOUND (10**6)
     so that the sieve stays short. Each round hands the scanner only the
     primes above its base so far, cut from that table. A first-round base
     prime dividing n is returned straight away and flagged in the trace.
-    Each relation is kept as (b, a, parity mask).
-    Each round's new masks are reduced into one GF(2) basis kept for the
-    whole call, and each dependency that basis reports is tried once, in
+    Each relation is kept as its candidate index in the scanner. A round's
+    new relations are reduced, in b order, into one GF(2) basis kept for
+    the whole call, each by a parity mask built just before it is added
+    and dropped after. Each dependency that basis reports is tried once, in
     the round that completes it, by handing its (b, a) pairs to
     `extract_factor` (y = isqrt(prod a) mod n), so dependencies_tried
     counts basis dependencies. A relation with all-even exponents is such
@@ -443,7 +444,7 @@ def qs_factor(
     b_bound = params.b_bound
     m_count = params.m_count
     scanner = _RelationScanner(n, deadline)
-    basis = XorBasis()  # row ids are indices into scanner.smooth
+    basis = XorBasis()  # row ids are positions in scanner.smooth
     for round_no in range(1, params.max_rounds + 1):
         trace.rounds = round_no
         trace.final_b = b_bound
@@ -459,13 +460,14 @@ def qs_factor(
                     return p, trace
         scanner.advance(new_primes, m_count)
         trace.relations_found = len(scanner.smooth)
-        deadline.check()
-        for entry in scanner.smooth[basis.n_rows :]:
-            dep = basis.add(entry[2])
+        for k, i in enumerate(scanner.smooth[basis.n_rows :]):
+            if k % FILL == 0:
+                deadline.check()
+            dep = basis.add(scanner.mask(i))
             if dep is None:
                 continue
             trace.dependencies_tried += 1
-            g = extract_factor(n, [scanner.smooth[i][:2] for i in sorted(dep.row_indices)])
+            g = extract_factor(n, [scanner.pair(scanner.smooth[r]) for r in sorted(dep.row_indices)])
             if g is not None:
                 return g, trace
         deadline.check()

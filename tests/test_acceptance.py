@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v` (add -s to see the PASS lines
 inline). The trend criterion benches 450 semiprimes at a 180 s budget and
-dominates the suite's runtime: about 4-6 s on a 2-core VM with Python
-3.11.7, where the whole test suite takes 18-22 s.
+takes the largest share of the suite's runtime: 2.5-4.5 s on a 2-core VM
+with Python 3.11.7, where the whole test suite takes 16-23 s.
 """
 
 import itertools

@@ -2,6 +2,7 @@ import math
 import random
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from factorbench.arith import is_probable_prime
 from factorbench.bench import TIMEOUT_SLACK_SECONDS
 from factorbench.errors import BudgetExceeded, Deadline, Exhausted, NotComposite
-from factorbench.gf2 import BitMatrix, eliminate
+from factorbench.gf2 import BitMatrix, XorBasis, eliminate
 from factorbench.pollard import RhoConfig, RhoTrace, pollard_factor
 from factorbench.primegen import random_semiprime
 from factorbench import errors, sieve
@@ -76,6 +77,22 @@ def reference_qs(n, params):
         b_bound += sieve.B_INCREMENT
         m_count += sieve.M_INCREMENT
     return None, params.max_rounds, len(rels)
+
+
+def relation_triples(scanner):
+    """(b, a, parity mask) of each of the scanner's relations, in its order."""
+    return [(*scanner.pair(i), scanner.mask(i)) for i in scanner.smooth]
+
+
+def count_calls(monkeypatch, owner, name, calls):
+    """Wrap owner.name so that each call adds one to calls[name]."""
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
 
 
 def trial_division_pair(n):
@@ -300,6 +317,18 @@ class TestQsFactor:
         assert reads == 2 + extra_polls
         assert len(build_factor_base(20000).primes) > 2 * sieve.FILL
 
+    def test_masks_built_only_for_rows_the_basis_reduces(self, monkeypatch):
+        # the one round splits n after reducing about a fifth of its
+        # relations, and the rest never get a parity mask
+        calls = Counter()
+        count_calls(monkeypatch, _RelationScanner, "mask", calls)
+        count_calls(monkeypatch, XorBasis, "add", calls)
+        params = QsParams(b_bound=10**5, m_count=10**5, max_rounds=1)
+        g, trace = qs_factor(946613331739179941, params)
+        assert 946613331739179941 % g == 0
+        assert calls["mask"] == calls["add"] < trace.relations_found
+        assert (calls["add"], trace.relations_found) == (1503, 7266)
+
     def test_rounds_exhausted(self):
         sp = random_semiprime(20, 20, 40, random.Random(18))
         with pytest.raises(Exhausted):
@@ -388,7 +417,7 @@ class TestScannerMatchesReference:
             (rel.b, rel.a, parity_mask(rel.parity))
             for rel in collect_relations(scanner.n, fb, m_count)
         ]
-        assert sorted(scanner.smooth) == reference, (scanner.n, bound, m_count)
+        assert sorted(relation_triples(scanner)) == reference, (scanner.n, bound, m_count)
         new = scanner.smooth[before:]
         assert new == sorted(new)
 
@@ -451,7 +480,7 @@ class TestScannerMatchesReference:
         self.check(n, [(2, 1), (5, 50), (20, 200)])
         scanner = _RelationScanner(n, Deadline(None))
         scanner.advance((2,), 1)
-        assert scanner.smooth == [(30, 1, 0)]
+        assert relation_triples(scanner) == [(30, 1, 0)]
 
     def test_bucketed_primes_across_k_boundaries(self):
         # primes past NOTE_MIN join every round or two while the windows
@@ -565,8 +594,9 @@ class TestScannerMatchesReference:
 
 class TestScannerDeadlinePolls:
     """A deadline that passes once the region has grown is still caught
-    before `advance` returns, by a new block's poll, a root loop's, a
-    walk's or a mask loop's."""
+    before `advance` returns, by a new block's poll, a root loop's or a
+    walk's, and one that passes after the walks by `qs_factor`'s matrix
+    step, which builds the masks."""
 
     @staticmethod
     def expire_after(monkeypatch, started, polls):
@@ -588,10 +618,6 @@ class TestScannerDeadlinePolls:
 
         monkeypatch.setattr(errors.time, "monotonic", clock)
 
-    @staticmethod
-    def no_masks(fresh):
-        raise AssertionError("the walks finished")
-
     def test_each_new_block_polls(self, monkeypatch):
         # with no primes only the block loop reads the clock; the deadline
         # passes at the third new block's poll, so no fourth is appended
@@ -605,9 +631,9 @@ class TestScannerDeadlinePolls:
     # extra_polls: 0 lets the deadline pass right after the polls that come
     # before any walk, the last new block's and, with new primes, the root
     # loop's first, so only the first walk's poll can catch it; 1 lets that
-    # poll pass too, so only the second walk's can; the masks are never
-    # built. old_m: 0 has new primes walk a fresh region, 100 has old
-    # primes walk three new blocks, both wider than BLOCK
+    # poll pass too, so only the second walk's can. old_m: 0 has new primes
+    # walk a fresh region, 100 has old primes walk three new blocks, both
+    # wider than BLOCK
     @pytest.mark.parametrize("extra_polls", [0, 1])
     @pytest.mark.parametrize("old_m", [0, 100])
     def test_walk_wider_than_block_polls(self, monkeypatch, extra_polls, old_m):
@@ -621,7 +647,6 @@ class TestScannerDeadlinePolls:
         m_count = old_m + 3 * sieve.BLOCK
         polls = 1 + bool(new_primes) + extra_polls
         self.expire_after(monkeypatch, lambda: len(scanner.rem) >= m_count, polls)
-        monkeypatch.setattr(scanner, "_add_relations", self.no_masks)
         with pytest.raises(BudgetExceeded):
             scanner.advance(new_primes, m_count)
 
@@ -648,27 +673,29 @@ class TestScannerDeadlinePolls:
         assert len(primes) > 2 * sieve.FILL
         assert rooted == (extra_polls - 1) * sieve.FILL
 
-    # extra_polls: 0 lets the deadline pass right after the last walk, so the
-    # poll before the first mask catches it; 1 lets that poll pass too, so
-    # only the poll before the FILL-th mask can
+    # extra_polls: 0 lets the deadline pass right after the walks, so the
+    # matrix step's poll before its first row catches it; 1 lets that poll
+    # pass too, so only the poll before row FILL can. The round reduces 651
+    # of its 817 relations before it splits n.
     @pytest.mark.parametrize("extra_polls", [0, 1])
     def test_building_many_masks_polls(self, monkeypatch, extra_polls):
-        sp = random_semiprime(15, 15, 30, random.Random(12))
-        fb = build_factor_base(3000)
-        scanner = _RelationScanner(sp.n, Deadline(60.0))
-        fresh_count = None  # None until the walks are over
-        add_relations = scanner._add_relations
+        walked = False
+        real_advance = _RelationScanner.advance
 
-        def count_then_add(fresh):
-            nonlocal fresh_count
-            fresh_count = len(fresh)
-            add_relations(fresh)
+        def advance_then_flag(*args):
+            nonlocal walked
+            real_advance(*args)
+            walked = True
 
-        self.expire_after(monkeypatch, lambda: fresh_count is not None, extra_polls)
-        monkeypatch.setattr(scanner, "_add_relations", count_then_add)
-        with pytest.raises(BudgetExceeded):
-            scanner.advance(fb.primes, 1500)
-        assert fresh_count > sieve.FILL
+        calls = Counter()
+        monkeypatch.setattr(_RelationScanner, "advance", advance_then_flag)
+        count_calls(monkeypatch, XorBasis, "add", calls)
+        self.expire_after(monkeypatch, lambda: walked, extra_polls)
+        params = QsParams(b_bound=20000, m_count=20000, max_rounds=1)
+        with pytest.raises(BudgetExceeded) as exc_info:
+            qs_factor(946613331739179941, params, 60.0)
+        assert exc_info.value.trace.relations_found > sieve.FILL
+        assert calls["add"] == extra_polls * sieve.FILL
 
 
 class TestScannerMemory:
