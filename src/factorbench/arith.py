@@ -62,15 +62,27 @@ def sqrt_mod_prime(c: int, p: int) -> tuple[int, ...]:
     """All x in [0, p) with x*x = c (mod p), ascending, for prime p.
 
     One root when p = 2 or c = 0 (mod p), none when c is a non-residue,
-    otherwise the pair r, p - r (Tonelli-Shanks).
+    otherwise the pair r, p - r: r = c**((p + 1) / 4) when p = 3 (mod 4),
+    whose square is c or -c, else by Tonelli-Shanks.
     """
     if p < 2:
         raise ValueError("p must be a prime")
     c %= p
     if c == 0 or p == 2:
         return (c,)
-    if pow(c, (p - 1) >> 1, p) != 1:
+    if p & 3 == 3:
+        r = pow(c, (p + 1) >> 2, p)
+        if r * r % p != c:
+            return ()
+    elif pow(c, (p - 1) >> 1, p) != 1:
         return ()
+    else:
+        r = _tonelli_shanks(c, p)
+    return (r, p - r) if r < p - r else (p - r, r)
+
+
+def _tonelli_shanks(c: int, p: int) -> int:
+    """A root of the quadratic residue c mod prime p = 1 (mod 4)."""
     s = ((p - 1) & (1 - p)).bit_length() - 1
     q = (p - 1) >> s
     z = next((z for z in range(2, p) if pow(z, (p - 1) >> 1, p) == p - 1), None)
@@ -88,7 +100,7 @@ def sqrt_mod_prime(c: int, p: int) -> tuple[int, ...]:
         f = pow(w, 1 << (m - i - 1), p)
         m, w = i, f * f % p
         t, r = t * w % p, r * f % p
-    return (r, p - r) if r < p - r else (p - r, r)
+    return r
 
 
 def _strong_tests(n: int, bases: Iterable[int]) -> bool:

@@ -12,31 +12,43 @@ repeats.
 
 `collect_relations` is the plain reference scan for one (base, window)
 setting: it trial-divides every candidate by every base prime. `qs_factor`
-runs the retry loop on top of a root-indexed sieve that keeps each
-candidate's undivided residual between rounds. Each base prime's square
-roots of n are found once, when it is admitted (Tonelli-Shanks), and the
-prime then divides only the candidates b = +-r (mod p) where it must divide
-a. Primes of which n is a quadratic non-residue are dropped after that one
-check and never enter a loop again. The sieved region grows in whole blocks
-of BLOCK candidates, to the first block edge at or past the round's window,
-so it runs ahead of the window by less than a block and grows only about
-once every BLOCK / M_INCREMENT rounds: a newly admitted prime walks the
-whole region, an older one only the blocks added. A candidate past the
-window whose residual reaches 1 waits, and becomes a relation in the round
-whose window reaches it, so every round's relations are those of the window
-alone. The region grows as x*x - n, with no division per candidate. Walk
-state is each root of each rooted prime, waiting as its next hit index in a
-bucket of BLOCK candidates (the segmented bucket sieve of Aoki and Ueda).
-New blocks are walked by the entries of their buckets, each filed again
-where its walk stopped, so a prime costs nothing until its next hit falls
-in a new block. Every walk, a new prime's over the whole region or an old
-one's over new blocks, is the same loop over such entries. A prime below
-NOTE_MIN only divides; a larger prime also notes its base index on the
-candidate at each division. The factor base is still every prime up to the
-bound, and the per-round relation sets are identical to fresh reference
-scans (the tests check this), only far cheaper. The sieve keeps each
-relation as just its candidate index, which gives b and a: extraction needs
-nothing more, and no mask or exponent vector is kept.
+runs the retry loop on top of a root-indexed sieve by bit credits, kept
+between rounds: Pomerance's log approximation, made exact by confirming
+every candidate it flags. Each candidate keeps one byte, a lower bound of
+floor(log2 a) less the bits credited to it so far. Each base prime's
+square roots of n are found once, when it is admitted, and lifted to roots
+mod p**2, p**3, ...; each power p**k then visits only the candidates b = r
+(mod p**k) where it divides a, and credits ceil(log2 p) bits to each. The
+first power at or past BLOCK, above p itself, flags its candidates instead
+(byte 0), and no higher power is sieved. Primes of which n is a quadratic
+non-residue are dropped after that one check. A prime below NOTE_MIN
+credits whole strided slices through a 256-byte `bytearray.translate`
+table, in C; a larger prime credits hit by hit and notes its base index on
+the candidate. After the walks, each candidate whose byte reached 0 is
+confirmed by dividing a by its noted primes and the primes below NOTE_MIN.
+No relation is missed, since a smooth a's prime powers credit at least
+log2 a bits or flag it, and none is made up, since only a cofactor of 1
+makes one. A false positive's byte is reset to the bits of its cofactor,
+which only primes admitted later can credit.
+
+The sieved region grows in whole blocks of BLOCK candidates, to the first
+block edge at or past the round's window, so it runs ahead of the window
+by less than a block and grows only about once every BLOCK / M_INCREMENT
+rounds: a newly admitted prime walks the whole region, an older one only
+the blocks added. A candidate past the window that is confirmed smooth
+waits, and becomes a relation in the round whose window reaches it, so
+every round's relations are those of the window alone. A new block's bytes
+come from the a of its first candidate, with no arithmetic per candidate.
+Walk state of the primes past NOTE_MIN is each root of each power, waiting
+as its next hit index in a bucket of BLOCK candidates (the segmented
+bucket sieve of Aoki and Ueda). New blocks are walked by the entries of
+their buckets, each filed again where its walk stopped, so such a prime
+costs nothing until its next hit falls in a new block. The factor base is
+still every prime up to the bound, and the per-round relation sets are
+identical to fresh reference scans (the tests check this), only far
+cheaper. The sieve keeps each relation as just its candidate index, which
+gives b and a: extraction needs nothing more, and no mask or exponent
+vector is kept.
 
 The matrix step is incremental as well. One `XorBasis` lives for the whole
 call; each round reduces only the relations that are new in it, and only
@@ -46,15 +58,16 @@ to x/y mod n maps its null space homomorphically into the square roots of
 the basis vectors of earlier rounds were all tried and found trivial.
 Rounds to success are therefore those of re-running `gf2.eliminate` on
 every relation every round, which stays the reference. A relation's
-parity mask is built only as the basis reduces it, and kept nowhere: the
-bits of the noted primes (a prime noted twice cancels) XOR the bits of the
-primes below NOTE_MIN, found by dividing what the noted primes leave of a.
+parity mask is built only as the basis reduces it, and kept nowhere, by
+the same division as confirmation: the bit of each noted prime and each
+prime below NOTE_MIN that divides a an odd number of times.
 A round that splits n stops there, so the relations after the one that
 completes the splitting dependency never get a mask.
 """
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -138,20 +151,29 @@ class QsTrace:
 # Candidates per block of the scanner's sieved region, which grows a whole
 # block at a time with one deadline poll per block, and per bucket of its
 # walk state, which files each root under its next hit index // BLOCK; a
-# walk over more candidates than this polls the deadline first.
+# walk over more candidates than this polls the deadline first. A prime's
+# first power p**k >= BLOCK with k >= 2 is its flag level, the last sieved.
 BLOCK = 1024
-# Primes below this only divide; a larger prime also notes its base index
-# on each candidate it divides. It bounds the trial divisions that find
-# the small primes' mask bits to the 31 primes below it.
+# The powers of a prime below this credit strided slices of the region; a
+# larger prime credits hit by hit and notes its base index on each
+# candidate it divides. It bounds the trial divisions that confirm a
+# flagged candidate, or find a relation's mask, to the 31 primes below it.
 NOTE_MIN = 128
-# New primes rooted between two deadline polls, and relations reduced into
-# the GF(2) basis between two polls.
+# New primes rooted, flagged candidates confirmed, and relations reduced
+# into the GF(2) basis between two deadline polls.
 FILL = 256
 # Bits per base index in a candidate's note of the primes at or above
-# NOTE_MIN that divided it. Base indices stay far below 2**32, and those of
-# such primes are above 0, so a note is 0 exactly when it is empty.
+# NOTE_MIN that divide it, once each. Base indices stay far below 2**32, and
+# those of such primes are above 0, so a note is 0 exactly when it is empty.
 NOTE_BITS = 32
 _NOTE_MASK = (1 << NOTE_BITS) - 1
+
+# Index cuts of block 0, where a grows fastest relative to itself: each
+# candidate's byte starts from the bound at the cut at or before it.
+_BLOCK0_CUTS = (0, *(1 << e for e in range(BLOCK.bit_length() - 1)))
+# _CREDIT[c] takes c bits off a candidate's byte, saturating at 0; _ZERO flags it
+_CREDIT = [bytes(c) + bytes(range(256 - c)) for c in range(256)]
+_ZERO = bytes(256)
 
 # (limit, every prime up to limit); replaced whole, never mutated
 _prime_table: tuple[int, tuple[int, ...]] = (1, ())
@@ -198,6 +220,39 @@ def smooth_decompose(a: int, fb: FactorBase) -> list[int] | None:
             rem //= p
             exps[i] += 1
     return exps if rem == 1 else None
+
+
+def _root_levels(n: int, p: int) -> list[tuple[int, tuple[int, ...], bool]]:
+    """The progressions b = r (mod step) on which p**k divides b*b - n, for
+    k = 1, 2, ... up to the flag level, the first k >= 2 with p**k >= BLOCK,
+    or to the last k that has any: (step, roots r, whether k is the flag
+    level), step dividing p**k. The roots of n mod q*p lift from those mod
+    q = p**k: (r + t*q)**2 - n = r*r - n + 2*r*t*q (mod q*p). When p does
+    not divide 2r, one t lifts r (Hensel's rule). When it does, as it does
+    for every root or for none, every t lifts r or none does, and the
+    progression of r mod q is kept whole."""
+    levels = []
+    q, step, roots = p, p, sqrt_mod_prime(n, p)
+    while roots:
+        flag = q > p and q >= BLOCK
+        levels.append((step, roots, flag))
+        if flag:
+            break
+        if 2 * roots[0] % p:  # odd p prime to n: the roots are r and q - r
+            r = roots[0]
+            r += (n - r * r) // q * pow(2 * r, -1, p) % p * q
+            step, roots = q * p, tuple(sorted((r, q * p - r)))
+        else:
+            # every root mod q, fewer than BLOCK past k = 1, where step = q
+            roots = [r + t * step for t in range(q // step) for r in roots]
+            step, roots = q, tuple(r for r in roots if (r * r - n) // q % p == 0)
+        q *= p
+    return levels
+
+
+def _log2_byte(x: int) -> int:
+    """floor(log2 x) of x >= 1, clamped to a byte."""
+    return min(x.bit_length() - 1, 255)
 
 
 def _ceil_sqrt(n: int) -> int:
@@ -247,147 +302,172 @@ def extract_factor(n: int, pairs: list[tuple[int, int]]) -> int | None:
 
 
 class _RelationScanner:
-    """Root-indexed exact sieve shared across retry rounds.
+    """Root-indexed sieve by bit credits, shared across retry rounds.
 
     `primes` is the factor base so far; each `advance` appends its round's
-    new primes, so base indices never change. `rem[i]` is what is left of
-    a = b*b - n, b = ceil(sqrt(n)) + i, after dividing out the full power
-    of every walked prime that divides it, and `notes[i]` packs, NOTE_BITS
-    bits each, the base index j of every division by a prime p >= NOTE_MIN,
-    once per division; divisions by smaller primes are not noted. A prime p
-    divides a exactly where b*b = n (mod p), i.e. on the progressions
-    b = +-r (mod p) of the roots r of n mod p, and p**e can only divide a
-    there too. So each prime is rooted once, in the call that admits it,
-    and visits just its progressions. A prime with no root of n is never
-    kept, so it costs nothing after that one check.
+    new primes, so base indices never change. Candidate i has b =
+    ceil(sqrt(n)) + i and a = b*b - n, and `need[i]` is one byte: the bits
+    of a still to be credited before i is worth an exact look. It starts
+    from a lower bound of floor(log2 a), clamped at 255: that of a block's
+    first candidate, a rising with b, and in block 0, where a is small, of
+    the candidate at each power-of-two index. p**k divides a only where
+    b*b = n (mod p**k), so each prime is rooted once, in the call that
+    admits it, into the levels of `_root_levels`: each credits
+    (p - 1).bit_length() = ceil(log2 p) bits to the candidates it hits,
+    through a saturating `translate` table, but the flag level zeroes them.
+    A prime with no root of n is never kept.
 
-    The sieved region, `rem`'s length, grows to the first multiple of BLOCK
-    at or past each call's window, so it grows only in whole blocks, and
-    only in a call whose window passes it. Each root of each rooted prime
-    is kept as an entry (next hit index, p, j), j being p's base index,
-    filed in `buckets` under index // BLOCK (the bucket sieve of Aoki and
-    Ueda). An entry holds j, not the mask bit 1 << j: kept bits would take
-    memory quadratic in the base size. One loop over a call's new blocks
-    appends each block's a values, pops its bucket and polls the Deadline
-    the scanner was made with. The call's walks are one list of entries:
-    those popped, and the roots of its new primes from their first hit.
-    One loop walks each entry by p up to the region's end, dividing at
-    every hit, and files it again at the index it stopped on, at or past
-    the region's end. New blocks start on a bucket's edge, so an entry is
-    popped only when its next hit lies in them: a call's work is the hits
-    in its new blocks, not the size of the base.
+    The sieved region, `need`'s length, grows to the first multiple of
+    BLOCK at or past each call's window, in whole blocks, each appended
+    with a poll of the Deadline the scanner was made with. A level root of
+    a prime below NOTE_MIN is a stride (first hit index, step, table) in
+    `strides`, credited over the call's new blocks, or a new prime's whole
+    region, by one slice `translate`. That of a larger prime is an entry
+    (next hit index, step, j) filed in `buckets` under index // BLOCK (the
+    bucket sieve of Aoki and Ueda), j being the prime's base index, or -1
+    at its flag level. One loop walks the entries popped for the new blocks
+    and those of the new primes to the region's end, hit by hit, and files
+    each again where it stopped, so a call's work is the hits in its new
+    blocks, not the size of the base. A level-1 hit also notes j in
+    `notes[i]`, NOTE_BITS bits a prime. An entry holds j, not the mask bit
+    1 << j: kept bits would take memory quadratic in the base size.
 
-    A candidate whose residual reaches 1 is smooth; later primes cannot
-    divide it. It becomes a relation in the call whose window first covers
-    it: at once when it is in the window, else it waits in `pending` until
-    a later window reaches it. `smooth` holds relations by candidate index
-    and only grows, so a relation's position in it is a stable id; its
-    per-call sets, in b order, equal `collect_relations` over the same base
-    and window. `pair` gives a relation's b and a, and `mask` its parity
-    mask, built on each call and kept nowhere: bit j for each index noted
-    an odd number of times, XOR the bits of the primes below NOTE_MIN,
-    found by dividing what the noted primes leave of a, at most 31 trials.
-    A prime p >= NOTE_MIN divides about one candidate in p/2, so a note
-    stays a word or two wide where a parity int per candidate would grow
-    to π(B) bits.
+    After the walks each byte that reached 0 is flagged, found by
+    `need.find(0)`, and confirmed by `_divide`. A cofactor of 1 makes i a
+    relation, its byte 255: no later prime divides a, and old primes walk
+    only new blocks, so nothing credits it again. Any other cofactor c
+    marks a false positive. c is prime to the whole base so far, so the
+    byte becomes floor(log2 c), which only later primes can credit. No
+    relation is missed: a smooth a is a product of base prime powers p**e,
+    and each of p's levels up to e either credits ceil(log2 p) >= log2 p
+    bits or flags i, so the credits reach log2 a, at least the bound, or i
+    is flagged. None is made up, since only exact division confirms one.
+
+    A relation becomes one in the call whose window first covers it: at
+    once when it is in the window, else it waits in `pending` until a later
+    window reaches it. `smooth` holds relations by candidate index and only
+    grows, so a relation's position in it is a stable id; its per-call
+    sets, in b order, equal `collect_relations` over the same base and
+    window. `pair` gives a relation's b and a, and `mask` its parity mask,
+    built on each call by `_divide` and kept nowhere. A prime p >= NOTE_MIN
+    divides about one candidate in p/2, so a note stays a word or two wide
+    where a parity int per candidate would grow to pi(B) bits.
     """
 
     def __init__(self, n: int, deadline: Deadline):
         self.n = n
         self.deadline = deadline  # the qs_factor call's, polled by every advance
         self.start_b = _ceil_sqrt(n)
+        if self.start_b**2 == n:
+            raise ValueError("n must not be a perfect square")  # every p**k divides its a = 0
         self.primes: list[int] = []
-        # a = 0 only at b = sqrt(n) of a square n, which qs_factor screens
-        # out first; a residual of 0 is never divided or made a relation
-        self.rem: list[int] = []
-        self.notes: list[int] = []  # base indices of the large-prime divisions, NOTE_BITS each
-        # block -> (next hit index, p, base index) of each root of a rooted prime
+        self.need = bytearray()  # bits of a still to credit, one byte per candidate
+        self.notes: list[int] = []  # base indices of the primes >= NOTE_MIN hitting it, NOTE_BITS each
+        self.strides: list[tuple[int, int, bytes]] = []  # (first hit index, p**k, table), p < NOTE_MIN
+        # block -> (next hit index, p**k, base index or -1 at the flag level) of each root
         self.buckets: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
-        # smooth indices past the window so far; a rises with b, so only
-        # candidate 0's a can be 1, which is smooth before any prime walks
-        self.pending: list[int] = [0] if self.start_b * self.start_b - n == 1 else []
+        self.pending: list[int] = []  # smooth indices past the window so far
         self.smooth: list[int] = []  # indices of the relations, in the order found
 
     def advance(self, new_primes: tuple[int, ...], m_count: int) -> None:
         """Append `new_primes`, the base primes above the last call's, to the
         base, widen the window to m_count candidates, and append the
         window's new relations to `smooth` in b order."""
-        n, s, rem, notes, buckets = self.n, self.start_b, self.rem, self.notes, self.buckets
+        n, s, need, notes, buckets = self.n, self.start_b, self.need, self.notes, self.buckets
         check = self.deadline.check
         primes = self.primes
-        old_primes = len(primes)
+        old_primes, lo = len(primes), len(need)
         primes.extend(new_primes)
-        walks = []  # (next hit index, p, base index); a new prime walks the whole region
-        for blk in range(len(rem) // BLOCK, -(-m_count // BLOCK)):
-            b0 = s + blk * BLOCK
-            rem.extend([b * b - n for b in range(b0, b0 + BLOCK)])
+        walks = []  # (next hit index, p**k, base index or -1); a new prime walks the whole region
+        for blk in range(lo // BLOCK, -(-m_count // BLOCK)):
+            cuts = (blk * BLOCK,) if blk else _BLOCK0_CUTS
+            for c0, c1 in zip(cuts, cuts[1:] + ((blk + 1) * BLOCK,)):
+                need += bytes((_log2_byte((s + c0) ** 2 - n),)) * (c1 - c0)
             notes.extend([0] * BLOCK)
             walks += buckets.pop(blk, ())
             check()
-        m = len(rem)
+        m = len(need)
+        strides = [(lo + (i - lo) % q, q, table) for i, q, table in self.strides] if m > lo else []
         for j in range(old_primes, len(primes)):
             if j % FILL == 0:
                 check()
             p = primes[j]
-            for r in sqrt_mod_prime(n, p):
-                walks.append(((r - s) % p, p, j))
-        done = self.pending  # indices whose residual reached 1, in or past the window
-        for i, p, j in walks:
+            for q, roots, flag in _root_levels(n, p):
+                for r in roots:
+                    i = (r - s) % q
+                    if p >= NOTE_MIN:
+                        walks.append((i, q, -1 if flag else j))
+                    else:
+                        table = _ZERO if flag else _CREDIT[(p - 1).bit_length()]
+                        self.strides.append((i, q, table))
+                        strides.append((i, q, table))
+        for i, q, table in strides:
             if m - i > BLOCK:
                 check()
-            if p < NOTE_MIN:  # a small prime's bit is found from a at smooth time
+            need[i::q] = need[i::q].translate(table)
+        for i, q, j in walks:
+            if m - i > BLOCK:
+                check()
+            if j < 0:
                 while i < m:
-                    r = rem[i]
-                    if r > 1:
-                        r //= p
-                        while r % p == 0:
-                            r //= p
-                        rem[i] = r
-                        if r == 1:
-                            done.append(i)
-                    i += p
+                    need[i] = 0
+                    i += q
             else:
+                table = _CREDIT[(q - 1).bit_length()]
                 while i < m:
-                    r = rem[i]
-                    if r > 1:
-                        r //= p
-                        note = notes[i] << NOTE_BITS | j
-                        while r % p == 0:
-                            r //= p
-                            note = note << NOTE_BITS | j
-                        notes[i] = note
-                        rem[i] = r
-                        if r == 1:
-                            done.append(i)
-                    i += p
-            buckets[i // BLOCK].append((i, p, j))
+                    need[i] = table[need[i]]
+                    notes[i] = notes[i] << NOTE_BITS | j
+                    i += q
+            buckets[i // BLOCK].append((i, q, j))
+        done = self.pending  # indices confirmed smooth, in or past the window
+        k, i = 0, need.find(0)
+        while i >= 0:
+            if k % FILL == 0:
+                check()
+            k += 1
+            c = self._divide(i)[0]
+            if c == 1:
+                need[i] = 255
+                done.append(i)
+            else:
+                need[i] = _log2_byte(c)
+            i = need.find(0, i + 1)
         self.pending = [i for i in done if i >= m_count]
         self.smooth += sorted(i for i in done if i < m_count)
+
+    def _divide(self, i: int) -> tuple[int, list[int]]:
+        """Candidate i's a divided by each noted prime and each base prime
+        below NOTE_MIN as often as it divides: the cofactor left, and the
+        base indices of the primes that divided it an odd number of times.
+        Once every base prime has walked i, the cofactor is 1 exactly when
+        a is smooth."""
+        primes, note, r = self.primes, self.notes[i], self.pair(i)[1]
+        noted = []
+        while note:
+            noted.append(note & _NOTE_MASK)
+            note >>= NOTE_BITS
+        odd = []
+        for j in itertools.chain(noted, range(bisect.bisect_left(primes, NOTE_MIN))):
+            if r == 1:
+                break
+            p = primes[j]
+            if r % p == 0:
+                r //= p
+                e = 1
+                while r % p == 0:
+                    r //= p
+                    e ^= 1
+                if e:
+                    odd.append(j)
+        return r, odd
 
     def pair(self, i: int) -> tuple[int, int]:
         """Candidate i's b and a = b*b - n."""
         return self.start_b + i, (self.start_b + i) ** 2 - self.n
 
     def mask(self, i: int) -> int:
-        """The parity mask of smooth candidate i's a. The notes give the bits
-        of the primes at or above NOTE_MIN; what they leave of a is divided
-        by the primes below it, which are the first in the base."""
-        mask, r, note = 0, self.pair(i)[1], self.notes[i]
-        while note:
-            j = note & _NOTE_MASK
-            mask ^= 1 << j
-            r //= self.primes[j]
-            note >>= NOTE_BITS
-        for j, p in enumerate(self.primes):
-            if r == 1:
-                break
-            odd = False
-            while r % p == 0:
-                r //= p
-                odd = not odd
-            if odd:
-                mask ^= 1 << j
-        return mask
+        """The parity mask of smooth candidate i's a."""
+        return sum(1 << j for j in self._divide(i)[1])
 
 
 def qs_factor(
@@ -409,12 +489,14 @@ def qs_factor(
     - in the first round's check for a base prime dividing n, before each
       FILL primes;
     - once for each new block of BLOCK candidates the sieved region grows
-      by, after its a values are appended;
+      by, after its bytes are appended;
     - while a call roots its new primes, before each prime whose base index
       is a multiple of FILL;
-    - before each root's walk that starts more than BLOCK candidates
-      before the region's end; a shorter walk, up to BLOCK candidates as is
-      most walks over new blocks, is not polled;
+    - before each root's walk, a slice's or hit by hit, that starts more
+      than BLOCK candidates before the region's end; a shorter walk, up to
+      BLOCK candidates as is most walks over new blocks, is not polled;
+    - while a call confirms its flagged candidates, before the first and
+      every FILL-th after;
     - in each round's matrix step, before its first new row and every FILL
       rows after, and once after the step.
     Every round takes its primes from `_primes_upto`, which sieves the

@@ -83,6 +83,14 @@ class TestSqrtModPrime:
             for c in range(p):
                 assert sqrt_mod_prime(c, p) == tuple(x for x in range(p) if x * x % p == c)
 
+    def test_matches_brute_force_below_1e4_at_random_c(self):
+        # a residue and a random c for every prime: p = 3 (mod 4) takes the
+        # direct root c**((p + 1) / 4), which must also reject non-residues
+        rng = random.Random(7)
+        for p in filter(trial_division_is_prime, range(2, 10**4)):
+            for c in (rng.randrange(p) ** 2 % p, rng.randrange(p)):
+                assert sqrt_mod_prime(c, p) == tuple(x for x in range(p) if x * x % p == c), (c, p)
+
     @given(st.integers(0, 10**18), st.sampled_from([1000003, 998244353]))
     @settings(max_examples=200)
     def test_large_primes(self, c, p):

@@ -149,9 +149,11 @@ class TestRunBench:
         pooled = run_bench(dataset, BenchConfig(budget_seconds=30.0, workers=2))
         assert fields(sequential) == fields(pooled)
 
-    def test_timeout_status_on_hard_input(self):
+    def test_timeout_status_on_hard_input(self, expire_after):
         sp = random_semiprime(30, 30, 60, random.Random(44))
-        # a first window of 10**6 candidates far outlasts the budget on any host
+        # a first window of 10**6 candidates can sieve in under 0.1 s, with
+        # about 1300 polls, so the clock runs the budget out at its 100th read
+        expire_after(100)
         config = BenchConfig(
             budget_seconds=0.05, algorithms=("qs",), qs_params=QsParams(m_count=10**6)
         )
@@ -288,8 +290,9 @@ class TestVerifyOutcomes:
         assert len(violations) == 1
         assert "record 0" in violations[0]
 
-    def test_timeout_records_never_flagged(self):
+    def test_timeout_records_never_flagged(self, expire_after):
         sp = random_semiprime(30, 30, 60, random.Random(45))
+        expire_after(100)
         config = BenchConfig(
             budget_seconds=0.05, algorithms=("qs",), qs_params=QsParams(m_count=10**6)
         )

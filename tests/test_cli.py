@@ -60,9 +60,12 @@ class TestFactorCommand:
         code, _, _ = run_cli(capsys, "factor", "1")
         assert code == 1
 
-    def test_timeout_exit_code(self, capsys):
-        # 60-bit balanced semiprime; the sieve cannot finish in 10 ms
+    def test_timeout_exit_code(self, capsys, expire_after):
+        # 60-bit balanced semiprime; the sieve can finish in about 10 ms, and
+        # polls the deadline about 900 times, so the clock runs the budget
+        # out at its 100th read
         n = 946613331739179941  # 958788427 * 987301583
+        expire_after(100)
         assert 958788427 * 987301583 == n
         code, out, _ = run_cli(capsys, "factor", str(n), "--algo", "qs", "--timeout", "0.01")
         assert code == 3

@@ -1,7 +1,7 @@
 import math
 import random
+import sys
 import time
-import tracemalloc
 from collections import Counter
 
 import pytest
@@ -281,8 +281,11 @@ class TestQsFactor:
         with pytest.raises(ValueError, match="budget_seconds must be positive"):
             qs_factor(946613331739179941, QsParams(max_rounds=60), budget)
 
-    def test_budget_exceeded_carries_trace(self):
+    def test_budget_exceeded_carries_trace(self, expire_after):
+        # the number can sieve in under 20 ms, polling the deadline about
+        # 1400 times, so the clock runs the budget out at its 100th read
         sp = random_semiprime(30, 30, 60, random.Random(17))
+        expire_after(100)
         with pytest.raises(BudgetExceeded) as exc_info:
             qs_factor(sp.n, QsParams(), budget_seconds=0.02)
         assert exc_info.value.trace is not None
@@ -591,42 +594,107 @@ class TestScannerMatchesReference:
             schedule.append((bound, m_count))
         self.check(n, schedule)
 
+    def test_prime_past_the_flag_step_joining_late(self):
+        # 1031..1097 join in the second call; level 1 of a prime at or past
+        # BLOCK still credits and notes it, so its relations are kept
+        self.check(19034063, [(300, 1200), (1100, 1300)])
+
+    def test_relation_with_a_high_power_of_two(self):
+        # b = 2719 gives a = 2**15 * 5**2: the levels of 2 credit 9 bits and
+        # then flag it, which alone brings it to confirmation
+        self.check(6573761, [(30, 300)])
+        self.check(6573761, [(10, 100), (30, 300), (40, 400)])
+
+    def test_a_past_two_to_the_255(self):
+        # n = 2**512 - 2**256 gives b = 2**256 and a = 2**256 at index 0, and
+        # every a in the window is wider than a byte's 255 bits can count;
+        # 2, 3, 5, 17 and 257 divide n
+        self.check(2**512 - 2**256, [(20, 50), (300, 400)])
+
+
+class TestRootLevels:
+    """Each level's progressions b = r (mod step) are exactly the b, mod
+    p**k, on which p**k divides b*b - n, and the levels stop at the flag
+    level, the first k >= 2 with p**k >= BLOCK, or where none is left."""
+
+    @staticmethod
+    def brute_levels(n, p, count):
+        """Oracle: the roots of n mod p, p**2, ..., p**count, each level's
+        by trying every lift of the last level's roots."""
+        levels, roots, q = [], [0], 1
+        for _ in range(count):
+            roots = [x for r in roots for x in range(r, q * p, q) if (x * x - n) % (q * p) == 0]
+            q *= p
+            levels.append(sorted(roots))
+        return levels
+
+    def check(self, n, p):
+        levels = sieve._root_levels(n, p)
+        past_flag = bool(levels) and levels[-1][2]
+        expected = self.brute_levels(n, p, len(levels) + (not past_flag))
+        q = p
+        for k, (step, roots, flag) in enumerate(levels, 1):
+            assert q % step == 0 and list(roots) == sorted(set(roots)) and roots[-1] < step
+            assert sorted(r + t * step for t in range(q // step) for r in roots) == expected[k - 1], (n, p, k)
+            assert flag == (k >= 2 and q >= sieve.BLOCK), (n, p, k)
+            q *= p
+        if not past_flag:
+            assert expected[-1] == [], (n, p)
+
+    def test_every_small_prime_up_to_its_flag_level(self):
+        rng = random.Random(31)
+        small = [p for p in build_factor_base(sieve.NOTE_MIN).primes if p < sieve.NOTE_MIN]
+        assert len(small) == 31
+        for n in [rng.randrange(2**59, 2**60) for _ in range(6)] + [10403, 946613331739179941]:
+            for p in small:
+                self.check(n, p)
+
+    def test_two_in_each_class_mod_8(self):
+        # n = 1 (mod 8) has four roots mod every 2**k, k >= 3, and n = 0 (mod
+        # 8) roots that depend on how many 2s divide n
+        rng = random.Random(32)
+        for residue in range(8):
+            for _ in range(6):
+                self.check(8 * rng.randrange(10**12) + residue, 2)
+        for e in range(1, 14):
+            self.check(2**e * 5, 2)
+            self.check(2**e * 17, 2)
+
+    def test_prime_dividing_n(self):
+        # p | n leaves b = 0 (mod p) as the one root, which lifts by every
+        # t or by none; the levels are those of p**e exactly dividing n
+        for p in (3, 5, 31, 37, 127, 1009):
+            for e in (1, 2, 3, 5):
+                for m in (2, 7, 11 * 13):
+                    self.check(p**e * m, p)
+                    self.check(p**e * m + p**(e + 1), p)
+
+    def test_square_roots_of_large_primes(self):
+        # a prime past NOTE_MIN has level 1 and its flag level p**2 only
+        rng = random.Random(33)
+        primes = [p for p in build_factor_base(20000).primes if p > sieve.NOTE_MIN]
+        for p in [131, 1031, 65537] + rng.sample(primes, 10):
+            for _ in range(3):
+                n = rng.randrange(2**59, 2**60)
+                self.check(n, p)
+                assert len(sieve._root_levels(n, p)) in (0, 2)
+
 
 class TestScannerDeadlinePolls:
     """A deadline that passes once the region has grown is still caught
-    before `advance` returns, by a new block's poll, a root loop's or a
-    walk's, and one that passes after the walks by `qs_factor`'s matrix
-    step, which builds the masks."""
+    before `advance` returns, by a new block's poll, a root loop's, a
+    walk's or the confirmation loop's, and one that passes after `advance`
+    by `qs_factor`'s matrix step, which builds the masks."""
 
-    @staticmethod
-    def expire_after(monkeypatch, started, polls):
-        """Fake the clock Deadline reads: from the first read at which
-        `started()` holds, `polls` reads still get the real time, and every
-        later one a time two minutes on, past a Deadline(60.0) made before."""
-        real = time.monotonic
-        left = None
-
-        def clock():
-            nonlocal left
-            if left is None and started():
-                left = polls
-            if left == 0:
-                return real() + 120.0
-            if left is not None:
-                left -= 1
-            return real()
-
-        monkeypatch.setattr(errors.time, "monotonic", clock)
-
-    def test_each_new_block_polls(self, monkeypatch):
+    def test_each_new_block_polls(self, expire_after):
         # with no primes only the block loop reads the clock; the deadline
         # passes at the third new block's poll, so no fourth is appended
         sp = random_semiprime(15, 15, 30, random.Random(12))
         scanner = _RelationScanner(sp.n, Deadline(60.0))
-        self.expire_after(monkeypatch, lambda: len(scanner.rem) >= 3 * sieve.BLOCK, 0)
+        expire_after(0, lambda: len(scanner.need) >= 3 * sieve.BLOCK)
         with pytest.raises(BudgetExceeded):
             scanner.advance((), 5 * sieve.BLOCK)
-        assert len(scanner.rem) == 3 * sieve.BLOCK
+        assert len(scanner.need) == 3 * sieve.BLOCK
 
     # extra_polls: 0 lets the deadline pass right after the polls that come
     # before any walk, the last new block's and, with new primes, the root
@@ -636,7 +704,7 @@ class TestScannerDeadlinePolls:
     # wider than BLOCK
     @pytest.mark.parametrize("extra_polls", [0, 1])
     @pytest.mark.parametrize("old_m", [0, 100])
-    def test_walk_wider_than_block_polls(self, monkeypatch, extra_polls, old_m):
+    def test_walk_wider_than_block_polls(self, expire_after, extra_polls, old_m):
         sp = random_semiprime(15, 15, 30, random.Random(12))
         fb = build_factor_base(60)
         scanner = _RelationScanner(sp.n, Deadline(60.0))
@@ -646,15 +714,25 @@ class TestScannerDeadlinePolls:
             new_primes = ()
         m_count = old_m + 3 * sieve.BLOCK
         polls = 1 + bool(new_primes) + extra_polls
-        self.expire_after(monkeypatch, lambda: len(scanner.rem) >= m_count, polls)
+        expire_after(polls, lambda: len(scanner.need) >= m_count)
         with pytest.raises(BudgetExceeded):
             scanner.advance(new_primes, m_count)
+
+    def test_confirming_many_flagged_candidates_polls(self, expire_after):
+        # the call flags more than FILL candidates; the deadline passes once
+        # the first relation is confirmed, so only the poll before the
+        # FILL-th flagged candidate can catch it
+        scanner = _RelationScanner(946613331739179941, Deadline(60.0))
+        expire_after(0, lambda: bool(scanner.pending))
+        with pytest.raises(BudgetExceeded):
+            scanner.advance(build_factor_base(20000).primes, 20000)
+        assert scanner.smooth == [] and 0 < len(scanner.pending) <= sieve.FILL
 
     # extra_polls: 1 lets the deadline pass right after the one new block's
     # poll, 2 after the root loop's first poll as well; the sieved region is
     # one BLOCK, so no walk polls
     @pytest.mark.parametrize("extra_polls", [1, 2])
-    def test_rooting_many_new_primes_polls(self, monkeypatch, extra_polls):
+    def test_rooting_many_new_primes_polls(self, monkeypatch, expire_after, extra_polls):
         sp = random_semiprime(15, 15, 30, random.Random(12))
         primes = build_factor_base(20000).primes
         scanner = _RelationScanner(sp.n, Deadline(60.0))
@@ -667,7 +745,7 @@ class TestScannerDeadlinePolls:
             return real_sqrt_mod_prime(*args)
 
         monkeypatch.setattr(sieve, "sqrt_mod_prime", counting_sqrt_mod_prime)
-        self.expire_after(monkeypatch, lambda: len(scanner.rem) >= 100, extra_polls)
+        expire_after(extra_polls, lambda: len(scanner.need) >= 100)
         with pytest.raises(BudgetExceeded):
             scanner.advance(primes, 100)
         assert len(primes) > 2 * sieve.FILL
@@ -678,7 +756,7 @@ class TestScannerDeadlinePolls:
     # pass too, so only the poll before row FILL can. The round reduces 651
     # of its 817 relations before it splits n.
     @pytest.mark.parametrize("extra_polls", [0, 1])
-    def test_building_many_masks_polls(self, monkeypatch, extra_polls):
+    def test_building_many_masks_polls(self, monkeypatch, expire_after, extra_polls):
         walked = False
         real_advance = _RelationScanner.advance
 
@@ -690,7 +768,7 @@ class TestScannerDeadlinePolls:
         calls = Counter()
         monkeypatch.setattr(_RelationScanner, "advance", advance_then_flag)
         count_calls(monkeypatch, XorBasis, "add", calls)
-        self.expire_after(monkeypatch, lambda: walked, extra_polls)
+        expire_after(extra_polls, lambda: walked)
         params = QsParams(b_bound=20000, m_count=20000, max_rounds=1)
         with pytest.raises(BudgetExceeded) as exc_info:
             qs_factor(946613331739179941, params, 60.0)
@@ -700,17 +778,21 @@ class TestScannerDeadlinePolls:
 
 class TestScannerMemory:
     def test_root_entries_grow_linearly_with_the_base(self):
-        # 9592 base primes, two roots each for about half of them: entries
-        # holding the mask bit 1 << j would take about 6 MB more on their own
+        # The bound, fixed before any measurement: an entry is a tuple of
+        # three ints below 2**62, at most 64 + 3 * 32 = 160 bytes by
+        # sys.getsizeof on 64-bit CPython, and a rooted prime keeps at most
+        # four (two roots at level 1, two at its flag level p**2) when it does
+        # not divide n, so at most 640 bytes a rooted prime. An entry holding
+        # the mask bit 1 << j instead of j would add about j / 8 bytes, some
+        # 600 on average over these 9592 base primes.
         primes = build_factor_base(10**5).primes
         scanner = _RelationScanner(946613331739179941, Deadline(None))
-        tracemalloc.start()
-        try:
-            scanner.advance(primes, 100)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        scanner.advance(primes, 100)
+        entries = [entry for bucket in scanner.buckets.values() for entry in bucket]
+        rooted = {entry[2] for entry in entries if entry[2] >= 0}
+        size = sum(sys.getsizeof(entry) + sum(map(sys.getsizeof, entry)) for entry in entries)
+        assert len(rooted) > 4000
+        assert size <= 640 * len(rooted)
 
 
 class TestQsParams:
