@@ -12,43 +12,20 @@ repeats.
 
 `collect_relations` is the plain reference scan for one (base, window)
 setting: it trial-divides every candidate by every base prime. `qs_factor`
-runs the retry loop on top of a root-indexed sieve by bit credits, kept
-between rounds: Pomerance's log approximation, made exact by confirming
-every candidate it flags. Each candidate keeps one byte, a lower bound of
-floor(log2 a) less the bits credited to it so far. Each base prime's
-square roots of n are found once, when it is admitted, and lifted to roots
-mod p**2, p**3, ...; each power p**k then visits only the candidates b = r
-(mod p**k) where it divides a, and credits ceil(log2 p) bits to each. The
-first power at or past BLOCK, above p itself, flags its candidates instead
-(byte 0), and no higher power is sieved. Primes of which n is a quadratic
-non-residue are dropped after that one check. A prime below NOTE_MIN
-credits whole strided slices through a 256-byte `bytearray.translate`
-table, in C; a larger prime credits hit by hit and notes its base index on
-the candidate. After the walks, each candidate whose byte reached 0 is
-confirmed by dividing a by its noted primes and the primes below NOTE_MIN.
-No relation is missed, since a smooth a's prime powers credit at least
-log2 a bits or flag it, and none is made up, since only a cofactor of 1
-makes one. A false positive's byte is reset to the bits of its cofactor,
-which only primes admitted later can credit.
-
-The sieved region grows in whole blocks of BLOCK candidates, to the first
-block edge at or past the round's window, so it runs ahead of the window
-by less than a block and grows only about once every BLOCK / M_INCREMENT
-rounds: a newly admitted prime walks the whole region, an older one only
-the blocks added. A candidate past the window that is confirmed smooth
-waits, and becomes a relation in the round whose window reaches it, so
-every round's relations are those of the window alone. A new block's bytes
-come from the a of its first candidate, with no arithmetic per candidate.
-Walk state of the primes past NOTE_MIN is each root of each power, waiting
-as its next hit index in a bucket of BLOCK candidates (the segmented
-bucket sieve of Aoki and Ueda). New blocks are walked by the entries of
-their buckets, each filed again where its walk stopped, so such a prime
-costs nothing until its next hit falls in a new block. The factor base is
-still every prime up to the bound, and the per-round relation sets are
-identical to fresh reference scans (the tests check this), only far
-cheaper. The sieve keeps each relation as just its candidate index, which
-gives b and a: extraction needs nothing more, and no mask or exponent
-vector is kept.
+runs the retry loop on top of `_RelationScanner`, a root-indexed sieve by
+bit credits kept between rounds: Pomerance's log approximation, made exact
+by confirming every candidate it flags. Each base prime's square roots of
+n are found once, when it is admitted, and lifted to its powers, so each
+power visits only the candidates whose a it divides and credits bits off
+a one-byte count per candidate. The sieved region grows in whole blocks,
+and every root is one entry in a bucket per block (the segmented bucket
+sieve of Aoki and Ueda), so a round's work follows the hits in its new
+blocks and of its new primes, not the size of the base. A candidate whose
+count reaches 0 is confirmed by exact division, in the first round whose
+window covers it. The per-round relation sets are identical to fresh
+reference scans (the tests check this), only far cheaper. The sieve keeps
+each relation as just its candidate index, which gives b and a:
+extraction needs nothing more, and no mask or exponent vector is kept.
 
 The matrix step is incremental as well. One `XorBasis` lives for the whole
 call; each round reduces only the relations that are new in it, and only
@@ -59,9 +36,8 @@ the basis vectors of earlier rounds were all tried and found trivial.
 Rounds to success are therefore those of re-running `gf2.eliminate` on
 every relation every round, which stays the reference. A relation's
 parity mask is built only as the basis reduces it, and kept nowhere, by
-the same division as confirmation: the bit of each noted prime and each
-prime below NOTE_MIN that divides a an odd number of times.
-A round that splits n stops there, so the relations after the one that
+the same division that confirms it: the bit of each base prime that
+divides a an odd number of times. A round that splits n stops there, so the relations after the one that
 completes the splitting dependency never get a mask.
 """
 from __future__ import annotations
@@ -171,9 +147,8 @@ _NOTE_MASK = (1 << NOTE_BITS) - 1
 # Index cuts of block 0, where a grows fastest relative to itself: each
 # candidate's byte starts from the bound at the cut at or before it.
 _BLOCK0_CUTS = (0, *(1 << e for e in range(BLOCK.bit_length() - 1)))
-# _CREDIT[c] takes c bits off a candidate's byte, saturating at 0; _ZERO flags it
+# _CREDIT[c] takes c bits off a candidate's byte, saturating at 0
 _CREDIT = [bytes(c) + bytes(range(256 - c)) for c in range(256)]
-_ZERO = bytes(256)
 
 # (limit, every prime up to limit); replaced whole, never mutated
 _prime_table: tuple[int, tuple[int, ...]] = (1, ())
@@ -312,46 +287,52 @@ class _RelationScanner:
     first candidate, a rising with b, and in block 0, where a is small, of
     the candidate at each power-of-two index. p**k divides a only where
     b*b = n (mod p**k), so each prime is rooted once, in the call that
-    admits it, into the levels of `_root_levels`: each credits
-    (p - 1).bit_length() = ceil(log2 p) bits to the candidates it hits,
-    through a saturating `translate` table, but the flag level zeroes them.
-    A prime with no root of n is never kept.
+    admits it, into the levels of `_root_levels`; a prime with no root of n
+    is never kept. Each level credits (p - 1).bit_length() = ceil(log2 p)
+    bits to the candidates it hits, through a saturating `translate` table,
+    but the flag level zeroes their bytes.
 
     The sieved region, `need`'s length, grows to the first multiple of
     BLOCK at or past each call's window, in whole blocks, each appended
-    with a poll of the Deadline the scanner was made with. A level root of
-    a prime below NOTE_MIN is a stride (first hit index, step, table) in
-    `strides`, credited over the call's new blocks, or a new prime's whole
-    region, by one slice `translate`. That of a larger prime is an entry
-    (next hit index, step, j) filed in `buckets` under index // BLOCK (the
-    bucket sieve of Aoki and Ueda), j being the prime's base index, or -1
-    at its flag level. One loop walks the entries popped for the new blocks
-    and those of the new primes to the region's end, hit by hit, and files
-    each again where it stopped, so a call's work is the hits in its new
-    blocks, not the size of the base. A level-1 hit also notes j in
-    `notes[i]`, NOTE_BITS bits a prime. An entry holds j, not the mask bit
-    1 << j: kept bits would take memory quadratic in the base size.
+    with a poll of the Deadline the scanner was made with. Every root of
+    every level is one entry (next hit index, step, j) filed in `buckets`
+    under index // BLOCK, j being the prime's base index, or -1 at its flag
+    level. One loop walks the entries popped for the new blocks, and those
+    of the new primes, from their next hit to the region's end, and files
+    each again under the block of its first hit past the region, so a
+    call's work is the hits in its new blocks, not the size of the base:
+    - a flag entry zeroes its hits one by one;
+    - a credit entry of a prime below NOTE_MIN credits one strided slice,
+      in C;
+    - a credit entry of a larger prime credits its hits one by one, and
+      notes j in `notes[i]`, NOTE_BITS bits a prime. It holds j, not the
+      mask bit 1 << j: kept bits would take memory quadratic in the base
+      size.
 
-    After the walks each byte that reached 0 is flagged, found by
-    `need.find(0)`, and confirmed by `_divide`. A cofactor of 1 makes i a
-    relation, its byte 255: no later prime divides a, and old primes walk
-    only new blocks, so nothing credits it again. Any other cofactor c
-    marks a false positive. c is prime to the whole base so far, so the
-    byte becomes floor(log2 c), which only later primes can credit. No
-    relation is missed: a smooth a is a product of base prime powers p**e,
-    and each of p's levels up to e either credits ceil(log2 p) >= log2 p
-    bits or flags i, so the credits reach log2 a, at least the bound, or i
-    is flagged. None is made up, since only exact division confirms one.
+    Then only the window is confirmed: each of its bytes that is 0, found
+    by `need.find`, goes to `_divide`. A cofactor of 1 makes i a relation,
+    its byte 255: no later prime divides a, and old primes walk only new
+    blocks, so nothing credits it again. Any other cofactor c marks a false
+    positive. c is prime to the whole base so far, so the byte becomes
+    floor(log2 c), which only later primes can credit. A zero byte past the
+    window stays 0, as credits saturate there, until the first window that
+    reaches it. A new prime walks the whole region and an old one each new
+    block, so by then every base prime has walked and noted i, and
+    `_divide` decides it over that round's base, as `collect_relations`
+    would. No relation is missed: a smooth a is a product of base prime
+    powers p**e, and each of p's levels up to e either credits ceil(log2
+    p) >= log2 p bits or flags i, so the credits reach log2 a, at least the
+    byte's start, or i is flagged. None is made up, since only exact
+    division confirms one.
 
-    A relation becomes one in the call whose window first covers it: at
-    once when it is in the window, else it waits in `pending` until a later
-    window reaches it. `smooth` holds relations by candidate index and only
-    grows, so a relation's position in it is a stable id; its per-call
-    sets, in b order, equal `collect_relations` over the same base and
-    window. `pair` gives a relation's b and a, and `mask` its parity mask,
-    built on each call by `_divide` and kept nowhere. A prime p >= NOTE_MIN
-    divides about one candidate in p/2, so a note stays a word or two wide
-    where a parity int per candidate would grow to pi(B) bits.
+    `smooth` holds relations by candidate index, in the order confirmed,
+    and only grows, so a relation's position in it is a stable id; each
+    call's new ones, in b order, are those `collect_relations` finds over
+    the same base and window and no earlier call found. `pair` gives a
+    relation's b and a, and `mask` its parity mask, built on each call by
+    `_divide` and kept nowhere. A prime p >= NOTE_MIN divides about one
+    candidate in p/2, so a note stays a word or two wide where a parity int
+    per candidate would grow to pi(B) bits.
     """
 
     def __init__(self, n: int, deadline: Deadline):
@@ -363,10 +344,8 @@ class _RelationScanner:
         self.primes: list[int] = []
         self.need = bytearray()  # bits of a still to credit, one byte per candidate
         self.notes: list[int] = []  # base indices of the primes >= NOTE_MIN hitting it, NOTE_BITS each
-        self.strides: list[tuple[int, int, bytes]] = []  # (first hit index, p**k, table), p < NOTE_MIN
         # block -> (next hit index, p**k, base index or -1 at the flag level) of each root
         self.buckets: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
-        self.pending: list[int] = []  # smooth indices past the window so far
         self.smooth: list[int] = []  # indices of the relations, in the order found
 
     def advance(self, new_primes: tuple[int, ...], m_count: int) -> None:
@@ -387,24 +366,11 @@ class _RelationScanner:
             walks += buckets.pop(blk, ())
             check()
         m = len(need)
-        strides = [(lo + (i - lo) % q, q, table) for i, q, table in self.strides] if m > lo else []
         for j in range(old_primes, len(primes)):
             if j % FILL == 0:
                 check()
-            p = primes[j]
-            for q, roots, flag in _root_levels(n, p):
-                for r in roots:
-                    i = (r - s) % q
-                    if p >= NOTE_MIN:
-                        walks.append((i, q, -1 if flag else j))
-                    else:
-                        table = _ZERO if flag else _CREDIT[(p - 1).bit_length()]
-                        self.strides.append((i, q, table))
-                        strides.append((i, q, table))
-        for i, q, table in strides:
-            if m - i > BLOCK:
-                check()
-            need[i::q] = need[i::q].translate(table)
+            for q, roots, flag in _root_levels(n, primes[j]):
+                walks += [((r - s) % q, q, -1 if flag else j) for r in roots]
         for i, q, j in walks:
             if m - i > BLOCK:
                 check()
@@ -412,6 +378,9 @@ class _RelationScanner:
                 while i < m:
                     need[i] = 0
                     i += q
+            elif primes[j] < NOTE_MIN:
+                need[i::q] = need[i::q].translate(_CREDIT[(primes[j] - 1).bit_length()])
+                i = m + (i - m) % q
             else:
                 table = _CREDIT[(q - 1).bit_length()]
                 while i < m:
@@ -419,8 +388,7 @@ class _RelationScanner:
                     notes[i] = notes[i] << NOTE_BITS | j
                     i += q
             buckets[i // BLOCK].append((i, q, j))
-        done = self.pending  # indices confirmed smooth, in or past the window
-        k, i = 0, need.find(0)
+        k, i = 0, need.find(0, 0, m_count)
         while i >= 0:
             if k % FILL == 0:
                 check()
@@ -428,12 +396,10 @@ class _RelationScanner:
             c = self._divide(i)[0]
             if c == 1:
                 need[i] = 255
-                done.append(i)
+                self.smooth.append(i)
             else:
                 need[i] = _log2_byte(c)
-            i = need.find(0, i + 1)
-        self.pending = [i for i in done if i >= m_count]
-        self.smooth += sorted(i for i in done if i < m_count)
+            i = need.find(0, i + 1, m_count)
 
     def _divide(self, i: int) -> tuple[int, list[int]]:
         """Candidate i's a divided by each noted prime and each base prime
@@ -495,8 +461,8 @@ def qs_factor(
     - before each root's walk, a slice's or hit by hit, that starts more
       than BLOCK candidates before the region's end; a shorter walk, up to
       BLOCK candidates as is most walks over new blocks, is not polled;
-    - while a call confirms its flagged candidates, before the first and
-      every FILL-th after;
+    - while a call confirms the flagged candidates of its window, before
+      the first and every FILL-th after;
     - in each round's matrix step, before its first new row and every FILL
       rows after, and once after the step.
     Every round takes its primes from `_primes_upto`, which sieves the
@@ -537,7 +503,7 @@ def qs_factor(
             for j, p in enumerate(new_primes):
                 if j % FILL == 0:
                     deadline.check()
-                if p < n and n % p == 0:
+                if n % p == 0:
                     trace.via_small_factor = True
                     return p, trace
         scanner.advance(new_primes, m_count)

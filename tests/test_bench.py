@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import random
 import time
 from pathlib import Path
@@ -33,6 +34,7 @@ from factorbench.primegen import (
     DatasetSpec,
     FixedGroup,
     generate_dataset,
+    load_dataset_spec,
     make_semiprime,
     random_prime,
     random_semiprime,
@@ -176,6 +178,30 @@ class TestRunBench:
         records = run_bench(small_dataset(2), BenchConfig(budget_seconds=30.0))
         seeds = {r.outcome.seed for r in records}
         assert len(seeds) == len(records)
+
+
+class TestOutcomePin:
+    """The 40- and 50-bit rows of the committed bit grid, benched with both
+    algorithms, give the same results, `elapsed_seconds` apart. A change that
+    moves any factor, status, round count, final (B, M), rho iteration
+    count or seed changes the digest; one that means to updates it and says
+    why."""
+
+    SPEC = Path(__file__).resolve().parents[1] / "specs" / "bit_grid.json"
+    # sha256 over the results rows, minus elapsed_seconds, in file order
+    DIGEST = "2cfd48501fd034d098b62e918fa8e14e0e1451e8a592758db8811ac39f9005d9"
+
+    def test_grid_rows_up_to_50_bits(self, tmp_path):
+        dataset = [sp for sp in generate_dataset(load_dataset_spec(self.SPEC)) if sp.n_bits <= 50]
+        assert len(dataset) == 90
+        path = tmp_path / "results.csv"
+        write_results_csv(path, run_bench(dataset, BenchConfig(seed=0, workers=1)))
+        digest = hashlib.sha256()
+        with open(path, newline="") as f:
+            for row in csv.DictReader(f):
+                del row["elapsed_seconds"]
+                digest.update(",".join(row.values()).encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestRunAttemptStatuses:

@@ -548,18 +548,47 @@ class TestScannerMatchesReference:
 
     def test_bound_jump_smooths_candidates_past_the_window(self):
         # the jump from 30 to 600 makes candidates past the window smooth;
-        # they must wait for the window to reach them
+        # they keep their zero bytes until the window reaches them
         sp = random_semiprime(15, 15, 30, random.Random(9))
         scanner = _RelationScanner(sp.n, Deadline(None))
         self.step(scanner, 30, 100)
         self.step(scanner, 600, 200)
-        fb = build_factor_base(30)
-        assert any(
-            smooth_decompose((scanner.start_b + i) ** 2 - sp.n, fb) is None
-            for i in scanner.pending
-        )
+        fb30, fb600 = build_factor_base(30), build_factor_base(600)
+        waiting = [
+            i for i in range(200, len(scanner.need)) if smooth_decompose(scanner.pair(i)[1], fb600) is not None
+        ]
+        assert any(smooth_decompose(scanner.pair(i)[1], fb30) is None for i in waiting)
+        assert all(scanner.need[i] == 0 for i in waiting)
         self.step(scanner, 610, 300)
         self.step(scanner, 620, sieve.BLOCK + 1)
+
+    def test_confirms_inside_the_window_only(self, monkeypatch):
+        # a candidate flagged past the window waits with its zero byte, so no
+        # advance divides one; the schedules flag candidates past the window
+        # by a bound jump, and by the default schedule's windows inside a block
+        window = None  # the running advance's m_count
+        divided = []  # (m_count, index) of each _divide inside an advance
+        real_advance, real_divide = _RelationScanner.advance, _RelationScanner._divide
+
+        def windowed_advance(scanner, new_primes, m_count):
+            nonlocal window
+            window = m_count
+            real_advance(scanner, new_primes, m_count)
+            window = None
+
+        def recording_divide(scanner, i):
+            if window is not None:
+                divided.append((window, i))
+            return real_divide(scanner, i)
+
+        monkeypatch.setattr(_RelationScanner, "advance", windowed_advance)
+        monkeypatch.setattr(_RelationScanner, "_divide", recording_divide)
+        sp = random_semiprime(15, 15, 30, random.Random(9))
+        self.check(sp.n, [(30, 100), (600, 200), (610, 300), (620, sieve.BLOCK + 1)])
+        sp = random_semiprime(10, 10, 20, random.Random(8))
+        self.check(sp.n, [(10 + 10 * j, 100 + 100 * j) for j in range(12)])
+        assert len(divided) > 100
+        assert all(i < m_count for m_count, i in divided)
 
     def test_first_window_a_multiple_of_block(self):
         sp = random_semiprime(15, 15, 30, random.Random(9))
@@ -723,10 +752,10 @@ class TestScannerDeadlinePolls:
         # the first relation is confirmed, so only the poll before the
         # FILL-th flagged candidate can catch it
         scanner = _RelationScanner(946613331739179941, Deadline(60.0))
-        expire_after(0, lambda: bool(scanner.pending))
+        expire_after(0, lambda: bool(scanner.smooth))
         with pytest.raises(BudgetExceeded):
             scanner.advance(build_factor_base(20000).primes, 20000)
-        assert scanner.smooth == [] and 0 < len(scanner.pending) <= sieve.FILL
+        assert 0 < len(scanner.smooth) <= sieve.FILL
 
     # extra_polls: 1 lets the deadline pass right after the one new block's
     # poll, 2 after the root loop's first poll as well; the sieved region is
@@ -780,9 +809,12 @@ class TestScannerMemory:
     def test_root_entries_grow_linearly_with_the_base(self):
         # The bound, fixed before any measurement: an entry is a tuple of
         # three ints below 2**62, at most 64 + 3 * 32 = 160 bytes by
-        # sys.getsizeof on 64-bit CPython, and a rooted prime keeps at most
-        # four (two roots at level 1, two at its flag level p**2) when it does
-        # not divide n, so at most 640 bytes a rooted prime. An entry holding
+        # sys.getsizeof on 64-bit CPython. A rooted prime at or past NOTE_MIN
+        # keeps at most four (two roots at level 1, two at its flag level
+        # p**2) when it does not divide n; one below NOTE_MIN keeps one per
+        # root of each power up to its flag level, more than four, but at
+        # most 31 such primes are among the thousands rooted here, so the
+        # bound stays 640 bytes a rooted prime over this base. An entry holding
         # the mask bit 1 << j instead of j would add about j / 8 bytes, some
         # 600 on average over these 9592 base primes.
         primes = build_factor_base(10**5).primes
