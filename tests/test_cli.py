@@ -52,6 +52,14 @@ class TestFactorCommand:
         assert code == 0
         assert out.splitlines()[0] == "400289 = 613 * 653"
 
+    def test_malformed_number(self, capsys):
+        code, _, err = run_cli(capsys, "factor", "twelve")
+        assert code == 1
+
+    def test_below_two(self, capsys):
+        code, _, _ = run_cli(capsys, "factor", "1")
+        assert code == 1
+
     def test_timeout_exit_code(self, capsys, expire_after):
         # 60-bit balanced semiprime; the sieve can finish in about 10 ms, and
         # polls the deadline about 900 times, so the clock runs the budget
@@ -155,6 +163,18 @@ class TestGenDatasetCommand:
         assert run_cli(capsys, "gen-dataset", "--spec", spec, "--out", b)[0] == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_invalid_bit_sum_rejected(self, capsys, tmp_path):
+        spec = _write_spec(tmp_path / "spec.json", 3, 8, 12, 21)
+        code, _, err = run_cli(capsys, "gen-dataset", "--spec", spec, "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert "invalid dataset spec" in err
+
+    def test_missing_spec_file(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "gen-dataset", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.csv")
+        )
+        assert code == 1
+
     def test_unwritable_out(self, capsys, tmp_path):
         spec = _write_spec(tmp_path / "spec.json", 3, 8, 12, 20)
         out_csv = tmp_path / "no-such-dir" / "x.csv"
@@ -231,6 +251,12 @@ class TestBenchCommand:
         assert out == ""
         assert "repeated algorithms" in err
         assert not results.exists()
+
+    def test_missing_dataset(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "bench", "--dataset", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "r.csv")
+        )
+        assert code == 1
 
     def test_composite_factor_rejected(self, capsys, tmp_path):
         dataset = tmp_path / "data.csv"
