@@ -87,7 +87,7 @@ def pollard_factor(
     if is_probable_prime(n):
         raise NotComposite(f"{n} is probably prime", trace=trace)
     for p in FIRST_TEN_PRIMES:
-        if p < n and n % p == 0:
+        if n % p == 0:
             return p, trace
     rng = random.Random(cfg.seed)
     for attempt in range(MAX_RESTARTS):

@@ -27,18 +27,19 @@ reference scans (the tests check this), only far cheaper. The sieve keeps
 each relation as just its candidate index, which gives b and a:
 extraction needs nothing more, and no mask or exponent vector is kept.
 
-The matrix step is incremental as well. One `XorBasis` lives for the whole
-call; each round reduces only the relations that are new in it, and only
-the dependencies those new rows complete are tried. Sending a dependency
-to x/y mod n maps its null space homomorphically into the square roots of
-1, so a round splits n iff some vector of a null-space basis does, and
-the basis vectors of earlier rounds were all tried and found trivial.
-Rounds to success are therefore those of re-running `gf2.eliminate` on
-every relation every round, which stays the reference. A relation's
-parity mask is built only as the basis reduces it, and kept nowhere, by
-the same division that confirms it: the bit of each base prime that
-divides a an odd number of times. A round that splits n stops there, so the relations after the one that
-completes the splitting dependency never get a mask.
+The matrix step is incremental as well, and shares the confirmation
+loop. One `XorBasis` lives for the whole call; each round reduces only
+the relations that are new in it, and only the dependencies those new
+rows complete are tried. Sending a dependency to x/y mod n maps its null
+space homomorphically into the square roots of 1, so a round splits n
+iff some vector of a null-space basis does, and the basis vectors of
+earlier rounds were all tried and found trivial. Rounds to success are
+therefore those of re-running `gf2.eliminate` on every relation every
+round, which stays the reference. The division that confirms a relation
+also gives its parity mask, the bit of each base prime that divides a an
+odd number of times, which is reduced at once and kept nowhere. Once a
+dependency splits n, the round only confirms the rest of its window, so
+the relations after it are counted but never reduced.
 """
 from __future__ import annotations
 
@@ -46,6 +47,7 @@ import bisect
 import itertools
 import math
 from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .arith import _sieve_upto, is_probable_prime, sqrt_mod_prime
@@ -133,11 +135,8 @@ BLOCK = 1024
 # The powers of a prime below this credit strided slices of the region; a
 # larger prime credits hit by hit and notes its base index on each
 # candidate it divides. It bounds the trial divisions that confirm a
-# flagged candidate, or find a relation's mask, to the 31 primes below it.
+# flagged candidate, and find a relation's mask, to the 31 primes below it.
 NOTE_MIN = 128
-# New primes rooted, flagged candidates confirmed, and relations reduced
-# into the GF(2) basis between two deadline polls.
-FILL = 256
 # Bits per base index in a candidate's note of the primes at or above
 # NOTE_MIN that divide it, once each. Base indices stay far below 2**32, and
 # those of such primes are above 0, so a note is 0 exactly when it is empty.
@@ -279,8 +278,9 @@ def extract_factor(n: int, pairs: list[tuple[int, int]]) -> int | None:
 class _RelationScanner:
     """Root-indexed sieve by bit credits, shared across retry rounds.
 
-    `primes` is the factor base so far; each `advance` appends its round's
-    new primes, so base indices never change. Candidate i has b =
+    A round is two calls: `advance` sieves, and `relations` confirms the
+    window. `primes` is the factor base so far; each `advance` appends its
+    round's new primes, so base indices never change. Candidate i has b =
     ceil(sqrt(n)) + i and a = b*b - n, and `need[i]` is one byte: the bits
     of a still to be credited before i is worth an exact look. It starts
     from a lower bound of floor(log2 a), clamped at 255: that of a block's
@@ -293,8 +293,7 @@ class _RelationScanner:
     but the flag level zeroes their bytes.
 
     The sieved region, `need`'s length, grows to the first multiple of
-    BLOCK at or past each call's window, in whole blocks, each appended
-    with a poll of the Deadline the scanner was made with. Every root of
+    BLOCK at or past each call's window, in whole blocks. Every root of
     every level is one entry (next hit index, step, j) filed in `buckets`
     under index // BLOCK, j being the prime's base index, or -1 at its flag
     level. One loop walks the entries popped for the new blocks, and those
@@ -309,35 +308,40 @@ class _RelationScanner:
       mask bit 1 << j: kept bits would take memory quadratic in the base
       size.
 
-    Then only the window is confirmed: each of its bytes that is 0, found
-    by `need.find`, goes to `_divide`. A cofactor of 1 makes i a relation,
-    its byte 255: no later prime divides a, and old primes walk only new
-    blocks, so nothing credits it again. Any other cofactor c marks a false
-    positive. c is prime to the whole base so far, so the byte becomes
-    floor(log2 c), which only later primes can credit. A zero byte past the
-    window stays 0, as credits saturate there, until the first window that
-    reaches it. A new prime walks the whole region and an old one each new
-    block, so by then every base prime has walked and noted i, and
-    `_divide` decides it over that round's base, as `collect_relations`
-    would. No relation is missed: a smooth a is a product of base prime
-    powers p**e, and each of p's levels up to e either credits ceil(log2
-    p) >= log2 p bits or flags i, so the credits reach log2 a, at least the
-    byte's start, or i is flagged. None is made up, since only exact
-    division confirms one.
+    `relations` then confirms the window, and only it: each of its bytes
+    that is 0, found by `need.find`, goes to `_divide` once. A cofactor of
+    1 makes i a relation, its byte 255: no later prime divides a, and old
+    primes walk only new blocks, so nothing credits it again. Any other
+    cofactor c marks a false positive. c is prime to the whole base so
+    far, so the byte becomes floor(log2 c), which only later primes can
+    credit. A zero byte past the window stays 0, as credits saturate there,
+    until the first window that reaches it. A new prime walks the whole
+    region and an old one each new block, so by then every base prime has
+    walked and noted i, and `_divide` decides it over that round's base, as
+    `collect_relations` would. No relation is missed: a smooth a is a
+    product of base prime powers p**e, and each of p's levels up to e
+    either credits ceil(log2 p) >= log2 p bits or flags i, so the credits
+    reach log2 a, at least the byte's start, or i is flagged. None is made
+    up, since only exact division confirms one.
 
     `smooth` holds relations by candidate index, in the order confirmed,
     and only grows, so a relation's position in it is a stable id; each
-    call's new ones, in b order, are those `collect_relations` finds over
-    the same base and window and no earlier call found. `pair` gives a
-    relation's b and a, and `mask` its parity mask, built on each call by
-    `_divide` and kept nowhere. A prime p >= NOTE_MIN divides about one
-    candidate in p/2, so a note stays a word or two wide where a parity int
-    per candidate would grow to pi(B) bits.
+    round's new ones, in b order, are those `collect_relations` finds over
+    the same base and window and no earlier round found. `relations`
+    yields each with the parity bits of the division that confirmed it,
+    which are kept nowhere, and `pair` gives its b and a. A prime p >=
+    NOTE_MIN divides about one candidate in p/2, so a note stays a word or
+    two wide where a parity int per candidate would grow to pi(B) bits.
+
+    Both calls poll the Deadline the scanner was made with: once for each
+    new block, after its bytes are appended; before each new prime is
+    rooted; before each walk over more than BLOCK candidates; and before
+    each flagged candidate is divided.
     """
 
     def __init__(self, n: int, deadline: Deadline):
         self.n = n
-        self.deadline = deadline  # the qs_factor call's, polled by every advance
+        self.deadline = deadline  # the qs_factor call's, polled by every call
         self.start_b = _ceil_sqrt(n)
         if self.start_b**2 == n:
             raise ValueError("n must not be a perfect square")  # every p**k divides its a = 0
@@ -350,8 +354,8 @@ class _RelationScanner:
 
     def advance(self, new_primes: tuple[int, ...], m_count: int) -> None:
         """Append `new_primes`, the base primes above the last call's, to the
-        base, widen the window to m_count candidates, and append the
-        window's new relations to `smooth` in b order."""
+        base, grow the region past a window of m_count candidates, and walk
+        every root over what it has not walked yet."""
         n, s, need, notes, buckets = self.n, self.start_b, self.need, self.notes, self.buckets
         check = self.deadline.check
         primes = self.primes
@@ -367,8 +371,7 @@ class _RelationScanner:
             check()
         m = len(need)
         for j in range(old_primes, len(primes)):
-            if j % FILL == 0:
-                check()
+            check()
             for q, roots, flag in _root_levels(n, primes[j]):
                 walks += [((r - s) % q, q, -1 if flag else j) for r in roots]
         for i, q, j in walks:
@@ -388,15 +391,21 @@ class _RelationScanner:
                     notes[i] = notes[i] << NOTE_BITS | j
                     i += q
             buckets[i // BLOCK].append((i, q, j))
-        k, i = 0, need.find(0, 0, m_count)
+
+    def relations(self, m_count: int) -> Iterator[tuple[int, list[int]]]:
+        """Confirm the flagged candidates of the first m_count, after an
+        `advance` over that window, and yield (i, base indices of the primes
+        dividing a an odd number of times) for each new relation i, in b
+        order, once it is appended to `smooth`."""
+        need, check = self.need, self.deadline.check
+        i = need.find(0, 0, m_count)
         while i >= 0:
-            if k % FILL == 0:
-                check()
-            k += 1
-            c = self._divide(i)[0]
+            check()
+            c, odd = self._divide(i)
             if c == 1:
                 need[i] = 255
                 self.smooth.append(i)
+                yield i, odd
             else:
                 need[i] = _log2_byte(c)
             i = need.find(0, i + 1, m_count)
@@ -431,10 +440,6 @@ class _RelationScanner:
         """Candidate i's b and a = b*b - n."""
         return self.start_b + i, (self.start_b + i) ** 2 - self.n
 
-    def mask(self, i: int) -> int:
-        """The parity mask of smooth candidate i's a."""
-        return sum(1 << j for j in self._divide(i)[1])
-
 
 def qs_factor(
     n: int, params: QsParams | None = None, budget_seconds: float | None = None
@@ -452,19 +457,17 @@ def qs_factor(
     (k, trace) after 0 rounds, since the sieve's congruences all degenerate
     there.
     The deadline is polled at these points, and only at these:
-    - in the first round's check for a base prime dividing n, before each
-      FILL primes;
+    - once per item: before each prime of the first round's check for a
+      base prime dividing n, before each new prime a round roots, and
+      before each flagged candidate of a round's window is divided, which
+      confirms it and, while n is unsplit, reduces its parity mask into the
+      basis and tries the dependency it completes;
     - once for each new block of BLOCK candidates the sieved region grows
       by, after its bytes are appended;
-    - while a call roots its new primes, before each prime whose base index
-      is a multiple of FILL;
     - before each root's walk, a slice's or hit by hit, that starts more
       than BLOCK candidates before the region's end; a shorter walk, up to
       BLOCK candidates as is most walks over new blocks, is not polled;
-    - while a call confirms the flagged candidates of its window, before
-      the first and every FILL-th after;
-    - in each round's matrix step, before its first new row and every FILL
-      rows after, and once after the step.
+    - once at the end of each round that does not split n.
     Every round takes its primes from `_primes_upto`, which sieves the
     shared prime table when the round's bound first passes it, with no
     poll; `QsParams` keeps the first bound at or below MAX_B_BOUND (10**6)
@@ -473,12 +476,14 @@ def qs_factor(
     prime dividing n is returned straight away and flagged in the trace.
     Each relation is kept as its candidate index in the scanner. A round's
     new relations are reduced, in b order, into one GF(2) basis kept for
-    the whole call, each by a parity mask built just before it is added
-    and dropped after. Each dependency that basis reports is tried once, in
-    the round that completes it, by handing its (b, a) pairs to
-    `extract_factor` (y = isqrt(prod a) mod n), so dependencies_tried
-    counts basis dependencies. A relation with all-even exponents is such
-    a dependency on its own.
+    the whole call, each by the parity mask of the division that confirmed
+    it, dropped once it is added. Each dependency that basis reports is
+    tried once, in the round that completes it, by handing its (b, a)
+    pairs to `extract_factor` (y = isqrt(prod a) mod n), so
+    dependencies_tried counts basis dependencies. A relation with all-even
+    exponents is such a dependency on its own. The round that splits n
+    still confirms its whole window, so relations_found counts every
+    relation of the last window, as a fresh `collect_relations` scan would.
     """
     check_n(n)
     trace = QsTrace()
@@ -493,6 +498,7 @@ def qs_factor(
     m_count = params.m_count
     scanner = _RelationScanner(n, deadline)
     basis = XorBasis()  # row ids are positions in scanner.smooth
+    g = None  # the factor, once a dependency splits n
     for round_no in range(1, params.max_rounds + 1):
         trace.rounds = round_no
         trace.final_b = b_bound
@@ -500,24 +506,21 @@ def qs_factor(
         table = _primes_upto(b_bound)
         new_primes = table[len(scanner.primes) : bisect.bisect_right(table, b_bound)]
         if round_no == 1:
-            for j, p in enumerate(new_primes):
-                if j % FILL == 0:
-                    deadline.check()
+            for p in new_primes:
+                deadline.check()
                 if n % p == 0:
                     trace.via_small_factor = True
                     return p, trace
         scanner.advance(new_primes, m_count)
-        trace.relations_found = len(scanner.smooth)
-        for k, i in enumerate(scanner.smooth[basis.n_rows :]):
-            if k % FILL == 0:
-                deadline.check()
-            dep = basis.add(scanner.mask(i))
-            if dep is None:
-                continue
-            trace.dependencies_tried += 1
-            g = extract_factor(n, [scanner.pair(scanner.smooth[r]) for r in sorted(dep.row_indices)])
-            if g is not None:
-                return g, trace
+        for _, odd in scanner.relations(m_count):
+            trace.relations_found += 1
+            # once n is split, the rest of the window is confirmed and counted only
+            dep = None if g else basis.add(sum(1 << j for j in odd))
+            if dep is not None:
+                trace.dependencies_tried += 1
+                g = extract_factor(n, [scanner.pair(scanner.smooth[r]) for r in sorted(dep.row_indices)])
+        if g:
+            return g, trace
         deadline.check()
         b_bound += B_INCREMENT
         m_count += M_INCREMENT

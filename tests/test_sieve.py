@@ -79,9 +79,13 @@ def reference_qs(n, params):
     return None, params.max_rounds, len(rels)
 
 
-def relation_triples(scanner):
-    """(b, a, parity mask) of each of the scanner's relations, in its order."""
-    return [(*scanner.pair(i), scanner.mask(i)) for i in scanner.smooth]
+def relation_triples(scanner, m_count, triples):
+    """Confirm the window of m_count candidates and append (b, a, parity
+    mask) of each relation the scanner yields to triples, in its order;
+    returns triples."""
+    for i, odd in scanner.relations(m_count):
+        triples.append((*scanner.pair(i), sum(1 << j for j in odd)))
+    return triples
 
 
 def count_calls(monkeypatch, owner, name, calls):
@@ -299,11 +303,18 @@ class TestQsFactor:
         assert time.monotonic() - start <= 0.02 + TIMEOUT_SLACK_SECONDS
 
     # extra_polls: 0 lets the deadline pass at the check's first poll, 1 at
-    # its second, before the FILL-th prime; no walk is ever reached
+    # its second, before the second prime; no walk is ever reached
     @pytest.mark.parametrize("extra_polls", [0, 1])
     def test_first_round_small_factor_check_polls(self, monkeypatch, extra_polls):
         sp = random_semiprime(30, 30, 60, random.Random(12))
         reads = 0
+        taken = []  # the primes the check has drawn, each just before its poll
+        real_primes_upto = sieve._primes_upto
+
+        class RecordingTable(tuple):
+            def __getitem__(self, k):  # the round's slice records what it yields
+                got = tuple.__getitem__(self, k)
+                return (taken.append(p) or p for p in got) if isinstance(k, slice) else got
 
         def clock():  # the first read sets the deadline
             nonlocal reads
@@ -314,23 +325,33 @@ class TestQsFactor:
             raise AssertionError("the scanner ran")
 
         monkeypatch.setattr(errors.time, "monotonic", clock)
+        monkeypatch.setattr(sieve, "_primes_upto", lambda bound: RecordingTable(real_primes_upto(bound)))
         monkeypatch.setattr(_RelationScanner, "advance", no_advance)
         with pytest.raises(BudgetExceeded):
             qs_factor(sp.n, QsParams(b_bound=20000), 1.0)
         assert reads == 2 + extra_polls
-        assert len(build_factor_base(20000).primes) > 2 * sieve.FILL
+        assert taken == [2, 3][: 1 + extra_polls]
 
     def test_masks_built_only_for_rows_the_basis_reduces(self, monkeypatch):
         # the one round splits n after reducing about a fifth of its
-        # relations, and the rest never get a parity mask
-        calls = Counter()
-        count_calls(monkeypatch, _RelationScanner, "mask", calls)
+        # relations, and the rest are confirmed but never reduced; each
+        # mask comes from the division that confirms its relation, so no
+        # candidate is divided twice
+        calls, divided = Counter(), Counter()
         count_calls(monkeypatch, XorBasis, "add", calls)
+        real_divide = _RelationScanner._divide
+
+        def recording_divide(scanner, i):
+            divided[i] += 1
+            return real_divide(scanner, i)
+
+        monkeypatch.setattr(_RelationScanner, "_divide", recording_divide)
         params = QsParams(b_bound=10**5, m_count=10**5, max_rounds=1)
         g, trace = qs_factor(946613331739179941, params)
         assert 946613331739179941 % g == 0
-        assert calls["mask"] == calls["add"] < trace.relations_found
         assert (calls["add"], trace.relations_found) == (1503, 7266)
+        assert len(divided) >= trace.relations_found
+        assert max(divided.values()) == 1
 
     def test_rounds_exhausted(self):
         sp = random_semiprime(20, 20, 40, random.Random(18))
@@ -410,24 +431,28 @@ class TestQsFactorMatchesReference:
 class TestScannerMatchesReference:
     """The incremental scanner must reproduce fresh rescans exactly."""
 
-    def step(self, scanner, bound, m_count):
-        """One call with the base up to `bound`: every relation of the window
-        so far, none past it, and this call's new ones in b order."""
+    def step(self, scanner, triples, bound, m_count):
+        """One round with the base up to `bound`, its relations' triples
+        appended to `triples`, those of every round so far: every relation
+        of the window so far with the mask its confirmation yields, none
+        past it, and this round's new ones in b order."""
         fb = build_factor_base(bound)
         before = len(scanner.smooth)
         scanner.advance(fb.primes[len(scanner.primes) :], m_count)
+        relation_triples(scanner, m_count, triples)
         reference = [
             (rel.b, rel.a, parity_mask(rel.parity))
             for rel in collect_relations(scanner.n, fb, m_count)
         ]
-        assert sorted(relation_triples(scanner)) == reference, (scanner.n, bound, m_count)
+        assert sorted(triples) == reference, (scanner.n, bound, m_count)
+        assert [b for b, _, _ in triples] == [scanner.pair(i)[0] for i in scanner.smooth]
         new = scanner.smooth[before:]
         assert new == sorted(new)
 
     def check(self, n, schedule):
-        scanner = _RelationScanner(n, Deadline(None))
+        scanner, triples = _RelationScanner(n, Deadline(None)), []
         for bound, m_count in schedule:
-            self.step(scanner, bound, m_count)
+            self.step(scanner, triples, bound, m_count)
 
     def test_staged_rounds_small(self):
         self.check(10403, [(10, 50), (20, 150), (30, 250), (40, 350)])
@@ -468,9 +493,9 @@ class TestScannerMatchesReference:
 
         monkeypatch.setattr(sieve, "sqrt_mod_prime", counting_sqrt_mod_prime)
         sp = random_semiprime(12, 12, 24, random.Random(5))
-        scanner = _RelationScanner(sp.n, Deadline(None))
+        scanner, triples = _RelationScanner(sp.n, Deadline(None)), []
         for bound, m_count in [(500, 3000), (1000, 9000), (2000, 20000)]:
-            self.step(scanner, bound, m_count)
+            self.step(scanner, triples, bound, m_count)
         assert (scanner.start_b + 20000) ** 2 > 20 * sp.n
         assert rooted == scanner.primes == list(build_factor_base(2000).primes)
 
@@ -483,7 +508,7 @@ class TestScannerMatchesReference:
         self.check(n, [(2, 1), (5, 50), (20, 200)])
         scanner = _RelationScanner(n, Deadline(None))
         scanner.advance((2,), 1)
-        assert relation_triples(scanner) == [(30, 1, 0)]
+        assert relation_triples(scanner, 1, []) == [(30, 1, 0)]
 
     def test_bucketed_primes_across_k_boundaries(self):
         # primes past NOTE_MIN join every round or two while the windows
@@ -519,7 +544,7 @@ class TestScannerMatchesReference:
 
     def test_first_window_wider_than_a_fill(self):
         sp = random_semiprime(15, 15, 30, random.Random(9))
-        self.check(sp.n, [(300, 12 * sieve.FILL + 7), (310, 12 * sieve.FILL + 107), (420, 14 * sieve.FILL)])
+        self.check(sp.n, [(300, 3079), (310, 3179), (420, 3584)])
 
     def test_prime_past_block_squared(self):
         # b = 1281 (index 219) gives a = 2 * 3 * 5 * 131**2: the notes hold 131
@@ -550,30 +575,30 @@ class TestScannerMatchesReference:
         # the jump from 30 to 600 makes candidates past the window smooth;
         # they keep their zero bytes until the window reaches them
         sp = random_semiprime(15, 15, 30, random.Random(9))
-        scanner = _RelationScanner(sp.n, Deadline(None))
-        self.step(scanner, 30, 100)
-        self.step(scanner, 600, 200)
+        scanner, triples = _RelationScanner(sp.n, Deadline(None)), []
+        self.step(scanner, triples, 30, 100)
+        self.step(scanner, triples, 600, 200)
         fb30, fb600 = build_factor_base(30), build_factor_base(600)
         waiting = [
             i for i in range(200, len(scanner.need)) if smooth_decompose(scanner.pair(i)[1], fb600) is not None
         ]
         assert any(smooth_decompose(scanner.pair(i)[1], fb30) is None for i in waiting)
         assert all(scanner.need[i] == 0 for i in waiting)
-        self.step(scanner, 610, 300)
-        self.step(scanner, 620, sieve.BLOCK + 1)
+        self.step(scanner, triples, 610, 300)
+        self.step(scanner, triples, 620, sieve.BLOCK + 1)
 
     def test_confirms_inside_the_window_only(self, monkeypatch):
         # a candidate flagged past the window waits with its zero byte, so no
-        # advance divides one; the schedules flag candidates past the window
+        # round divides one; the schedules flag candidates past the window
         # by a bound jump, and by the default schedule's windows inside a block
-        window = None  # the running advance's m_count
-        divided = []  # (m_count, index) of each _divide inside an advance
-        real_advance, real_divide = _RelationScanner.advance, _RelationScanner._divide
+        window = None  # the running confirmation's m_count
+        divided = []  # (m_count, index) of each _divide inside relations
+        real_relations, real_divide = _RelationScanner.relations, _RelationScanner._divide
 
-        def windowed_advance(scanner, new_primes, m_count):
+        def windowed_relations(scanner, m_count):
             nonlocal window
             window = m_count
-            real_advance(scanner, new_primes, m_count)
+            yield from real_relations(scanner, m_count)
             window = None
 
         def recording_divide(scanner, i):
@@ -581,7 +606,7 @@ class TestScannerMatchesReference:
                 divided.append((window, i))
             return real_divide(scanner, i)
 
-        monkeypatch.setattr(_RelationScanner, "advance", windowed_advance)
+        monkeypatch.setattr(_RelationScanner, "relations", windowed_relations)
         monkeypatch.setattr(_RelationScanner, "_divide", recording_divide)
         sp = random_semiprime(15, 15, 30, random.Random(9))
         self.check(sp.n, [(30, 100), (600, 200), (610, 300), (620, sieve.BLOCK + 1)])
@@ -711,9 +736,10 @@ class TestRootLevels:
 
 class TestScannerDeadlinePolls:
     """A deadline that passes once the region has grown is still caught
-    before `advance` returns, by a new block's poll, a root loop's, a
-    walk's or the confirmation loop's, and one that passes after `advance`
-    by `qs_factor`'s matrix step, which builds the masks."""
+    before `advance` returns, by a new block's poll, a root loop's or a
+    walk's, and one that passes after `advance` by the poll before each
+    flagged candidate that `relations` divides, which gives `qs_factor`
+    each relation's mask."""
 
     def test_each_new_block_polls(self, expire_after):
         # with no primes only the block loop reads the clock; the deadline
@@ -748,18 +774,22 @@ class TestScannerDeadlinePolls:
             scanner.advance(new_primes, m_count)
 
     def test_confirming_many_flagged_candidates_polls(self, expire_after):
-        # the call flags more than FILL candidates; the deadline passes once
-        # the first relation is confirmed, so only the poll before the
-        # FILL-th flagged candidate can catch it
+        # the window holds many flagged candidates; the deadline passes once
+        # the first relation is confirmed, so the poll before the next
+        # flagged candidate catches it
         scanner = _RelationScanner(946613331739179941, Deadline(60.0))
+        scanner.advance(build_factor_base(20000).primes, 20000)
         expire_after(0, lambda: bool(scanner.smooth))
         with pytest.raises(BudgetExceeded):
-            scanner.advance(build_factor_base(20000).primes, 20000)
-        assert 0 < len(scanner.smooth) <= sieve.FILL
+            for _ in scanner.relations(20000):
+                pass
+        assert len(scanner.smooth) == 1
+        assert scanner.need.count(0, 0, 20000) > 1
 
     # extra_polls: 1 lets the deadline pass right after the one new block's
-    # poll, 2 after the root loop's first poll as well; the sieved region is
-    # one BLOCK, so no walk polls
+    # poll, so the poll before the first new prime catches it, 2 after that
+    # poll as well, so the poll before the second does; the sieved region
+    # is one BLOCK, so no walk polls
     @pytest.mark.parametrize("extra_polls", [1, 2])
     def test_rooting_many_new_primes_polls(self, monkeypatch, expire_after, extra_polls):
         sp = random_semiprime(15, 15, 30, random.Random(12))
@@ -777,13 +807,12 @@ class TestScannerDeadlinePolls:
         expire_after(extra_polls, lambda: len(scanner.need) >= 100)
         with pytest.raises(BudgetExceeded):
             scanner.advance(primes, 100)
-        assert len(primes) > 2 * sieve.FILL
-        assert rooted == (extra_polls - 1) * sieve.FILL
+        assert rooted == extra_polls - 1
 
     # extra_polls: 0 lets the deadline pass right after the walks, so the
-    # matrix step's poll before its first row catches it; 1 lets that poll
-    # pass too, so only the poll before row FILL can. The round reduces 651
-    # of its 817 relations before it splits n.
+    # merged loop's poll before its first flagged candidate catches it; 1
+    # lets that poll pass too, so the poll before the second does. The
+    # round reduces 651 of its 817 relations before it splits n.
     @pytest.mark.parametrize("extra_polls", [0, 1])
     def test_building_many_masks_polls(self, monkeypatch, expire_after, extra_polls):
         walked = False
@@ -797,12 +826,13 @@ class TestScannerDeadlinePolls:
         calls = Counter()
         monkeypatch.setattr(_RelationScanner, "advance", advance_then_flag)
         count_calls(monkeypatch, XorBasis, "add", calls)
+        count_calls(monkeypatch, _RelationScanner, "_divide", calls)
         expire_after(extra_polls, lambda: walked)
         params = QsParams(b_bound=20000, m_count=20000, max_rounds=1)
         with pytest.raises(BudgetExceeded) as exc_info:
             qs_factor(946613331739179941, params, 60.0)
-        assert exc_info.value.trace.relations_found > sieve.FILL
-        assert calls["add"] == extra_polls * sieve.FILL
+        assert calls["_divide"] == extra_polls
+        assert exc_info.value.trace.relations_found == calls["add"] <= extra_polls
 
 
 class TestScannerMemory:
