@@ -130,12 +130,14 @@ class QsTrace:
 # block at a time with one deadline poll per block, and per bucket of its
 # walk state, which files each root under its next hit index // BLOCK; a
 # walk over more candidates than this polls the deadline first. A prime's
-# first power p**k >= BLOCK with k >= 2 is its flag level, the last sieved.
+# first power p**k >= BLOCK with k >= 2 is its flag level, the last sieved:
+# it credits all 255 bits, so every candidate it hits is flagged.
 BLOCK = 1024
-# The powers of a prime below this credit strided slices of the region; a
-# larger prime credits hit by hit and notes its base index on each
-# candidate it divides. It bounds the trial divisions that confirm a
-# flagged candidate, and find a relation's mask, to the 31 primes below it.
+# The credit levels of a prime below this, like every flag level, credit
+# strided slices of the region; a larger prime's one credit level credits
+# hit by hit and notes its base index on each candidate it divides. It
+# bounds the trial divisions that confirm a flagged candidate, and find a
+# relation's mask, to the 31 primes below it.
 NOTE_MIN = 128
 # Bits per base index in a candidate's note of the primes at or above
 # NOTE_MIN that divide it, once each. Base indices stay far below 2**32, and
@@ -146,7 +148,8 @@ _NOTE_MASK = (1 << NOTE_BITS) - 1
 # Index cuts of block 0, where a grows fastest relative to itself: each
 # candidate's byte starts from the bound at the cut at or before it.
 _BLOCK0_CUTS = (0, *(1 << e for e in range(BLOCK.bit_length() - 1)))
-# _CREDIT[c] takes c bits off a candidate's byte, saturating at 0
+# _CREDIT[c] takes c bits off a candidate's byte, saturating at 0, so
+# _CREDIT[255] zeroes it
 _CREDIT = [bytes(c) + bytes(range(256 - c)) for c in range(256)]
 
 # (limit, every prime up to limit); replaced whole, never mutated
@@ -288,25 +291,28 @@ class _RelationScanner:
     the candidate at each power-of-two index. p**k divides a only where
     b*b = n (mod p**k), so each prime is rooted once, in the call that
     admits it, into the levels of `_root_levels`; a prime with no root of n
-    is never kept. Each level credits (p - 1).bit_length() = ceil(log2 p)
-    bits to the candidates it hits, through a saturating `translate` table,
-    but the flag level zeroes their bytes.
+    is never kept. Each level below the flag level credits ceil(log2 p),
+    that is (p - 1).bit_length(), bits to the candidates it hits, through a
+    saturating `translate` table, and the flag level credits all 255 bits,
+    which zeroes their bytes.
 
     The sieved region, `need`'s length, grows to the first multiple of
     BLOCK at or past each call's window, in whole blocks. Every root of
-    every level is one entry (next hit index, step, j) filed in `buckets`
-    under index // BLOCK, j being the prime's base index, or -1 at its flag
-    level. One loop walks the entries popped for the new blocks, and those
-    of the new primes, from their next hit to the region's end, and files
-    each again under the block of its first hit past the region, so a
-    call's work is the hits in its new blocks, not the size of the base:
-    - a flag entry zeroes its hits one by one;
-    - a credit entry of a prime below NOTE_MIN credits one strided slice,
+    every level is one entry (next hit index, step, tag) filed in `buckets`
+    under index // BLOCK. The tag is fixed when the prime is rooted: the
+    prime's base index j at level 1 of a prime at or above NOTE_MIN, the
+    only level such a prime credits, and otherwise minus the bits the level
+    credits, -ceil(log2 p) at a credit level of a smaller prime and -255 at
+    every flag level. One loop walks the entries popped for the new blocks,
+    and those of the new primes, from their next hit to the region's end,
+    and files each again under the block of its first hit past the region,
+    so a call's work is the hits in its new blocks, not the size of the
+    base:
+    - an entry with a negative tag credits -tag bits to one strided slice,
       in C;
-    - a credit entry of a larger prime credits its hits one by one, and
-      notes j in `notes[i]`, NOTE_BITS bits a prime. It holds j, not the
-      mask bit 1 << j: kept bits would take memory quadratic in the base
-      size.
+    - an entry with tag j credits its hits one by one, and notes j in
+      `notes[i]`, NOTE_BITS bits a prime. It holds j, not the mask bit
+      1 << j: kept bits would take memory quadratic in the base size.
 
     `relations` then confirms the window, and only it: each of its bytes
     that is 0, found by `need.find`, goes to `_divide` once. A cofactor of
@@ -333,10 +339,8 @@ class _RelationScanner:
     NOTE_MIN divides about one candidate in p/2, so a note stays a word or
     two wide where a parity int per candidate would grow to pi(B) bits.
 
-    Both calls poll the Deadline the scanner was made with: once for each
-    new block, after its bytes are appended; before each new prime is
-    rooted; before each walk over more than BLOCK candidates; and before
-    each flagged candidate is divided.
+    Both calls poll the Deadline the scanner was made with, at the points
+    that `qs_factor`'s docstring lists.
     """
 
     def __init__(self, n: int, deadline: Deadline):
@@ -348,7 +352,8 @@ class _RelationScanner:
         self.primes: list[int] = []
         self.need = bytearray()  # bits of a still to credit, one byte per candidate
         self.notes: list[int] = []  # base indices of the primes >= NOTE_MIN hitting it, NOTE_BITS each
-        # block -> (next hit index, p**k, base index or -1 at the flag level) of each root
+        # block -> (next hit index, step, tag) of each root; tag is the base index
+        # to credit and note, or minus the bits to credit as a slice
         self.buckets: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
         self.smooth: list[int] = []  # indices of the relations, in the order found
 
@@ -361,7 +366,7 @@ class _RelationScanner:
         primes = self.primes
         old_primes, lo = len(primes), len(need)
         primes.extend(new_primes)
-        walks = []  # (next hit index, p**k, base index or -1); a new prime walks the whole region
+        walks = []  # entries as in buckets; a new prime's entries walk the whole region
         for blk in range(lo // BLOCK, -(-m_count // BLOCK)):
             cuts = (blk * BLOCK,) if blk else _BLOCK0_CUTS
             for c0, c1 in zip(cuts, cuts[1:] + ((blk + 1) * BLOCK,)):
@@ -372,25 +377,23 @@ class _RelationScanner:
         m = len(need)
         for j in range(old_primes, len(primes)):
             check()
-            for q, roots, flag in _root_levels(n, primes[j]):
-                walks += [((r - s) % q, q, -1 if flag else j) for r in roots]
-        for i, q, j in walks:
+            p = primes[j]
+            tag = j if p >= NOTE_MIN else -(p - 1).bit_length()
+            for q, roots, flag in _root_levels(n, p):
+                walks += [((r - s) % q, q, -255 if flag else tag) for r in roots]
+        for i, q, tag in walks:
             if m - i > BLOCK:
                 check()
-            if j < 0:
-                while i < m:
-                    need[i] = 0
-                    i += q
-            elif primes[j] < NOTE_MIN:
-                need[i::q] = need[i::q].translate(_CREDIT[(primes[j] - 1).bit_length()])
+            if tag < 0:
+                need[i::q] = need[i::q].translate(_CREDIT[-tag])
                 i = m + (i - m) % q
             else:
                 table = _CREDIT[(q - 1).bit_length()]
                 while i < m:
                     need[i] = table[need[i]]
-                    notes[i] = notes[i] << NOTE_BITS | j
+                    notes[i] = notes[i] << NOTE_BITS | tag
                     i += q
-            buckets[i // BLOCK].append((i, q, j))
+            buckets[i // BLOCK].append((i, q, tag))
 
     def relations(self, m_count: int) -> Iterator[tuple[int, list[int]]]:
         """Confirm the flagged candidates of the first m_count, after an
@@ -464,7 +467,7 @@ def qs_factor(
       basis and tries the dependency it completes;
     - once for each new block of BLOCK candidates the sieved region grows
       by, after its bytes are appended;
-    - before each root's walk, a slice's or hit by hit, that starts more
+    - before each root's walk, a slice or hit by hit, that starts more
       than BLOCK candidates before the region's end; a shorter walk, up to
       BLOCK candidates as is most walks over new blocks, is not polled;
     - once at the end of each round that does not split n.

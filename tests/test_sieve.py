@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -664,6 +665,43 @@ class TestScannerMatchesReference:
         # every a in the window is wider than a byte's 255 bits can count;
         # 2, 3, 5, 17 and 257 divide n
         self.check(2**512 - 2**256, [(20, 50), (300, 400)])
+
+    @pytest.mark.parametrize(
+        "n, bound",
+        [
+            (939524593, 400),  # 7 * 134217799: 7 divides n, and n = 1 (mod 8)
+            (random_semiprime(20, 20, 40, random.Random(3)).n, 1500),  # = 1 (mod 8)
+        ],
+    )
+    def test_bytes_match_the_valuation_oracle(self, n, bound):
+        # after one advance, each byte is 0 where a prime's flag-level power
+        # p**K divides a, K the first k >= 2 with p**k >= BLOCK, and
+        # otherwise its start less ceil(log2 p) bits for each power of p
+        # below p**K that divides a, saturating at 0; n = 1 (mod 8) lets 2
+        # reach its flag level 2**10 inside the three blocks
+        fb = build_factor_base(bound)
+        m_count = 2 * sieve.BLOCK + 100
+        scanner, twin = _RelationScanner(n, Deadline(None)), _RelationScanner(n, Deadline(None))
+        scanner.advance(fb.primes, m_count)
+        twin.advance((), m_count)  # the bytes before any credit
+        flag_levels = {p: next(k for k in itertools.count(2) if p**k >= sieve.BLOCK) for p in fb.primes}
+        expected = bytearray()
+        for i, start in enumerate(twin.need):
+            a, credits = scanner.pair(i)[1], 0
+            for p, flag_level in flag_levels.items():
+                v = 0
+                while v < flag_level and a % p == 0:
+                    a //= p
+                    v += 1
+                if v == flag_level:
+                    expected.append(0)
+                    break
+                credits += v * (p - 1).bit_length()
+            else:
+                expected.append(max(0, start - credits))
+        assert len(scanner.need) == 3 * sieve.BLOCK
+        assert scanner.need == expected
+        assert 0 in expected and any(0 < e < s for e, s in zip(expected, twin.need))
 
 
 class TestRootLevels:
