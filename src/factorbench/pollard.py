@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arith import FIRST_TEN_PRIMES, is_probable_prime
 from .errors import Deadline, Exhausted, NotComposite
@@ -41,11 +41,12 @@ class RhoConfig:
 
 @dataclass
 class RhoTrace:
-    """Counters for one pollard_factor call; iterations accumulate across restarts."""
+    """Counters for one pollard_factor call: iterations accumulate across
+    walks, and restarts is the index of the last walk begun, 0 for the
+    first (and for a call that never walks)."""
 
     iterations: int = 0
     restarts: int = 0
-    c_values: list[int] = field(default_factory=list)
 
 
 def rho_step(x: int, c: int, n: int) -> int:
@@ -93,7 +94,6 @@ def pollard_factor(
     for attempt in range(MAX_RESTARTS):
         c = rng.randrange(1, n)
         x = rng.randrange(1, n)
-        trace.c_values.append(c)
         trace.restarts = attempt
         y = (x * x + c) % n
         walked = 0

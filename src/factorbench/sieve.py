@@ -282,14 +282,16 @@ class _RelationScanner:
     """Root-indexed sieve by bit credits, shared across retry rounds.
 
     A round is two calls: `advance` sieves, and `relations` confirms the
-    window. `primes` is the factor base so far; each `advance` appends its
-    round's new primes, so base indices never change. Candidate i has b =
-    ceil(sqrt(n)) + i and a = b*b - n, and `need[i]` is one byte: the bits
-    of a still to be credited before i is worth an exact look. It starts
-    from a lower bound of floor(log2 a), clamped at 255: that of a block's
-    first candidate, a rising with b, and in block 0, where a is small, of
-    the candidate at each power-of-two index. p**k divides a only where
-    b*b = n (mod p**k), so each prime is rooted once, in the call that
+    window. n must not be a perfect square, where every p**k would divide
+    the a = 0 of candidate 0; `qs_factor` returns a square's root before it
+    makes a scanner. `primes` is the factor base so far; each `advance`
+    appends its round's new primes, so base indices never change. Candidate
+    i has b = ceil(sqrt(n)) + i and a = b*b - n, and `need[i]` is one byte:
+    the bits of a still to be credited before i is worth an exact look. It
+    starts from a lower bound of floor(log2 a), clamped at 255: that of a
+    block's first candidate, a rising with b, and in block 0, where a is
+    small, of the candidate at each power-of-two index. p**k divides a only
+    where b*b = n (mod p**k), so each prime is rooted once, in the call that
     admits it, into the levels of `_root_levels`; a prime with no root of n
     is never kept. Each level below the flag level credits ceil(log2 p),
     that is (p - 1).bit_length(), bits to the candidates it hits, through a
@@ -305,8 +307,10 @@ class _RelationScanner:
     credits, -ceil(log2 p) at a credit level of a smaller prime and -255 at
     every flag level. One loop walks the entries popped for the new blocks,
     and those of the new primes, from their next hit to the region's end,
-    and files each again under the block of its first hit past the region,
-    so a call's work is the hits in its new blocks, not the size of the
+    and files each again under the block of its first hit past the region;
+    a new prime's entry whose first hit already lies past it is filed as it
+    is, in the same turn, so every bucket keeps the order of a full walk.
+    A call's work is thus the hits in its new blocks, not the size of the
     base:
     - an entry with a negative tag credits -tag bits to one strided slice,
       in C;
@@ -334,10 +338,12 @@ class _RelationScanner:
     and only grows, so a relation's position in it is a stable id; each
     round's new ones, in b order, are those `collect_relations` finds over
     the same base and window and no earlier round found. `relations`
-    yields each with the parity bits of the division that confirmed it,
-    which are kept nowhere, and `pair` gives its b and a. A prime p >=
-    NOTE_MIN divides about one candidate in p/2, so a note stays a word or
-    two wide where a parity int per candidate would grow to pi(B) bits.
+    yields each with its parity mask, an int with bit j set for each base
+    index j whose prime divides a an odd number of times, from the division
+    that confirmed it; the mask is kept nowhere, and `pair` gives its b and
+    a. A prime p >= NOTE_MIN divides about one candidate in p/2, so a note
+    stays a word or two wide where a parity int per candidate would grow to
+    pi(B) bits.
 
     Both calls poll the Deadline the scanner was made with, at the points
     that `qs_factor`'s docstring lists.
@@ -347,8 +353,6 @@ class _RelationScanner:
         self.n = n
         self.deadline = deadline  # the qs_factor call's, polled by every call
         self.start_b = _ceil_sqrt(n)
-        if self.start_b**2 == n:
-            raise ValueError("n must not be a perfect square")  # every p**k divides its a = 0
         self.primes: list[int] = []
         self.need = bytearray()  # bits of a still to credit, one byte per candidate
         self.notes: list[int] = []  # base indices of the primes >= NOTE_MIN hitting it, NOTE_BITS each
@@ -381,50 +385,52 @@ class _RelationScanner:
             tag = j if p >= NOTE_MIN else -(p - 1).bit_length()
             for q, roots, flag in _root_levels(n, p):
                 walks += [((r - s) % q, q, -255 if flag else tag) for r in roots]
-        for i, q, tag in walks:
-            if m - i > BLOCK:
-                check()
-            if tag < 0:
-                need[i::q] = need[i::q].translate(_CREDIT[-tag])
-                i = m + (i - m) % q
-            else:
-                table = _CREDIT[(q - 1).bit_length()]
-                while i < m:
-                    need[i] = table[need[i]]
-                    notes[i] = notes[i] << NOTE_BITS | tag
-                    i += q
-            buckets[i // BLOCK].append((i, q, tag))
+        for entry in walks:
+            i, q, tag = entry
+            if i < m:  # a new prime's root may first hit past the region
+                if m - i > BLOCK:
+                    check()
+                if tag < 0:
+                    need[i::q] = need[i::q].translate(_CREDIT[-tag])
+                    i = m + (i - m) % q
+                else:
+                    table = _CREDIT[(q - 1).bit_length()]
+                    while i < m:
+                        need[i] = table[need[i]]
+                        notes[i] = notes[i] << NOTE_BITS | tag
+                        i += q
+                entry = i, q, tag
+            buckets[i // BLOCK].append(entry)
 
-    def relations(self, m_count: int) -> Iterator[tuple[int, list[int]]]:
+    def relations(self, m_count: int) -> Iterator[tuple[int, int]]:
         """Confirm the flagged candidates of the first m_count, after an
-        `advance` over that window, and yield (i, base indices of the primes
-        dividing a an odd number of times) for each new relation i, in b
-        order, once it is appended to `smooth`."""
+        `advance` over that window, and yield (i, parity mask of a) for each
+        new relation i, in b order, once it is appended to `smooth`."""
         need, check = self.need, self.deadline.check
         i = need.find(0, 0, m_count)
         while i >= 0:
             check()
-            c, odd = self._divide(i)
+            c, mask = self._divide(i)
             if c == 1:
                 need[i] = 255
                 self.smooth.append(i)
-                yield i, odd
+                yield i, mask
             else:
                 need[i] = _log2_byte(c)
             i = need.find(0, i + 1, m_count)
 
-    def _divide(self, i: int) -> tuple[int, list[int]]:
+    def _divide(self, i: int) -> tuple[int, int]:
         """Candidate i's a divided by each noted prime and each base prime
         below NOTE_MIN as often as it divides: the cofactor left, and the
-        base indices of the primes that divided it an odd number of times.
-        Once every base prime has walked i, the cofactor is 1 exactly when
-        a is smooth."""
+        parity mask, bit j set for each base index j whose prime divided it
+        an odd number of times. Once every base prime has walked i, the
+        cofactor is 1 exactly when a is smooth."""
         primes, note, r = self.primes, self.notes[i], self.pair(i)[1]
         noted = []
         while note:
             noted.append(note & _NOTE_MASK)
             note >>= NOTE_BITS
-        odd = []
+        mask = 0
         for j in itertools.chain(noted, range(bisect.bisect_left(primes, NOTE_MIN))):
             if r == 1:
                 break
@@ -435,9 +441,8 @@ class _RelationScanner:
                 while r % p == 0:
                     r //= p
                     e ^= 1
-                if e:
-                    odd.append(j)
-        return r, odd
+                mask |= e << j
+        return r, mask
 
     def pair(self, i: int) -> tuple[int, int]:
         """Candidate i's b and a = b*b - n."""
@@ -515,10 +520,10 @@ def qs_factor(
                     trace.via_small_factor = True
                     return p, trace
         scanner.advance(new_primes, m_count)
-        for _, odd in scanner.relations(m_count):
+        for _, mask in scanner.relations(m_count):
             trace.relations_found += 1
             # once n is split, the rest of the window is confirmed and counted only
-            dep = None if g else basis.add(sum(1 << j for j in odd))
+            dep = None if g else basis.add(mask)
             if dep is not None:
                 trace.dependencies_tried += 1
                 g = extract_factor(n, [scanner.pair(scanner.smooth[r]) for r in sorted(dep.row_indices)])

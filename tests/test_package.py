@@ -1,9 +1,15 @@
 import importlib
 import importlib.util
+import json
+import operator
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import factorbench
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERBENCH = ROOT / "layerbench"
@@ -38,3 +44,34 @@ def test_benchmark_hooks_resolve(monkeypatch):
         (module, name) for module, name, _ in wraps if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def readme_code_names():
+    """The backticked dotted names in README.md, alone or called, whose
+    first part is a factorbench module, less file names such as
+    `report.md` and the metric names BENCHMARK.json lists."""
+    modules = {m.name for m in pkgutil.iter_modules(factorbench.__path__)}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"] for m in bench["end_to_end"] + bench["per_layer"]}
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    spans = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`", text)
+    return {
+        name
+        for name in spans
+        if name.split(".")[0] in modules
+        and name not in metrics
+        and name.rsplit(".", 1)[1] not in {"md", "json", "csv", "py"}
+    }
+
+
+def test_readme_code_names_resolve():
+    names = readme_code_names()
+    assert "sieve.BLOCK" in names
+    unresolved = []
+    for name in sorted(names):
+        module, attrs = name.split(".", 1)
+        try:
+            operator.attrgetter(attrs)(importlib.import_module("factorbench." + module))
+        except AttributeError:
+            unresolved.append(name)
+    assert unresolved == []

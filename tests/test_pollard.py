@@ -39,7 +39,6 @@ def per_step_pollard(n, seed, walk_cap):
     for attempt in range(walk_cap):
         c = rng.randrange(1, n)
         x = rng.randrange(1, n)
-        trace.c_values.append(c)
         trace.restarts = attempt
         y = (x * x + c) % n
         steps = 0
@@ -121,8 +120,8 @@ def floyd_differences(n, seed, steps):
 
 
 def assert_matches_oracle(n, seed):
-    """pollard_factor agrees with the per-step oracle under the same restart
-    cap; returns the oracle's walks."""
+    """pollard_factor's (factor, iterations, restarts) agree with the
+    per-step oracle's under the same restart cap; returns the oracle's walks."""
     factor, want, walks = per_step_pollard(n, seed, pollard.MAX_RESTARTS)
     cfg = RhoConfig(seed=seed)
     if factor is None:
@@ -132,11 +131,7 @@ def assert_matches_oracle(n, seed):
     else:
         d, got = pollard_factor(n, cfg)
         assert d == factor
-    assert (got.iterations, got.restarts, got.c_values) == (
-        want.iterations,
-        want.restarts,
-        want.c_values,
-    )
+    assert (got.iterations, got.restarts) == (want.iterations, want.restarts)
     return walks
 
 
@@ -166,8 +161,7 @@ class TestPollardFactor:
     def test_small_prime_precheck(self):
         d, trace = pollard_factor(35, RhoConfig(seed=0))
         assert d == 5
-        assert trace.iterations == 0
-        assert trace.c_values == []
+        assert (trace.iterations, trace.restarts) == (0, 0)
 
     def test_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -194,17 +188,17 @@ class TestPollardFactor:
         n = 1000003 * 1000033
         a = pollard_factor(n, RhoConfig(seed=99))
         b = pollard_factor(n, RhoConfig(seed=99))
-        assert a[0] == b[0]
-        assert a[1].iterations == b[1].iterations
-        assert a[1].c_values == b[1].c_values
+        assert a == b  # the factor and every trace counter
 
     def test_trace_restart_invariant(self):
         rng = random.Random(8)
         for _ in range(20):
             sp = random_semiprime(10, 12, 22, rng)
-            _, trace = pollard_factor(sp.n, RhoConfig(seed=3), budget_seconds=10.0)
-            if trace.c_values:
-                assert trace.restarts == len(trace.c_values) - 1
+            d, trace = pollard_factor(sp.n, RhoConfig(seed=3), budget_seconds=10.0)
+            factor, want, walks = per_step_pollard(sp.n, 3, pollard.MAX_RESTARTS)
+            assert (d, trace.iterations, trace.restarts) == (factor, want.iterations, want.restarts)
+            if walks:
+                assert trace.restarts == len(walks) - 1
 
     def test_budget_exceeded(self):
         # 60-bit semiprime with balanced factors cannot finish in 1 microsecond
@@ -295,7 +289,7 @@ class TestBatchedWalkMatchesPerStep:
         trace = info.value.trace
         # the first poll, after the first batch, already finds the deadline past
         assert trace.iterations == BATCH
-        assert trace.restarts == 0 and len(trace.c_values) == 1
+        assert trace.restarts == 0
 
 
 class TestWorkMatchesCycleOracle:

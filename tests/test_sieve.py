@@ -84,8 +84,8 @@ def relation_triples(scanner, m_count, triples):
     """Confirm the window of m_count candidates and append (b, a, parity
     mask) of each relation the scanner yields to triples, in its order;
     returns triples."""
-    for i, odd in scanner.relations(m_count):
-        triples.append((*scanner.pair(i), sum(1 << j for j in odd)))
+    for i, mask in scanner.relations(m_count):
+        triples.append((*scanner.pair(i), mask))
     return triples
 
 
