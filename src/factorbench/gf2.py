@@ -24,7 +24,6 @@ class Dependency:
     row_indices: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "row_indices", frozenset(self.row_indices))
         if not self.row_indices:
             raise ValueError("a dependency must select at least one row")
 
@@ -47,29 +46,6 @@ class BitMatrix:
     @property
     def n_rows(self) -> int:
         return len(self.row_bits)
-
-    @classmethod
-    def from_rows(cls, rows, n_cols: int | None = None) -> "BitMatrix":
-        """Build from sequences of 0/1 entries (one sequence per row)."""
-        rows = [list(r) for r in rows]
-        if n_cols is None:
-            n_cols = len(rows[0]) if rows else 0
-        packed = []
-        for r in rows:
-            if len(r) != n_cols:
-                raise ValueError("ragged rows")
-            bits = 0
-            for i, v in enumerate(r):
-                if v not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-                bits |= v << i
-            packed.append(bits)
-        return cls(n_cols, packed)
-
-    def bit(self, row: int, col: int) -> int:
-        if not 0 <= col < self.n_cols:
-            raise IndexError("column out of range")
-        return (self.row_bits[row] >> col) & 1
 
 
 def eliminate(m: BitMatrix) -> list[Dependency]:

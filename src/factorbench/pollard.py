@@ -49,11 +49,6 @@ class RhoTrace:
     restarts: int = 0
 
 
-def rho_step(x: int, c: int, n: int) -> int:
-    """One application of the iteration polynomial: (x*x + c) mod n."""
-    return (x * x + c) % n
-
-
 def _floyd_steps(x: int, y: int, c: int, n: int, steps: int) -> tuple[int, int, int, int]:
     """Up to `steps` Floyd steps with a gcd after each, stopping at the first
     gcd != 1. Returns (steps taken, that gcd or 1, x, y)."""

@@ -62,7 +62,6 @@ from .gf2 import eliminate  # noqa: F401
 class FactorBase:
     """All primes up to and including the smooth bound, ascending."""
 
-    bound: int
     primes: tuple[int, ...]
 
 
@@ -173,7 +172,7 @@ def build_factor_base(bound: int) -> FactorBase:
     if bound < 2:
         raise ValueError("bound must be >= 2")
     primes = _primes_upto(bound)
-    return FactorBase(bound, primes[: bisect.bisect_right(primes, bound)])
+    return FactorBase(primes[: bisect.bisect_right(primes, bound)])
 
 
 def smooth_decompose(a: int, fb: FactorBase) -> list[int] | None:

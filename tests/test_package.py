@@ -1,3 +1,5 @@
+import ast
+import builtins
 import importlib
 import importlib.util
 import json
@@ -46,6 +48,63 @@ def test_benchmark_hooks_resolve(monkeypatch):
     assert missing == []
 
 
+def pinned_names():
+    """module.name for each name tests/test_acceptance.py imports from a
+    factorbench module: the surface the acceptance criteria pin."""
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    return {
+        f"{node.module.split('.', 1)[1]}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("factorbench.")
+        for alias in node.names
+    }
+
+
+def definitions(node, prefix=""):
+    """(qualname, node) for each function and class defined under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + child.name, child
+            yield from definitions(child, prefix + child.name + ".")
+        else:
+            yield from definitions(child, prefix)
+
+
+def src_definitions_without_a_use():
+    """module.qualname of each non-dunder function, method and class under
+    src/factorbench whose name no ast.Name or ast.Attribute in src/ reads,
+    outside the definition itself."""
+    defs, uses = [], {}
+    for path in sorted((ROOT / "src" / "factorbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs += [(path.stem, qualname, node) for qualname, node in definitions(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                uses.setdefault(name, []).append((path.stem, node.lineno))
+    return [
+        f"{module}.{qualname}"
+        for module, qualname, node in defs
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and all(
+            where == module and node.lineno <= line <= node.end_lineno
+            for where, line in uses.get(node.name, [])
+        )
+    ]
+
+
+def test_every_src_definition_has_a_production_use():
+    # argparse calls _Parser.error, and criterion 1 reads Relation.parity
+    allowed = pinned_names() | {"cli._Parser.error", "sieve.Relation.parity"}
+    assert "pollard.pollard_factor" in allowed
+    assert [name for name in src_definitions_without_a_use() if name not in allowed] == []
+
+
+def readme_text():
+    """README.md less its code fences."""
+    return re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+
+
 def readme_code_names():
     """The backticked dotted names in README.md, alone or called, whose
     first part is a factorbench module, less file names such as
@@ -53,8 +112,7 @@ def readme_code_names():
     modules = {m.name for m in pkgutil.iter_modules(factorbench.__path__)}
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"] for m in bench["end_to_end"] + bench["per_layer"]}
-    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
-    spans = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`", text)
+    spans = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`", readme_text())
     return {
         name
         for name in spans
@@ -62,6 +120,11 @@ def readme_code_names():
         and name not in metrics
         and name.rsplit(".", 1)[1] not in {"md", "json", "csv", "py"}
     }
+
+
+def readme_camel_case_names():
+    """The backticked bare CamelCase names in README.md, alone or called."""
+    return set(re.findall(r"`([A-Z][a-z0-9]+[A-Z][A-Za-z0-9]*)(?:\([^`]*\))?`", readme_text()))
 
 
 def test_readme_code_names_resolve():
@@ -75,3 +138,11 @@ def test_readme_code_names_resolve():
         except AttributeError:
             unresolved.append(name)
     assert unresolved == []
+    camel = readme_camel_case_names()
+    assert "RhoConfig" in camel
+    modules = [builtins] + [
+        importlib.import_module("factorbench." + m.name)
+        for m in pkgutil.iter_modules(factorbench.__path__)
+        if m.name != "__main__"  # importing it runs the CLI
+    ]
+    assert sorted(name for name in camel if not any(hasattr(m, name) for m in modules)) == []

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from factorbench import pollard
 from factorbench.arith import FIRST_TEN_PRIMES
 from factorbench.errors import BudgetExceeded, Exhausted, NotComposite
-from factorbench.pollard import BATCH, RhoConfig, RhoTrace, pollard_factor, rho_step
+from factorbench.pollard import BATCH, RhoConfig, RhoTrace, pollard_factor
 from factorbench.primegen import make_semiprime, random_semiprime
 
 
@@ -110,11 +110,12 @@ def floyd_differences(n, seed, steps):
     rng = random.Random(seed)
     c = rng.randrange(1, n)
     x = rng.randrange(1, n)
-    y = rho_step(x, c, n)
+    y = (x * x + c) % n
     diffs = []
     for _ in range(steps):
-        x = rho_step(x, c, n)
-        y = rho_step(rho_step(y, c, n), c, n)
+        x = (x * x + c) % n
+        y = (y * y + c) % n
+        y = (y * y + c) % n
         diffs.append(x - y)
     return diffs
 
@@ -133,13 +134,6 @@ def assert_matches_oracle(n, seed):
         assert d == factor
     assert (got.iterations, got.restarts) == (want.iterations, want.restarts)
     return walks
-
-
-class TestRhoStep:
-    def test_examples(self):
-        assert rho_step(2, 1, 5) == 0
-        assert rho_step(0, 7, 11) == 7
-        assert rho_step(632, 1, 400289) == 399425  # 632**2 + 1, directly
 
 
 class TestPollardFactor:
