@@ -15,12 +15,26 @@ each step, which stops at the same first step, with the same divisor, as a
 walk with a gcd after every step. Factors, iteration counts and restarts are
 therefore those of the per-step walk. The first two batches of each walk are
 taken step by step outright, so a short walk does not overshoot and replay.
+
+Between the warm-up and REUSE_STEPS steps the tortoise does not evaluate
+the map. Step i compares x_i with x_{2i+1}, so every value the tortoise needs
+is one the hare computed earlier. The first product batch walks x forward
+once, from x_i to x_{2i+1} = y, and keeps x_{i+1} .. x_{2i+1} in a deque; in
+each later step the tortoise pops its value from the front and the hare
+appends the two it computes, so a step evaluates the map twice in place of
+three times. The deque holds one value per step walked, so at REUSE_STEPS
+steps it is emptied and the walk goes back to three evaluations a step. A
+walk that reaches that cap raises peak RSS by about 14 MB for a 72-bit n and
+26 MB for a 512-bit one (CPython 3.11). Either way the batch product is
+reduced mod n once per two steps, which leaves its residue, and so the gcd,
+as it was.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 
 from .arith import FIRST_TEN_PRIMES, is_probable_prime
@@ -30,6 +44,9 @@ from .primegen import check_n
 # Floyd steps per gcd once a walk is past its per-step warm-up of 2 batches.
 BATCH = 128
 _WARMUP = 2 * BATCH
+# Walk steps up to which the tortoise reuses the hare's stored values; the
+# cap bounds the memory they take.
+REUSE_STEPS = 2**18
 # Walks per call; each walk after the first is a restart.
 MAX_RESTARTS = 20
 
@@ -92,17 +109,38 @@ def pollard_factor(
         trace.restarts = attempt
         y = (x * x + c) % n
         walked = 0
+        ahead = deque()  # x_{i+1} .. x_{2i+1} after step i, below the cap
+        pop, push = ahead.popleft, ahead.append
         while True:
             if walked < _WARMUP:
                 taken, d, x, y = _floyd_steps(x, y, c, n, BATCH)
             else:
                 x0, y0 = x, y
                 prod = 1
-                for _ in range(BATCH):
-                    x = (x * x + c) % n
-                    y = (y * y + c) % n
-                    y = (y * y + c) % n
-                    prod = prod * (x - y) % n
+                if walked >= REUSE_STEPS:
+                    ahead.clear()
+                elif walked == _WARMUP:
+                    for _ in range(walked + 1):
+                        push(x := (x * x + c) % n)
+                if ahead:
+                    for _ in range(BATCH // 2):
+                        push(y := (y * y + c) % n)
+                        push(y := (y * y + c) % n)
+                        e = pop() - y
+                        push(y := (y * y + c) % n)
+                        push(y := (y * y + c) % n)
+                        x = pop()
+                        prod = prod * e * (x - y) % n
+                else:
+                    for _ in range(BATCH // 2):
+                        x = (x * x + c) % n
+                        y = (y * y + c) % n
+                        y = (y * y + c) % n
+                        e = x - y
+                        x = (x * x + c) % n
+                        y = (y * y + c) % n
+                        y = (y * y + c) % n
+                        prod = prod * e * (x - y) % n
                 taken, d = BATCH, math.gcd(prod, n)
                 if d != 1:
                     taken, d, x, y = _floyd_steps(x0, y0, c, n, BATCH)

@@ -1,6 +1,8 @@
 import math
 import random
 import statistics
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -284,6 +286,55 @@ class TestBatchedWalkMatchesPerStep:
         # the first poll, after the first batch, already finds the deadline past
         assert trace.iterations == BATCH
         assert trace.restarts == 0
+
+
+class TestStoredValuesMatchPerStep:
+    """Walks that take the tortoise's values from the hare's stored ones end
+    where the per-step walk does, on either side of the cap on stored steps."""
+
+    # (n, seed, steps) of single walks ending in product batches 3 to 6 and
+    # well past them
+    WALKS = [
+        (64237826911, 6, 300),
+        (2347597598917, 0, 512),
+        (3141697634441, 8, 513),
+        (2309034328499, 5, 640),
+        (2862716585623, 0, 641),
+        (4159593268849, 6, 768),
+        (3954169575859, 6, 3449),
+    ]
+
+    # with the cap at k batches, batch 3 fills the deque, batch k + 1 is the
+    # first past the cap, and the 3449-step walk runs 22 or more batches past it
+    @pytest.mark.parametrize("cap_batches", [2, 3, 4, 5])
+    def test_walks_across_the_cap(self, monkeypatch, cap_batches):
+        monkeypatch.setattr(pollard, "REUSE_STEPS", cap_batches * BATCH)
+        for n, seed, steps in self.WALKS:
+            walks = assert_matches_oracle(n, seed)
+            assert [s for s, _ in walks] == [steps]
+
+    def test_restart_starts_a_fresh_deque(self):
+        # both walks pass the warm-up, and the first ends below the cap, so a
+        # deque carried into the second walk would feed its tortoise
+        n = 2232267105001
+        assert assert_matches_oracle(n, 6) == [(1907, n), (405, 1020583)]
+
+    def test_stored_values_stop_at_the_cap(self, monkeypatch, expire_after):
+        # 66 batches, 58 of them past a cap of 8: the peak is that of the
+        # 8 * BATCH + 1 values stored at the cap, each an int the size of n
+        # and a deque slot, where a deque still filling would hold 8x as many
+        monkeypatch.setattr(pollard, "REUSE_STEPS", 8 * BATCH)
+        sp = random_semiprime(64, 64, 128, random.Random(3))
+        expire_after(66)  # the Deadline's read and 65 polls see real time
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as info:
+                pollard_factor(sp.n, RhoConfig(seed=0), 60.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.trace.iterations == 66 * BATCH
+        assert peak < 2 * 8 * BATCH * (sys.getsizeof(sp.n) + 8)
 
 
 class TestWorkMatchesCycleOracle:
