@@ -19,24 +19,39 @@ FIRST_TEN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 # product of the primes below _SMALL_LIMIT, which alone decides n < _SMALL_SQUARE.
 _SMALL_LIMIT = 1000
 
-# psi_k for k = 1..13 (OEIS A014233; Jaeschke 1993, Sorenson and Webster 2015):
-# the least odd composite that is a strong pseudoprime to each of the first k
-# primes as bases. The first k primes therefore decide every n < psi_k exactly.
-_PSI = (
-    2047,
-    1373653,
-    25326001,
-    3215031751,
-    2152302898747,
-    3474749660383,
-    341550071728321,
-    341550071728321,
-    3825123056546413051,
-    3825123056546413051,
-    3825123056546413051,
-    318665857834031151167461,
-    3317044064679887385961981,
+# (bound, bases): the strong test to `bases` decides every n < bound exactly,
+# skipping a base that n divides, and each odd bound is itself a strong
+# pseudoprime to its tier's bases. The small sets are Jaeschke's (Math. Comp.
+# 61, 1993); those from 55245642489451 to 2**64 are the record sets with base
+# 2, proven against Feitsma and Galway's list of the base-2 strong
+# pseudoprimes below 2**64 under that skip rule; the last two are psi_12 and
+# psi_13 of OEIS A014233 with the first 12 and 13 primes.
+_TIERS = (
+    (1373653, (2, 3)),
+    (9080191, (31, 73)),
+    (4759123141, (2, 7, 61)),
+    (1122004669633, (2, 13, 23, 1662803)),
+    (55245642489451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
+    (
+        7999252175582851,
+        (2, 4130806001517, 149795463772692060, 186635894390467037, 3967304179347715805),
+    ),
+    (
+        585226005592931977,
+        (
+            2,
+            123635709730000,
+            9233062284813009,
+            43835965440333360,
+            761179012939631437,
+            1263739024124850375,
+        ),
+    ),
+    (2**64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (318665857834031151167461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    (3317044064679887385961981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
+_BOUNDS = tuple(bound for bound, _ in _TIERS)
 
 
 def _sieve_upto(bound: int) -> list[int]:
@@ -54,8 +69,6 @@ _SMALL_PRIMES = tuple(_sieve_upto(_SMALL_LIMIT))
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 _SMALL_SQUARE = _SMALL_LIMIT * _SMALL_LIMIT
-# _PSI_BASES[i] is the first i + 1 primes, enough bases for every n < _PSI[i]
-_PSI_BASES = tuple(_SMALL_PRIMES[: k + 1] for k in range(len(_PSI)))
 
 
 def sqrt_mod_prime(c: int, p: int) -> tuple[int, ...]:
@@ -104,7 +117,8 @@ def _tonelli_shanks(c: int, p: int) -> int:
 
 
 def _strong_tests(n: int, bases: Iterable[int]) -> bool:
-    """Whether odd n >= 5 is a strong probable prime to every base in `bases`.
+    """Whether odd n >= 5 is a strong probable prime to every base in `bases`
+    that n does not divide.
 
     n - 1 = d * 2**s is split once, and the loop stops at the first base that
     proves n composite, so a lazy iterable is drawn from only that far.
@@ -113,6 +127,8 @@ def _strong_tests(n: int, bases: Iterable[int]) -> bool:
     s = (m & -m).bit_length() - 1
     d = m >> s
     for a in bases:
+        if a % n == 0:
+            continue
         x = pow(a, d, n)
         if x != 1 and x != m:
             for _ in range(s - 1):
@@ -130,10 +146,18 @@ def is_probable_prime(n: int) -> bool:
     Cheapest screen first: a lookup among the primes below _SMALL_LIMIT, six
     word-sized remainders (by 2, 3, 5, 7, 11 and 13), then one gcd with the
     product of the primes below _SMALL_LIMIT, after which n < _SMALL_SQUARE
-    is prime. Then one strong-test loop: below psi_13 to the first k primes,
-    the fewest that _PSI proves enough for n; above it to 40 witnesses
-    drawn from random.Random(n), so calls agree, wrong with probability at
-    most 4**-40.
+    is prime. Then one strong-test loop: below psi_13 to the bases of the
+    first _TIERS entry whose bound exceeds n, skipping a base that n divides:
+
+    - below 1373653: 2, 3; below 9080191: 31, 73; below 4759123141: 2, 7, 61;
+      below 1122004669633: 2, 13, 23, 1662803 (Jaeschke 1993);
+    - below 55245642489451, 7999252175582851, 585226005592931977 and 2**64:
+      4, 5, 6 and 7 bases, the record sets that contain base 2, proven
+      against the base-2 strong pseudoprimes below 2**64 (Feitsma and Galway);
+    - below psi_12 and psi_13 (OEIS A014233): the first 12 and 13 primes.
+
+    Above psi_13, 40 witnesses drawn from random.Random(n), so calls agree,
+    wrong with probability at most 4**-40.
     """
     if n < _SMALL_LIMIT:
         return n in _SMALL_PRIME_SET
@@ -141,7 +165,7 @@ def is_probable_prime(n: int) -> bool:
         return False
     if math.gcd(n, _SMALL_PRODUCT) != 1:
         return False
-    if n < _PSI[-1]:
-        return n < _SMALL_SQUARE or _strong_tests(n, _PSI_BASES[bisect_right(_PSI, n)])
+    if n < _BOUNDS[-1]:
+        return n < _SMALL_SQUARE or _strong_tests(n, _TIERS[bisect_right(_BOUNDS, n)][1])
     rng = random.Random(n)
     return _strong_tests(n, (rng.randrange(2, n - 1) for _ in range(40)))

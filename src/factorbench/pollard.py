@@ -16,18 +16,17 @@ walk with a gcd after every step. Factors, iteration counts and restarts are
 therefore those of the per-step walk. The first two batches of each walk are
 taken step by step outright, so a short walk does not overshoot and replay.
 
-Between the warm-up and REUSE_STEPS steps the tortoise does not evaluate
-the map. Step i compares x_i with x_{2i+1}, so every value the tortoise needs
-is one the hare computed earlier. The first product batch walks x forward
-once, from x_i to x_{2i+1} = y, and keeps x_{i+1} .. x_{2i+1} in a deque; in
-each later step the tortoise pops its value from the front and the hare
-appends the two it computes, so a step evaluates the map twice in place of
-three times. The deque holds one value per step walked, so at REUSE_STEPS
-steps it is emptied and the walk goes back to three evaluations a step. A
-walk that reaches that cap raises peak RSS by about 14 MB for a 72-bit n and
-26 MB for a 512-bit one (CPython 3.11). Either way the batch product is
-reduced mod n once per two steps, which leaves its residue, and so the gcd,
-as it was.
+Below REUSE_STEPS steps the tortoise does not evaluate the map, except in
+a replay. Step i compares x_i with x_{2i+1}, so every value the tortoise needs is one the hare
+computed earlier. From the first step each walk keeps x_{i+1} .. x_{2i+1} in
+a deque: in each step the hare appends the two values it computes and the
+tortoise pops its value from the front, so a step evaluates the map twice in
+place of three times. The deque holds one value per step walked, so at
+REUSE_STEPS steps it is emptied and the walk goes back to three evaluations
+a step. A walk that reaches that cap raises peak RSS by about 14 MB for a
+72-bit n and 26 MB for a 512-bit one (CPython 3.11). Either way the batch
+product is reduced mod n once per two steps, which leaves its residue, and
+so the gcd, as it was.
 """
 
 from __future__ import annotations
@@ -109,19 +108,21 @@ def pollard_factor(
         trace.restarts = attempt
         y = (x * x + c) % n
         walked = 0
-        ahead = deque()  # x_{i+1} .. x_{2i+1} after step i, below the cap
+        ahead = deque((y,))  # x_{i+1} .. x_{2i+1} after step i, below the cap
         pop, push = ahead.popleft, ahead.append
         while True:
             if walked < _WARMUP:
-                taken, d, x, y = _floyd_steps(x, y, c, n, BATCH)
+                for taken in range(1, BATCH + 1):
+                    push(y := (y * y + c) % n)
+                    push(y := (y * y + c) % n)
+                    x = pop()
+                    if (d := math.gcd(x - y, n)) != 1:
+                        break
             else:
                 x0, y0 = x, y
                 prod = 1
                 if walked >= REUSE_STEPS:
                     ahead.clear()
-                elif walked == _WARMUP:
-                    for _ in range(walked + 1):
-                        push(x := (x * x + c) % n)
                 if ahead:
                     for _ in range(BATCH // 2):
                         push(y := (y * y + c) % n)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +9,32 @@ from hypothesis import strategies as st
 
 from factorbench import arith
 from factorbench.arith import (
-    _PSI,
     _SMALL_PRIMES,
+    _TIERS,
     FIRST_TEN_PRIMES,
     _strong_tests,
     is_probable_prime,
     sqrt_mod_prime,
+)
+from factorbench.pollard import RhoConfig, pollard_factor
+
+# psi_k for k = 1..13 (OEIS A014233; Jaeschke 1993, Sorenson and Webster 2015):
+# the least odd composite that is a strong pseudoprime to each of the first k
+# primes as bases. The first k primes therefore decide every n < psi_k exactly.
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
 )
 
 
@@ -62,6 +83,35 @@ def strong_pseudoprime_to(n, a):
     while d % 2 == 0:
         d, s = d // 2, s + 1
     return pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+
+
+def first_primes_say_prime(n):
+    """Oracle, exact below psi_13: the strong test of n to the first k primes,
+    k the fewest that PSI proves enough for n."""
+    primes = _SMALL_PRIMES[: bisect_right(PSI, n) + 1]
+    if n < 2 or any(n % p == 0 for p in primes):
+        return n in primes
+    return all(strong_pseudoprime_to(n, a) for a in primes)
+
+
+def prime_factors(n):
+    """n's prime factors with multiplicity, split by pollard_factor and each
+    proven prime by the first-primes oracle."""
+    if n == 1:
+        return []
+    if first_primes_say_prime(n):
+        return [n]
+    d, _ = pollard_factor(n, RhoConfig(seed=0))
+    return prime_factors(d) + prime_factors(n // d)
+
+
+def liar_shaped_after(p):
+    """The first p * (2p - 1) from p on with both factors prime: about a
+    quarter of all bases are strong liars to such a product, so its strong
+    tests often get past base 2."""
+    while not (first_primes_say_prime(p) and first_primes_say_prime(2 * p - 1)):
+        p += 1
+    return p * (2 * p - 1)
 
 
 class TestSqrtModPrime:
@@ -122,6 +172,11 @@ class TestIsProbablePrime:
         for n in range(5, 30_000, 2):
             assert _strong_tests(n, random_witnesses(n, 12, rng)) == trial_division_is_prime(n), n
 
+    def test_strong_tests_skip_a_base_n_divides(self):
+        # pow(a, d, n) would be 0 and call the prime 1000003 composite
+        assert _strong_tests(1000003, (2, 5 * 1000003, 3))
+        assert not _strong_tests(1000003 * 2000003, (1000003 * 2000003, 2))
+
     def test_large_known_values(self):
         assert is_probable_prime(2**61 - 1) is True  # Mersenne prime
         assert is_probable_prime(2**67 - 1) is False  # classic composite
@@ -136,13 +191,13 @@ def random_witnesses_say_prime(n):
 class TestExactBelowPsi13:
     def test_table_is_a014233(self):
         # psi_k is a strong pseudoprime to each of the first k prime bases
-        for k, psi in enumerate(_PSI, start=1):
+        for k, psi in enumerate(PSI, start=1):
             assert _strong_tests(psi, _SMALL_PRIMES[:k]), psi
             assert not random_witnesses_say_prime(psi), psi
 
     def test_every_psi_rejected(self):
         # each psi_k sits on a tier edge: the first k bases alone would pass it
-        for psi in _PSI:
+        for psi in PSI:
             assert is_probable_prime(psi) is False, psi
 
     def test_known_primes_across_the_tiers(self):
@@ -159,7 +214,7 @@ class TestExactBelowPsi13:
             assert is_probable_prime(n) is True, n
 
     def test_agrees_with_random_witnesses_around_every_edge(self):
-        for edge in (*_PSI[1:], 10**6):
+        for edge in sorted({*PSI[1:], 10**6, *(bound for bound, _ in _TIERS)}):
             primes = 0
             for n in range((edge - 300) | 1, edge + 300, 2):
                 expected = random_witnesses_say_prime(n)
@@ -167,9 +222,52 @@ class TestExactBelowPsi13:
                 primes += expected
             assert primes > 0, edge
 
+    def test_every_tier_bound_is_a_liar_and_rejected(self):
+        # each odd bound is a composite that every base of its tier passes, so
+        # its tier can reach no further; 2**64 is where the list the record
+        # sets were proven against ends, not their least liar
+        for bound, bases in _TIERS:
+            if bound < 2**64:
+                d, _ = pollard_factor(bound, RhoConfig(seed=0))
+                assert 1 < d < bound and bound % d == 0, bound
+                assert all(strong_pseudoprime_to(bound, a) for a in bases), bound
+            assert is_probable_prime(bound) is False, bound
+        # above 2**64 the tiers are A014233's
+        assert _TIERS[-3][0] == 2**64
+        assert _TIERS[-2:] == ((PSI[11], _SMALL_PRIMES[:12]), (PSI[12], _SMALL_PRIMES[:13]))
+
+    def test_every_divisor_of_a_base_in_its_tier(self):
+        # n skips a base it divides and rests on its tier's other bases
+        checked = set()
+        for low, (bound, bases) in zip((0, *(bound for bound, _ in _TIERS)), _TIERS):
+            for a in bases:
+                divisors = {1}
+                for p in prime_factors(a):
+                    divisors |= {d * p for d in divisors}
+                for d in sorted(divisors):
+                    if low <= d < bound:
+                        assert is_probable_prime(d) == first_primes_say_prime(d), (a, d)
+                        checked.add(d)
+        # 3075593**2 divides 141889084524735 and passes the gcd screen
+        assert 3075593**2 in checked and is_probable_prime(3075593**2) is False
+        assert len(checked) == 178
+
     @given(
-        st.integers(20, _PSI[-1].bit_length())
-        .flatmap(lambda b: st.integers(max(2 ** (b - 1), 10**6), min(2**b, _PSI[-1]) - 2))
+        st.one_of(
+            st.integers(20, 64)
+            .flatmap(lambda b: st.integers(2 ** (b - 1), 2**b - 1))
+            .map(lambda n: n | 1),
+            # p * (2p - 1) of 21 to 64 bits
+            st.integers(2**10, 3 * 10**9).map(liar_shaped_after),
+        )
+    )
+    @settings(max_examples=300)
+    def test_tiers_agree_with_first_primes(self, n):
+        assert is_probable_prime(n) == first_primes_say_prime(n)
+
+    @given(
+        st.integers(20, PSI[-1].bit_length())
+        .flatmap(lambda b: st.integers(max(2 ** (b - 1), 10**6), min(2**b, PSI[-1]) - 2))
         .map(lambda n: n | 1)
     )
     @settings(max_examples=300)
@@ -177,7 +275,7 @@ class TestExactBelowPsi13:
         assert is_probable_prime(n) == random_witnesses_say_prime(n)
 
     def test_generator_drawn_from_only_above_psi13(self, generators):
-        for n in (2**61 - 1, 10**24 + 7, _PSI[-1] - 2):
+        for n in (2**61 - 1, 10**24 + 7, PSI[-1] - 2):
             is_probable_prime(n)
         assert generators == []
         assert is_probable_prime(2**89 - 1)
@@ -192,7 +290,7 @@ class TestExactBelowPsi13:
         needed = []
         for p in itertools.islice(pairs, 40):
             n = p * (2 * p - 1)
-            assert n > _PSI[-1]
+            assert n > PSI[-1]
             generators.clear()
             assert is_probable_prime(n) is False
             [(seed, draws)] = generators

@@ -304,8 +304,9 @@ class TestStoredValuesMatchPerStep:
         (3954169575859, 6, 3449),
     ]
 
-    # with the cap at k batches, batch 3 fills the deque, batch k + 1 is the
-    # first past the cap, and the 3449-step walk runs 22 or more batches past it
+    # with the cap at k batches, the deque fills from the first step, batch
+    # k + 1 is the first past the cap, and the 3449-step walk runs 22 or more
+    # batches past it
     @pytest.mark.parametrize("cap_batches", [2, 3, 4, 5])
     def test_walks_across_the_cap(self, monkeypatch, cap_batches):
         monkeypatch.setattr(pollard, "REUSE_STEPS", cap_batches * BATCH)
