@@ -131,7 +131,13 @@ class QsTrace:
 # walk over more candidates than this polls the deadline first. A prime's
 # first power p**k >= BLOCK with k >= 2 is its flag level, the last sieved:
 # it credits all 255 bits, so every candidate it hits is flagged.
-BLOCK = 1024
+# 1024 was chosen when every candidate sieved past the window cost a trial
+# division; now those hits are C-level credits, and 2048 walks each root
+# half as often. It should not grow further: a faster sieve narrows the
+# acceptance suite's rho < qs margin at 50 bits, bit difference 0, which
+# read 1.31-1.47 at 1024, 1.15-1.41 at 2048 and 1.07-1.22 at 4096 (mean
+# seconds, qs over rho), too near 1 to hold against timing noise.
+BLOCK = 2048
 # The credit levels of a prime below this, like every flag level, credit
 # strided slices of the region; a larger prime's one credit level credits
 # hit by hit and notes its base index on each candidate it divides. It

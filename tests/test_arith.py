@@ -37,6 +37,47 @@ PSI = (
     3317044064679887385961981,
 )
 
+# (tier bound, base, witness) for every base of the tiers up to 2**64: an odd
+# composite below the bound that every other base of the tier passes and
+# this base rejects, so no base of a tier can be dropped. Each is the least
+# found among the odd n below 9080191 and the products (a*m + 1)(b*m + 1)
+# of two primes with m below 10**8 and a < b <= 5 or (a, b) = (1, 6).
+BASE_WITNESSES = (
+    (1373653, 2, 121),
+    (1373653, 3, 2047),
+    (9080191, 31, 65),
+    (9080191, 73, 15),
+    (4759123141, 2, 79381),
+    (4759123141, 7, 916327),
+    (4759123141, 61, 314821),
+    (1122004669633, 2, 97071211),
+    (1122004669633, 13, 4033),
+    (1122004669633, 23, 16705021),
+    (1122004669633, 1662803, 2510569),
+    (55245642489451, 2, 141618181),
+    (55245642489451, 141889084524735, 100943201),
+    (55245642489451, 1199124725622454117, 112828801),
+    (55245642489451, 11096072698276303650, 69485281),
+    (7999252175582851, 2, 1590751),
+    (7999252175582851, 4130806001517, 22761564841),
+    (7999252175582851, 149795463772692060, 36445786081),
+    (7999252175582851, 186635894390467037, 14794081),
+    (7999252175582851, 3967304179347715805, 16571869921),
+    (585226005592931977, 2, 1141262573701),
+    (585226005592931977, 123635709730000, 1792636095421),
+    (585226005592931977, 9233062284813009, 745493761),
+    (585226005592931977, 43835965440333360, 20340216934381),
+    (585226005592931977, 761179012939631437, 2229468697),
+    (585226005592931977, 1263739024124850375, 3517128833653),
+    (2**64, 2, 1921077350011),
+    (2**64, 325, 1411807385341),
+    (2**64, 9375, 443538368977861),
+    (2**64, 28178, 4341937413061),
+    (2**64, 450775, 5517315475561),
+    (2**64, 9780504, 3933464309633),
+    (2**64, 1795265022, 107528788110061),
+)
+
 
 def trial_division_is_prime(n):
     """Oracle: exact primality by trial division."""
@@ -235,6 +276,17 @@ class TestExactBelowPsi13:
         # above 2**64 the tiers are A014233's
         assert _TIERS[-3][0] == 2**64
         assert _TIERS[-2:] == ((PSI[11], _SMALL_PRIMES[:12]), (PSI[12], _SMALL_PRIMES[:13]))
+
+    def test_every_base_of_a_tier_is_needed(self):
+        # a dropped or mistyped base leaves the table and the tiers apart
+        assert [(bound, a) for bound, a, _ in BASE_WITNESSES] == [
+            (bound, a) for bound, bases in _TIERS if bound <= 2**64 for a in bases
+        ]
+        tiers = dict(_TIERS)
+        for bound, a, n in BASE_WITNESSES:
+            assert n % 2 == 1 and n < bound and len(prime_factors(n)) > 1, n
+            assert _strong_tests(n, [b for b in tiers[bound] if b != a]), (a, n)
+            assert not _strong_tests(n, (a,)), (a, n)
 
     def test_every_divisor_of_a_base_in_its_tier(self):
         # n skips a base it divides and rests on its tier's other bases

@@ -428,6 +428,49 @@ class TestQsFactorMatchesReference:
             assert trace.relations_found == ref_relations, sp
 
 
+class TestBlockSize:
+    """Every flagged candidate is confirmed by exact division, so the block
+    size moves only the work: sieving further past the window, and walking
+    each root less often."""
+
+    # 40-60 bits, random_semiprime draws; 31 and 29 are 5-bit factors
+    NUMBERS = (
+        854349083849,
+        652081369837,
+        1915916504851,
+        31449610205879,
+        935007034919939,
+        750571333080311,
+        762697979151961,
+        1452152554904759,
+        12230512372056239,
+        55377770994133661,
+        960989624175709987,
+        609711773872494347,
+    )
+
+    def test_outcomes_do_not_depend_on_the_block_size(self, monkeypatch):
+        outcomes = {}
+        for block in (1024, 2048, 4096):
+            monkeypatch.setattr(sieve, "BLOCK", block)
+            monkeypatch.setattr(sieve, "_BLOCK0_CUTS", (0, *(1 << e for e in range(block.bit_length() - 1))))
+            outcomes[block] = [qs_factor(n) for n in self.NUMBERS]
+        assert outcomes[1024] == outcomes[2048] == outcomes[4096]
+        assert [g for g, _ in outcomes[1024] if g.bit_length() == 5] == [31, 29]
+        # a power of 2, 3, 5 or 7 of at least 4096 is at or past the flag
+        # level at every size, so the last window of 762697979151961 holds
+        # a candidate every size flags and division turns down
+        n = self.NUMBERS[6]
+        _, trace = outcomes[1024][6]
+        fb = build_factor_base(trace.final_b)
+        s = math.isqrt(n) + 1
+        window = ((s + i) ** 2 - n for i in range(trace.final_m))
+        assert any(
+            any(a % q == 0 for q in (2**12, 3**8, 5**6, 7**5)) and smooth_decompose(a, fb) is None
+            for a in window
+        )
+
+
 class TestScannerMatchesReference:
     """The incremental scanner must reproduce fresh rescans exactly."""
 
