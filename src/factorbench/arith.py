@@ -55,8 +55,7 @@ _BOUNDS = tuple(bound for bound, _ in _TIERS)
 
 
 def _sieve_upto(bound: int) -> list[int]:
-    if bound < 2:
-        return []
+    """Every prime up to bound >= 2."""
     flags = bytearray(b"\x01") * (bound + 1)
     flags[0] = flags[1] = 0
     for p in range(2, math.isqrt(bound) + 1):

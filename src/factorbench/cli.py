@@ -4,9 +4,13 @@ Exit codes: 0 success, 1 usage, I/O, generation or verification error,
 2 prime input, 3 timeout or exhausted search. `factor` exits by the status
 of its `bench.run_attempt` call: a spent budget is `timeout`, a round or
 restart cap `exhausted`, a perfect square `success`, a bad factor `error`
-(exit 1, one line on stderr); anything else propagates. `factor` and
-`bench` take their seed from FACTORBENCH_SEED when --seed is absent, then
-0; `gen-dataset` uses the spec's own seed unless --seed overrides it.
+(exit 1, one line on stderr); anything else propagates. `factor --algo
+auto` runs pollard below DEFAULT_AUTO_THRESHOLD_BITS bits and the sieve
+from there.
+Every setting is on the command line, and no environment variable is read.
+`factor` and `bench` share --timeout and --seed, whose defaults are
+`BenchConfig`'s, as are `bench`'s other defaults and algorithm names;
+`gen-dataset` uses the spec's own seed unless --seed overrides it.
 `factor` checks n by `primegen.check_n` and, like `bench`, its budget by
 `BenchConfig` and its sieve settings by `QsParams`, so a rejection prints
 the library's own text.
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import sys
 from collections import Counter
 from contextlib import ExitStack, contextmanager
@@ -30,6 +33,7 @@ from pathlib import Path
 from . import errors
 from .arith import is_probable_prime
 from .bench import (
+    ALGORITHMS,
     STATUSES,
     BenchConfig,
     read_results_csv,
@@ -83,39 +87,23 @@ def _names(text: str) -> tuple[str, ...]:
     return tuple(name.strip() for name in text.split(",") if name.strip())
 
 
-def _default_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("FACTORBENCH_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"FACTORBENCH_SEED is not an integer: {env!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="factorbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_factor = sub.add_parser("factor", help="factor one number")
+    run = argparse.ArgumentParser(add_help=False)  # the settings factor and bench share
+    run.add_argument("--timeout", type=float, default=BenchConfig.budget_seconds, help="seconds")
+    run.add_argument("--seed", type=int, default=BenchConfig.seed)
+
+    p_factor = sub.add_parser("factor", parents=[run], help="factor one number")
     p_factor.set_defaults(handler=_cmd_factor)
     p_factor.add_argument("n", help="positive integer >= 2, base 10")
-    p_factor.add_argument("--algo", choices=["pollard", "qs", "auto"], default="auto")
-    p_factor.add_argument("--timeout", type=float, default=180.0, help="seconds (default 180)")
-    p_factor.add_argument("--seed", type=int, default=None)
+    p_factor.add_argument("--algo", choices=[*ALGORITHMS, "auto"], default="auto")
     p_factor.add_argument(
         "--b", type=int, default=QsParams.b_bound, help=f"sieve smooth bound start, 2 to {MAX_B_BOUND}"
     )
     p_factor.add_argument(
         "--m", type=int, default=QsParams.m_count, help=f"sieve scan window start, 1 to {MAX_M_COUNT}"
-    )
-    p_factor.add_argument(
-        "--auto-threshold",
-        type=int,
-        default=DEFAULT_AUTO_THRESHOLD_BITS,
-        help="bit length at which auto switches from pollard to the sieve",
     )
 
     p_gen = sub.add_parser("gen-dataset", help="generate a semiprime dataset CSV")
@@ -124,16 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True, help="output CSV path")
     p_gen.add_argument("--seed", type=int, default=None, help="override the seed in the JSON file")
 
-    p_bench = sub.add_parser("bench", help="run the algorithms over a dataset CSV")
+    p_bench = sub.add_parser("bench", parents=[run], help="run the algorithms over a dataset CSV")
     p_bench.set_defaults(handler=_cmd_bench)
     p_bench.add_argument("--dataset", required=True)
     p_bench.add_argument("--out", required=True, help="results CSV path")
-    p_bench.add_argument(
-        "--algos", default="pollard,qs", help="comma-separated subset of: pollard,qs"
-    )
-    p_bench.add_argument("--timeout", type=float, default=180.0, help="seconds per attempt")
-    p_bench.add_argument("--workers", type=int, default=1)
-    p_bench.add_argument("--seed", type=int, default=None)
+    algos = ",".join(ALGORITHMS)
+    p_bench.add_argument("--algos", default=algos, help=f"comma-separated subset of: {algos}")
+    p_bench.add_argument("--workers", type=int, default=BenchConfig.workers)
     p_bench.add_argument("--progress", action="store_true", help="print one line per attempt")
 
     p_report = sub.add_parser("report", help="render Markdown tables from results CSV")
@@ -153,11 +138,11 @@ def _cmd_factor(args) -> int:
         check_n(n)
         algo = args.algo
         if algo == "auto":
-            algo = "pollard" if n.bit_length() < args.auto_threshold else "qs"
+            algo = "pollard" if n.bit_length() < DEFAULT_AUTO_THRESHOLD_BITS else "qs"
         cfg = BenchConfig(
             budget_seconds=args.timeout,
             algorithms=(algo,),
-            seed=_default_seed(args.seed),
+            seed=args.seed,
             qs_params=QsParams(b_bound=args.b, m_count=args.m),
         )
     if is_probable_prime(n):
@@ -193,7 +178,7 @@ def _cmd_bench(args) -> int:
         cfg = BenchConfig(
             budget_seconds=args.timeout,
             algorithms=_names(args.algos),
-            seed=_default_seed(args.seed),
+            seed=args.seed,
             workers=args.workers,
         )
     with _usage_on(f"cannot read dataset {args.dataset}: ", OSError, ValueError):

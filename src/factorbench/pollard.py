@@ -65,17 +65,18 @@ class RhoTrace:
     restarts: int = 0
 
 
-def _floyd_steps(x: int, y: int, c: int, n: int, steps: int) -> tuple[int, int, int, int]:
-    """Up to `steps` Floyd steps with a gcd after each, stopping at the first
-    gcd != 1. Returns (steps taken, that gcd or 1, x, y)."""
-    for taken in range(1, steps + 1):
+def _floyd_steps(x: int, y: int, c: int, n: int) -> tuple[int, int]:
+    """Replay a batch of BATCH Floyd steps from its saved start with a gcd
+    after each. Returns (steps taken, the first gcd != 1). A batch is
+    replayed only when the gcd of its product with n is not 1, so some
+    step's gcd is not 1 and the replay returns inside the batch."""
+    for taken in range(1, BATCH + 1):
         x = (x * x + c) % n
         y = (y * y + c) % n
         y = (y * y + c) % n
         d = math.gcd(x - y, n)
         if d != 1:
-            return taken, d, x, y
-    return steps, 1, x, y
+            return taken, d
 
 
 def pollard_factor(
@@ -144,7 +145,7 @@ def pollard_factor(
                         prod = prod * e * (x - y) % n
                 taken, d = BATCH, math.gcd(prod, n)
                 if d != 1:
-                    taken, d, x, y = _floyd_steps(x0, y0, c, n, BATCH)
+                    taken, d = _floyd_steps(x0, y0, c, n)
             trace.iterations += taken
             if d != 1:
                 if d != n:

@@ -167,6 +167,18 @@ class TestSqrtModPrime:
         with pytest.raises(ValueError):
             sqrt_mod_prime(1, 1)
 
+    @pytest.mark.parametrize(
+        "c, p",
+        [
+            (1, 9),  # no z in [2, 9) has z**4 = -1 (mod 9)
+            (16, 85),  # after one step, t = 69 is not 1 and m = 1 leaves no i
+        ],
+    )
+    def test_composite_modulus_detected(self, c, p):
+        # each Tonelli-Shanks guard against a composite p = 1 (mod 4)
+        with pytest.raises(ValueError, match=f"{p} is not a prime"):
+            sqrt_mod_prime(c, p)
+
     def test_matches_brute_force_below_300(self):
         for p in range(2, 300):
             if not trial_division_is_prime(p):

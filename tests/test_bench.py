@@ -294,6 +294,10 @@ class TestRunAttemptStatuses:
             assert (outcome.status == "error") == is_probable_prime(n), (algorithm, outcome)
             assert outcome.elapsed_seconds <= budget + TIMEOUT_SLACK_SECONDS
 
+    def test_unknown_algorithm_rejected(self):
+        with pytest.raises(ValueError, match="unknown algorithm 'ecm'"):
+            run_attempt("ecm", 15, 0, 1.0)
+
     def test_other_exceptions_propagate(self, monkeypatch):
         def broken(n, params, budget):
             raise ValueError("a bug in the sieve")

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -76,11 +77,21 @@ class TestFactorCommand:
         assert code == 0
         assert out.splitlines()[0] == "8051 = 83 * 97"
 
-    def test_auto_threshold_routes_to_sieve(self, capsys):
-        # 8051 is 13 bits; a threshold of 4 forces the sieve path
-        code, out, _ = run_cli(capsys, "factor", "8051", "--auto-threshold", "4")
-        assert code == 0
-        assert out.splitlines()[0] == "8051 = 83 * 97"
+    def test_auto_sends_80_bits_to_sieve(self, capsys, monkeypatch):
+        # 3 times a 79-bit prime: the sieve's first round returns 3
+        n = 906694364710971881029653
+        assert n.bit_length() == 80 >= factorbench.cli.DEFAULT_AUTO_THRESHOLD_BITS
+        calls = []
+        real_qs_factor = factorbench.bench.qs_factor
+
+        def spy(*args):
+            calls.append(args[0])
+            return real_qs_factor(*args)
+
+        monkeypatch.setattr(factorbench.bench, "qs_factor", spy)
+        code, out, _ = run_cli(capsys, "factor", str(n))
+        assert (code, calls) == (0, [n])
+        assert out.splitlines()[0] == f"{n} = 3 * 302231454903657293676551"
 
     def test_perfect_square_completes(self, capsys):
         code, out, _ = run_cli(capsys, "factor", str(101 * 101), "--algo", "qs")
@@ -104,21 +115,11 @@ class TestFactorCommand:
         assert set(EXIT_CODES) == set(STATUSES)
 
     def test_unknown_flag_rejected(self, capsys):
-        code, _, _ = run_cli(capsys, "factor", "8051", "--bogus")
-        assert code == 1
-
-    def test_env_seed_used(self, capsys, monkeypatch):
-        monkeypatch.setenv("FACTORBENCH_SEED", "7")
-        code, out, _ = run_cli(capsys, "factor", "8051", "--algo", "pollard")
-        assert code == 0
-        assert out.splitlines()[0] == "8051 = 83 * 97"
-
-    def test_invalid_env_seed_reported(self, capsys, monkeypatch):
-        _bad_env_seed(monkeypatch)
-        code, out, err = run_cli(capsys, "factor", "8051", "--algo", "pollard")
-        assert code == 1
-        assert out == ""
-        assert "FACTORBENCH_SEED" in err and "'abc'" in err
+        # auto's threshold is the constant DEFAULT_AUTO_THRESHOLD_BITS, not an option
+        for flags in (["--bogus"], ["--auto-threshold", "4"]):
+            code, out, err = run_cli(capsys, "factor", "8051", *flags)
+            assert (code, out) == (1, "")
+            assert f"unrecognized arguments: {' '.join(flags)}" in err
 
     def test_smooth_bound_below_two_rejected(self, capsys):
         code, out, err = run_cli(capsys, "factor", "8051", "--algo", "qs", "--b", "1")
@@ -194,12 +195,18 @@ class TestGenDatasetCommand:
         assert not out_csv.exists()
 
     def test_env_seed_ignored(self, capsys, tmp_path, monkeypatch):
+        # a run's records follow from its command line: with FACTORBENCH_SEED
+        # set, each command writes the CSV it writes without, but for bench's times
         spec = _write_spec(tmp_path / "spec.json", 3, 8, 12, 20, count=3)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run_cli(capsys, "gen-dataset", "--spec", spec, "--out", str(a))[0] == 0
-        monkeypatch.setenv("FACTORBENCH_SEED", "5")
-        assert run_cli(capsys, "gen-dataset", "--spec", spec, "--out", str(b))[0] == 0
-        assert a.read_bytes() == b.read_bytes()
+        data = str(tmp_path / "data.csv")
+        assert main(["gen-dataset", "--spec", spec, "--out", data]) == 0
+        for argv in (["gen-dataset", "--spec", spec], ["bench", "--dataset", data]):
+            plain, seeded = tmp_path / "plain.csv", tmp_path / "seeded.csv"
+            monkeypatch.delenv("FACTORBENCH_SEED", raising=False)
+            assert run_cli(capsys, *argv, "--out", str(plain))[0] == 0
+            monkeypatch.setenv("FACTORBENCH_SEED", "7")
+            assert run_cli(capsys, *argv, "--out", str(seeded))[0] == 0
+            assert _without_times(plain) == _without_times(seeded), argv[0]
 
 
 class TestBenchCommand:
@@ -401,7 +408,6 @@ class TestParser:
         src = str(Path(factorbench.cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
-        env.pop("FACTORBENCH_SEED", None)
         proc = subprocess.run(
             [sys.executable, "-m", "factorbench", "factor", "8051", "--seed", "7"],
             capture_output=True, text=True, env=env, timeout=60,
@@ -415,8 +421,12 @@ def _bad_factor(monkeypatch):
     monkeypatch.setattr(factorbench.bench, "pollard_factor", lambda n, cfg, budget: (n, RhoTrace()))
 
 
-def _bad_env_seed(monkeypatch):
-    monkeypatch.setenv("FACTORBENCH_SEED", "abc")
+def _without_times(path):
+    """The rows of a CSV file, less any elapsed_seconds column."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    keep = [i for i, name in enumerate(rows[0]) if name != "elapsed_seconds"]
+    return [[row[i] for i in keep] for row in rows]
 
 
 def _violation(monkeypatch):
@@ -447,12 +457,6 @@ USAGE_FAILURES = [
     ("factor-timeout-zero", ["factor", "8051", "--timeout", "0"], None, BUDGET),
     ("factor-timeout-negative", ["factor", "8051", "--timeout=-1"], None, BUDGET),
     ("factor-timeout-nan", ["factor", "8051", "--timeout", "nan"], None, BUDGET),
-    (
-        "factor-env-seed",
-        ["factor", "8051"],
-        _bad_env_seed,
-        "FACTORBENCH_SEED is not an integer: 'abc'\n",
-    ),
     ("factor-b-one", ["factor", "8051", "--b", "1"], None, "b_bound must be >= 2\n"),
     ("factor-m-zero", ["factor", "8051", "--m", "0"], None, "m_count must be >= 1\n"),
     (
@@ -566,12 +570,6 @@ USAGE_FAILURES = [
         ["bench", "--dataset", "{tmp}/data.csv", "--out", "{tmp}/r.csv", "--timeout", "0"],
         None,
         BUDGET,
-    ),
-    (
-        "bench-env-seed",
-        ["bench", "--dataset", "{tmp}/data.csv", "--out", "{tmp}/r.csv"],
-        _bad_env_seed,
-        "FACTORBENCH_SEED is not an integer: 'abc'\n",
     ),
     (
         "bench-missing-dataset",

@@ -36,6 +36,10 @@ class TestBitMatrix:
     def test_empty(self):
         assert eliminate(BitMatrix(0, [])) == []
 
+    def test_rejects_negative_width(self):
+        with pytest.raises(ValueError, match="n_cols must be non-negative"):
+            BitMatrix(-1)
+
 
 class TestDependency:
     def test_nonempty_required(self):

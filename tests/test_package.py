@@ -121,6 +121,19 @@ def test_every_src_definition_has_a_production_use():
     assert [name for name in src_definitions_without_a_use() if name not in allowed] == []
 
 
+def test_no_src_module_reads_the_environment():
+    # a run's settings come from its command line and the files it names
+    reads = []
+    for path in sorted((ROOT / "src" / "factorbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in {"environ", "getenv"}:
+                reads.append(f"{path.name}:{node.lineno} {name}")
+    assert reads == []
+
+
 def readme_text():
     """README.md less its code fences."""
     return re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)

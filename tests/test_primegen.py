@@ -199,6 +199,14 @@ class TestGenerateDataset:
         with pytest.raises(ValueError):
             RandomGroup(1, 4)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [((0, 2, 3, 5), "count must be >= 1"), ((1, 1, 4, 5), "prime bit lengths must be >= 2")],
+    )
+    def test_fixed_group_validated(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            FixedGroup(*args)
+
     def test_loose_resampling_is_capped(self):
         message = "^no distinct 2/2-bit primes after 10000 attempts$"
         with pytest.raises(GenerationError, match=message):
@@ -306,6 +314,7 @@ class TestSpecParsing:
             ({"seed": 0, "groups": [{"count": 1.5, "p_bits": 5, "q_bits": 5, "n_bits": 10}]}, "groups[0].count"),
             ({"seed": 0, "random_groups": [{"count": False, "max_product_bits": 9}]}, "random_groups[0].count"),
             ({"seed": 0, "random_groups": [{"count": 1, "max_product_bits": 7.5}]}, "random_groups[0].max_product_bits"),
+            ([], "must be a JSON object"),
         ],
     )
     def test_malformed_field_named(self, doc, field):
