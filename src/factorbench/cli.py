@@ -12,19 +12,23 @@ Every setting is on the command line, and no environment variable is read.
 `BenchConfig`'s, as are `bench`'s other defaults and algorithm names;
 `gen-dataset` uses the spec's own seed unless --seed overrides it.
 `factor` checks n by `primegen.check_n` and, like `bench`, its budget by
-`BenchConfig` and its sieve settings by `QsParams`, so a rejection prints
-the library's own text.
+`BenchConfig`, so a rejection prints the library's own text. `factor` and
+`bench` run the sieve at `QsParams()`'s defaults; `report` renders every
+table.
 A usage, I/O, generation or verification failure is raised where it
-happens and reported once by `main`: its message on stderr, exit 1. Every
-other exception propagates with its traceback. `report` renders its
-Markdown and the optional points CSV before it writes either, and removes
-what it wrote when a later write fails, so a failed call leaves no output.
+happens and reported once by `main`: its message on stderr, exit 1. A
+stdout closed by its reader ends the command at its next write with exit
+1 and no message. Every other exception propagates with its traceback.
+`report` renders its Markdown and the optional points CSV before it writes
+either, and removes what it wrote when a later write fails, so a failed
+call leaves no output.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from collections import Counter
 from contextlib import ExitStack, contextmanager
@@ -45,8 +49,7 @@ from .bench import (
 from .primegen import (
     check_n, generate_dataset, load_dataset_spec, read_dataset_csv, write_dataset_csv
 )
-from .report import TABLE_NAMES, points_csv, render_report
-from .sieve import MAX_B_BOUND, MAX_M_COUNT, QsParams
+from .report import points_csv, render_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,12 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_factor.set_defaults(handler=_cmd_factor)
     p_factor.add_argument("n", help="positive integer >= 2, base 10")
     p_factor.add_argument("--algo", choices=[*ALGORITHMS, "auto"], default="auto")
-    p_factor.add_argument(
-        "--b", type=int, default=QsParams.b_bound, help=f"sieve smooth bound start, 2 to {MAX_B_BOUND}"
-    )
-    p_factor.add_argument(
-        "--m", type=int, default=QsParams.m_count, help=f"sieve scan window start, 1 to {MAX_M_COUNT}"
-    )
 
     p_gen = sub.add_parser("gen-dataset", help="generate a semiprime dataset CSV")
     p_gen.set_defaults(handler=_cmd_gen_dataset)
@@ -125,9 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(handler=_cmd_report)
     p_report.add_argument("--results", required=True)
     p_report.add_argument("--out", required=True, help="Markdown output path")
-    p_report.add_argument(
-        "--tables", default=",".join(TABLE_NAMES), help=f"subset of: {','.join(TABLE_NAMES)}"
-    )
     p_report.add_argument("--points-csv", default=None, help="optional scatter CSV path")
     return parser
 
@@ -139,20 +133,16 @@ def _cmd_factor(args) -> int:
         algo = args.algo
         if algo == "auto":
             algo = "pollard" if n.bit_length() < DEFAULT_AUTO_THRESHOLD_BITS else "qs"
-        cfg = BenchConfig(
-            budget_seconds=args.timeout,
-            algorithms=(algo,),
-            seed=args.seed,
-            qs_params=QsParams(b_bound=args.b, m_count=args.m),
-        )
+        cfg = BenchConfig(budget_seconds=args.timeout, algorithms=(algo,), seed=args.seed)
     if is_probable_prime(n):
         print(f"{n} is prime")
         return EXIT_PRIME
     outcome = run_attempt(algo, n, cfg.seed, cfg.budget_seconds, cfg.qs_params)
     if outcome.status == "success":
         p, q = sorted((outcome.factor, n // outcome.factor))
-        print(f"{n} = {p} * {q}")
-        print(f"elapsed_seconds {outcome.elapsed_seconds:.7f}")
+        # one write, so a reader that takes the first line and closes the
+        # pipe cannot do so between the two
+        sys.stdout.write(f"{n} = {p} * {q}\nelapsed_seconds {outcome.elapsed_seconds:.7f}\n")
     elif outcome.status == "timeout":
         print(f"timeout: no factor of {n} within {cfg.budget_seconds} s")
     elif outcome.status == "exhausted":
@@ -209,13 +199,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    tables = _names(args.tables)
-    if not tables:
-        raise _Usage(f"no tables given; valid: {', '.join(TABLE_NAMES)}")
     with _usage_on(f"cannot read results {args.results}: ", OSError, ValueError):
         records = read_results_csv(args.results)
-    with _usage_on("", ValueError):
-        document = render_report(records, tables)
+    document = render_report(records)
     points = points_csv(records) if args.points_csv else None
     with _usage_on("cannot write report output: ", OSError), ExitStack() as undo:
         Path(args.out).write_text(document, encoding="utf-8")
@@ -236,6 +222,14 @@ def main(argv=None) -> int:
         return args.handler(args)
     except _Usage as exc:
         print(exc, file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout; pointing it at devnull keeps the
+        # interpreter's flush at exit from raising again (the SIGPIPE note
+        # in the `signal` module's documentation)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_USAGE
 
 

@@ -49,7 +49,7 @@ class TestFactorCommand:
         assert "prime" in out
 
     def test_qs_worked_example(self, capsys):
-        code, out, _ = run_cli(capsys, "factor", "400289", "--algo", "qs", "--b", "7", "--m", "1")
+        code, out, _ = run_cli(capsys, "factor", "400289", "--algo", "qs")
         assert code == 0
         assert out.splitlines()[0] == "400289 = 613 * 653"
 
@@ -115,23 +115,12 @@ class TestFactorCommand:
         assert set(EXIT_CODES) == set(STATUSES)
 
     def test_unknown_flag_rejected(self, capsys):
-        # auto's threshold is the constant DEFAULT_AUTO_THRESHOLD_BITS, not an option
-        for flags in (["--bogus"], ["--auto-threshold", "4"]):
+        # auto's threshold is the constant DEFAULT_AUTO_THRESHOLD_BITS, and the
+        # sieve runs at QsParams()'s defaults: neither is an option
+        for flags in (["--bogus"], ["--auto-threshold", "4"], ["--b", "7"], ["--m", "1"]):
             code, out, err = run_cli(capsys, "factor", "8051", *flags)
             assert (code, out) == (1, "")
             assert f"unrecognized arguments: {' '.join(flags)}" in err
-
-    def test_smooth_bound_below_two_rejected(self, capsys):
-        code, out, err = run_cli(capsys, "factor", "8051", "--algo", "qs", "--b", "1")
-        assert code == 1
-        assert out == ""
-        assert "b_bound" in err
-
-    def test_empty_window_rejected(self, capsys):
-        code, out, err = run_cli(capsys, "factor", "8051", "--algo", "qs", "--m", "0")
-        assert code == 1
-        assert out == ""
-        assert "m_count" in err
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_nonpositive_timeout_rejected(self, capsys, value):
@@ -331,20 +320,15 @@ class TestReportCommand:
         ):
             assert heading in doc
 
-    def test_single_table_selection(self, capsys, tmp_path, results):
-        out_md = str(tmp_path / "report.md")
-        code, _, _ = run_cli(capsys, "report", "--results", results, "--out", out_md, "--tables", "avg-runtime")
-        assert code == 0
-        doc = open(out_md).read()
-        assert "Mean runtime" in doc
-        assert "Failure counts" not in doc
-
-    def test_unknown_table_rejected(self, capsys, tmp_path, results):
-        code, _, err = run_cli(
-            capsys, "report", "--results", results, "--out", str(tmp_path / "r.md"), "--tables", "bogus"
+    def test_unknown_flag_rejected(self, capsys, tmp_path, results):
+        # every report renders all the tables
+        out_md = tmp_path / "r.md"
+        code, out, err = run_cli(
+            capsys, "report", "--results", results, "--out", str(out_md), "--tables", "avg-runtime"
         )
-        assert code == 1
-        assert "failure-counts" in err  # error lists the valid names
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --tables avg-runtime" in err
+        assert not out_md.exists()
 
     def test_points_csv_export(self, capsys, tmp_path, results):
         out_md = str(tmp_path / "report.md")
@@ -356,15 +340,6 @@ class TestReportCommand:
         lines = open(points).read().splitlines()
         assert lines[0] == "n_bits,algorithm,elapsed_seconds,status"
         assert len(lines) == 7  # header + 3 semiprimes x 2 algorithms
-
-    def test_empty_table_list_rejected(self, capsys, tmp_path, results):
-        out_md = tmp_path / "r.md"
-        code, _, err = run_cli(
-            capsys, "report", "--results", results, "--out", str(out_md), "--tables", ","
-        )
-        assert code == 1
-        assert "failure-counts" in err
-        assert not out_md.exists()
 
     def test_unwritable_out(self, capsys, tmp_path, results):
         out_md = tmp_path / "no-such-dir" / "report.md"
@@ -416,6 +391,55 @@ class TestParser:
         assert proc.stdout.splitlines()[0] == "8051 = 83 * 97"
 
 
+class _ClosingPipe:
+    """A stdout whose reader closes it after the first line, as `| head -n 1`
+    does: every write after the first newline raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.text, self.fd = "", fd
+
+    def write(self, text):
+        if "\n" in self.text:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.text += text
+        return len(text)
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+class TestClosedStdout:
+    # set in the test body: capture resumes between setup and call, and would
+    # put its own stdout back over one a fixture set
+    @pytest.fixture
+    def pipe(self, tmp_path):
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        yield _ClosingPipe(fd)
+        os.close(fd)
+
+    def test_factor_writes_its_answer_at_once(self, capsys, monkeypatch, pipe):
+        monkeypatch.setattr(sys, "stdout", pipe)
+        assert main(["factor", "400289", "--algo", "qs"]) == 0
+        assert re.fullmatch(r"400289 = 613 \* 653\nelapsed_seconds \d+\.\d{7}\n", pipe.text)
+        assert capsys.readouterr().err == ""
+
+    def test_bench_ends_quietly_at_the_next_write(self, capsys, monkeypatch, tmp_path, pipe):
+        monkeypatch.setattr(sys, "stdout", pipe)
+        data, results = tmp_path / "data.csv", tmp_path / "r.csv"
+        data.write_text(DATASET_HEADER + "8051,83,97,7,7,13\n581363,29,20047,5,15,20\n")
+        argv = ["bench", "--dataset", str(data), "--out", str(results), "--progress"]
+        assert main(argv) == 1
+        assert pipe.text.startswith("[1/4] pollard n=8051 success ")
+        assert capsys.readouterr().err == ""
+        assert not results.exists()
+        # the closed stream's descriptor now leads to the null device, so the
+        # interpreter's flush at exit has nowhere to fail
+        assert os.path.samestat(os.fstat(pipe.fd), os.stat(os.devnull))
+
+
 def _bad_factor(monkeypatch):
     # a factor of n itself is a bug in the algorithm: run_attempt records `error`
     monkeypatch.setattr(factorbench.bench, "pollard_factor", lambda n, cfg, budget: (n, RhoTrace()))
@@ -442,7 +466,6 @@ def _violation(monkeypatch):
 
 
 NO_SUCH_FILE = "[Errno 2] No such file or directory: "
-TABLE_LIST = "failure-counts, success-by-bitdiff, avg-runtime, head-to-head, complexity"
 BUDGET = "budget_seconds must be positive\n"
 
 # (id, argv with {tmp} for the test's directory, patch or None, exact stderr)
@@ -457,20 +480,6 @@ USAGE_FAILURES = [
     ("factor-timeout-zero", ["factor", "8051", "--timeout", "0"], None, BUDGET),
     ("factor-timeout-negative", ["factor", "8051", "--timeout=-1"], None, BUDGET),
     ("factor-timeout-nan", ["factor", "8051", "--timeout", "nan"], None, BUDGET),
-    ("factor-b-one", ["factor", "8051", "--b", "1"], None, "b_bound must be >= 2\n"),
-    ("factor-m-zero", ["factor", "8051", "--m", "0"], None, "m_count must be >= 1\n"),
-    (
-        "factor-b-above-limit",
-        ["factor", "8051", "--b", "1000001"],
-        None,
-        "b_bound must be <= 1000000\n",
-    ),
-    (
-        "factor-m-above-limit",
-        ["factor", "8051", "--m", "1000001"],
-        None,
-        "m_count must be <= 1000000\n",
-    ),
     (
         "factor-n-above-limit",
         ["factor", str(2**512)],
@@ -602,18 +611,6 @@ USAGE_FAILURES = [
         f"cannot write {{tmp}}/no-such-dir/r.csv: {NO_SUCH_FILE}'{{tmp}}/no-such-dir/r.csv'\n",
     ),
     (
-        "report-unknown-tables",
-        ["report", "--results", "{tmp}/results.csv", "--out", "{tmp}/r.md", "--tables", "bogus"],
-        None,
-        f"unknown tables ['bogus']; valid names: {TABLE_LIST}\n",
-    ),
-    (
-        "report-empty-tables",
-        ["report", "--results", "{tmp}/results.csv", "--out", "{tmp}/r.md", "--tables", ","],
-        None,
-        f"no tables given; valid: {TABLE_LIST}\n",
-    ),
-    (
         "report-unreadable-results",
         ["report", "--results", "{tmp}/nope.csv", "--out", "{tmp}/r.md"],
         None,
@@ -627,10 +624,7 @@ USAGE_FAILURES = [
     ),
     (
         "report-nan-elapsed",
-        [
-            "report", "--results", "{tmp}/nan-elapsed.csv", "--out", "{tmp}/r.md",
-            "--tables", "avg-runtime",
-        ],
+        ["report", "--results", "{tmp}/nan-elapsed.csv", "--out", "{tmp}/r.md"],
         None,
         "cannot read results {tmp}/nan-elapsed.csv: "
         "line 2: elapsed_seconds 'nan' is not finite and >= 0\n",

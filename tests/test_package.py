@@ -1,3 +1,4 @@
+import argparse
 import ast
 import builtins
 import importlib
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 import factorbench
+from factorbench.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERBENCH = ROOT / "layerbench"
@@ -180,3 +182,21 @@ def test_readme_code_names_resolve():
         if m.name != "__main__"  # importing it runs the CLI
     ]
     assert sorted(name for name in camel if not any(hasattr(m, name) for m in modules)) == []
+
+
+def test_readme_and_cli_name_the_same_flags():
+    (subcommands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        option
+        for parser in subcommands.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    # the pip and pytest lines name those tools' flags, not the CLI's
+    lines = (ROOT / "README.md").read_text().splitlines()
+    text = "\n".join(line for line in lines if not re.match(r"\s*(pip|pytest)\b", line))
+    readme = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
+    assert {"--algo", "--points-csv", "--help"} <= options
+    assert sorted(readme - options) == []
+    assert sorted(options - readme - {"--help"}) == []
