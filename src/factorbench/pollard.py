@@ -3,9 +3,18 @@
 The sequence x_{i+1} = x_i^2 + c (mod n) is walked at single and double
 speed; gcd(|x - y|, n) exposes a factor once the two walkers collide modulo
 a prime divisor of n. Two pre-checks run first: a primality test (a prime
-input would loop forever) and trial division by the ten smallest primes.
-A walk whose walkers meet modulo n itself (gcd = n) restarts with a fresh
-constant and start point, for at most MAX_RESTARTS walks in all.
+has no factor to find, so it is NotComposite) and trial division by the ten
+smallest primes. A walk whose walkers meet modulo n itself (gcd = n)
+restarts with a fresh constant and start point, for at most MAX_RESTARTS
+walks in all.
+
+Each walk ends within n steps, so a call with no budget ends too. The map
+x -> x^2 + c (mod n) has a tail mu and a cycle lam with mu + lam <= n. Step
+i compares x_i with x_{2i+1}, so the walkers meet modulo n at the least
+i >= max(mu, 1) with lam | i + 1, which is at most n - 1, and a gcd != 1
+comes no later. The batch holding that step starts below n, so the walk's
+loop runs over range(0, n, BATCH); were the range ever to run out, the walk
+would fall through to the next restart, as a meeting does.
 
 The walk takes one gcd per batch of `BATCH` steps (Brent 1980): it
 multiplies the differences x - y of the batch together modulo n and takes
@@ -108,10 +117,9 @@ def pollard_factor(
         x = rng.randrange(1, n)
         trace.restarts = attempt
         y = (x * x + c) % n
-        walked = 0
         ahead = deque((y,))  # x_{i+1} .. x_{2i+1} after step i, below the cap
         pop, push = ahead.popleft, ahead.append
-        while True:
+        for walked in range(0, n, BATCH):
             if walked < _WARMUP:
                 for taken in range(1, BATCH + 1):
                     push(y := (y * y + c) % n)
@@ -151,6 +159,5 @@ def pollard_factor(
                 if d != n:
                     return d, trace
                 break  # walkers met; restart with fresh c and x0
-            walked += BATCH
             deadline.check()
     raise Exhausted(f"no nontrivial factor of {n} in {MAX_RESTARTS} restarts", trace=trace)

@@ -26,12 +26,26 @@ from .errors import GenerationError
 # is far above 1/2 and the cap is only ever hit on unsatisfiable requests.
 MAX_RESAMPLE_ATTEMPTS = 10_000
 
+# Draws of one random prime: at most 10 000. An odd b-bit candidate is prime
+# with probability about 2 / (b ln 2), which falls with b: about 1 in 177 at
+# 512 bits, wider than any prime a spec can ask for, so 10 000 draws all
+# miss with probability about (1 - 1/177)**10_000, or 3e-25. It is a range
+# built once: random_prime runs once per prime, and building the range in
+# each call slowed generation of 5-25-bit primes by 1-2 %.
+PRIME_DRAWS = range(10_000)
+
 # Widest n the program takes in: a spec's product, a CSV row's n or the
 # number handed to `factor`. Far above any committed spec, it keeps a random
 # group's list of admissible (p_bits, q_bits) pairs, about MAX_BITS**2 / 2
 # of them, a fixed group's prime search and every unpolled primality test
 # small.
 MAX_BITS = 512
+
+# Most rows a parsed spec may ask for, summed over its groups' counts. The
+# slowest group accepted, 512-bit products of a 2-bit and a 510-bit prime,
+# generates 13-14 rows per CPU second (2-core VM, Python 3.11.7), so the
+# largest spec accepted generates in under 13 minutes.
+MAX_SPEC_ROWS = 10_000
 
 DATASET_CSV_HEADER = ["n", "p", "q", "p_bits", "q_bits", "n_bits"]
 
@@ -137,14 +151,16 @@ def random_prime(bits: int, rng: random.Random) -> int:
     """A prime with exactly `bits` bits (see is_probable_prime for how exact).
 
     Candidates have the top bit forced to 1 (exact width) and the low bit
-    forced to 1 (odd), and are retried until one passes the primality test.
+    forced to 1 (odd), and are retried until one passes the primality test,
+    for at most len(PRIME_DRAWS) draws; past that it is a GenerationError.
     """
     if bits < 2:
         raise ValueError("bits must be >= 2")
-    while True:
+    for _ in PRIME_DRAWS:
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         if is_probable_prime(candidate):
             return candidate
+    raise GenerationError(f"no {bits}-bit prime in {len(PRIME_DRAWS)} draws")
 
 
 def random_semiprime(
@@ -233,7 +249,11 @@ def dataset_spec_from_dict(doc: dict, seed_override: int | None = None) -> Datas
     if type(seed) is not int:
         raise ValueError(f"dataset spec needs an integer 'seed', got {seed!r}")
     groups = _parse_groups(doc, "groups", FixedGroup)
-    return DatasetSpec(seed, groups, _parse_groups(doc, "random_groups", RandomGroup))
+    random_groups = _parse_groups(doc, "random_groups", RandomGroup)
+    rows = sum(group.count for group in groups + random_groups)
+    if rows > MAX_SPEC_ROWS:
+        raise ValueError(f"the groups' count fields must sum to <= {MAX_SPEC_ROWS}, got {rows}")
+    return DatasetSpec(seed, groups, random_groups)
 
 
 def semiprime_from_row(row: dict[str, str]) -> Semiprime:

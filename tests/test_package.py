@@ -136,6 +136,44 @@ def test_no_src_module_reads_the_environment():
     assert reads == []
 
 
+# What ends each `while` under src/, by (module, enclosing function, condition).
+# A loop that no data bounds belongs in a `for` over a stated range instead.
+WHILE_BOUNDS = {
+    ("arith", "_tonelli_shanks", "t != 1"): "m falls each pass, and the inner loop raises at i == m",
+    ("arith", "_tonelli_shanks", "t2 != 1"): "i rises each pass, and the loop raises at i == m",
+    ("gf2", "XorBasis.add", "row"): "each pivot XOR clears row's top bit, so the top bit falls",
+    ("gf2", "XorBasis.add", "combo"): "each pass clears combo's lowest set bit",
+    ("sieve", "smooth_decompose", "rem % p == 0"): "rem //= p with p >= 2, and rem >= 1",
+    ("sieve", "_root_levels", "roots"): "q grows by p each pass, and the flag level, q >= BLOCK, breaks",
+    ("sieve", "_RelationScanner.advance", "i < m"): "i += q with q >= 2",
+    ("sieve", "_RelationScanner.relations", "i >= 0"): "need.find searches an m_count-byte window from i + 1",
+    ("sieve", "_RelationScanner._divide", "note"): "note >>= NOTE_BITS each pass",
+    ("sieve", "_RelationScanner._divide", "r % p == 0"): "r //= p with p >= 2, and r >= 1",
+}
+
+
+def while_loops(node, text, prefix=""):
+    """(enclosing qualname, condition source) for each `while` under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from while_loops(child, text, prefix + child.name + ".")
+            continue
+        if isinstance(child, ast.While):
+            yield prefix.rstrip("."), ast.get_source_segment(text, child.test)
+        yield from while_loops(child, text, prefix)
+
+
+def test_every_src_while_names_its_bound():
+    # the north star: no loop in the generator or the algorithms is unbounded
+    loops = []
+    for path in sorted((ROOT / "src" / "factorbench").glob("*.py")):
+        text = path.read_text()
+        loops += [(path.stem, *loop) for loop in while_loops(ast.parse(text), text)]
+    assert ("sieve", "_RelationScanner.relations", "i >= 0") in loops
+    assert [loop for loop in loops if loop not in WHILE_BOUNDS or loop[2] == "True"] == []
+    assert sorted(set(WHILE_BOUNDS) - set(loops)) == []
+
+
 def readme_text():
     """README.md less its code fences."""
     return re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)

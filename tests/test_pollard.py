@@ -202,6 +202,18 @@ class TestPollardFactor:
         with pytest.raises(BudgetExceeded):
             pollard_factor(sp.n, RhoConfig(seed=1), 1e-6)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_walks_end_within_n_steps_without_a_budget(self, seed):
+        # the bound in pollard's module docstring: each walk ends within n steps
+        for n in range(3, 5000, 2):
+            if any(n % p == 0 for p in FIRST_TEN_PRIMES) or trial_division_factor(n) == n:
+                continue
+            try:
+                _, trace = pollard_factor(n, RhoConfig(seed=seed))
+            except Exhausted as exc:
+                trace = exc.trace
+            assert trace.iterations <= (trace.restarts + 1) * n, n
+
     def test_500_semiprimes_within_budget(self):
         rng = random.Random(2024)
         for _ in range(500):

@@ -12,6 +12,8 @@ from factorbench.arith import is_probable_prime
 from factorbench.errors import GenerationError
 from factorbench.primegen import (
     MAX_BITS,
+    MAX_SPEC_ROWS,
+    PRIME_DRAWS,
     DatasetSpec,
     FixedGroup,
     RandomGroup,
@@ -108,6 +110,22 @@ class TestRandomPrime:
     def test_exact_width(self, bits, seed):
         p = random_prime(bits, random.Random(seed))
         assert p.bit_length() == bits
+
+    def test_draws_capped(self):
+        class ZeroBits:
+            # every 4-bit candidate is then 9; past twice the cap the stub
+            # raises, so an uncapped loop fails instead of hanging
+            calls = 0
+
+            def getrandbits(self, bits):
+                self.calls += 1
+                assert self.calls <= 2 * len(PRIME_DRAWS), "random_prime drew past twice its cap"
+                return 0
+
+        rng = ZeroBits()
+        with pytest.raises(GenerationError, match="^no 4-bit prime in 10000 draws$"):
+            random_prime(4, rng)
+        assert rng.calls == len(PRIME_DRAWS) == 10_000
 
 
 class TestRandomSemiprime:
@@ -346,6 +364,19 @@ class TestSpecParsing:
         )
         assert spec.groups == (FixedGroup(1, 256, 256, MAX_BITS),)
         assert spec.random_groups == (RandomGroup(1, MAX_BITS),)
+
+    def test_rows_capped(self):
+        doc = {
+            "seed": 0,
+            "groups": [{"count": MAX_SPEC_ROWS - 1, "p_bits": 5, "q_bits": 35, "n_bits": 40}],
+            "random_groups": [{"count": 1, "max_product_bits": 50}],
+        }
+        spec = dataset_spec_from_dict(doc)
+        assert sum(g.count for g in spec.groups + spec.random_groups) == MAX_SPEC_ROWS
+        doc["random_groups"][0]["count"] = 2
+        message = f"count fields must sum to <= {MAX_SPEC_ROWS}, got {MAX_SPEC_ROWS + 1}$"
+        with pytest.raises(ValueError, match=message):
+            dataset_spec_from_dict(doc)
 
     @given(spec_docs())
     @settings(max_examples=100, deadline=None)
