@@ -26,13 +26,11 @@ from .errors import GenerationError
 # is far above 1/2 and the cap is only ever hit on unsatisfiable requests.
 MAX_RESAMPLE_ATTEMPTS = 10_000
 
-# Draws of one random prime: at most 10 000. An odd b-bit candidate is prime
-# with probability about 2 / (b ln 2), which falls with b: about 1 in 177 at
-# 512 bits, wider than any prime a spec can ask for, so 10 000 draws all
-# miss with probability about (1 - 1/177)**10_000, or 3e-25. It is a range
-# built once: random_prime runs once per prime, and building the range in
-# each call slowed generation of 5-25-bit primes by 1-2 %.
-PRIME_DRAWS = range(10_000)
+# Draws of one random prime. An odd b-bit candidate is prime with
+# probability about 2 / (b ln 2), which falls with b: about 1 in 177 at 512
+# bits, wider than any prime a spec can ask for, so 10 000 draws all miss
+# with probability about (1 - 1/177)**10_000, or 3e-25.
+MAX_PRIME_DRAWS = 10_000
 
 # Widest n the program takes in: a spec's product, a CSV row's n or the
 # number handed to `factor`. Far above any committed spec, it keeps a random
@@ -42,9 +40,10 @@ PRIME_DRAWS = range(10_000)
 MAX_BITS = 512
 
 # Most rows a parsed spec may ask for, summed over its groups' counts. The
-# slowest group accepted, 512-bit products of a 2-bit and a 510-bit prime,
-# generates 13-14 rows per CPU second (2-core VM, Python 3.11.7), so the
-# largest spec accepted generates in under 13 minutes.
+# slowest groups accepted are 512-bit products with a prime of 2 to 48 bits:
+# on a 2-core VM with Python 3.11.7 each generated 11-16 rows per CPU second,
+# and wider splits ran faster. At 11 rows/s the largest spec accepted
+# generates in about 15 minutes.
 MAX_SPEC_ROWS = 10_000
 
 DATASET_CSV_HEADER = ["n", "p", "q", "p_bits", "q_bits", "n_bits"]
@@ -152,15 +151,15 @@ def random_prime(bits: int, rng: random.Random) -> int:
 
     Candidates have the top bit forced to 1 (exact width) and the low bit
     forced to 1 (odd), and are retried until one passes the primality test,
-    for at most len(PRIME_DRAWS) draws; past that it is a GenerationError.
+    for at most MAX_PRIME_DRAWS draws; past that it is a GenerationError.
     """
     if bits < 2:
         raise ValueError("bits must be >= 2")
-    for _ in PRIME_DRAWS:
+    for _ in range(MAX_PRIME_DRAWS):
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         if is_probable_prime(candidate):
             return candidate
-    raise GenerationError(f"no {bits}-bit prime in {len(PRIME_DRAWS)} draws")
+    raise GenerationError(f"no {bits}-bit prime in {MAX_PRIME_DRAWS} draws")
 
 
 def random_semiprime(

@@ -12,8 +12,8 @@ from factorbench.arith import is_probable_prime
 from factorbench.errors import GenerationError
 from factorbench.primegen import (
     MAX_BITS,
+    MAX_PRIME_DRAWS,
     MAX_SPEC_ROWS,
-    PRIME_DRAWS,
     DatasetSpec,
     FixedGroup,
     RandomGroup,
@@ -119,13 +119,13 @@ class TestRandomPrime:
 
             def getrandbits(self, bits):
                 self.calls += 1
-                assert self.calls <= 2 * len(PRIME_DRAWS), "random_prime drew past twice its cap"
+                assert self.calls <= 2 * MAX_PRIME_DRAWS, "random_prime drew past twice its cap"
                 return 0
 
         rng = ZeroBits()
         with pytest.raises(GenerationError, match="^no 4-bit prime in 10000 draws$"):
             random_prime(4, rng)
-        assert rng.calls == len(PRIME_DRAWS) == 10_000
+        assert rng.calls == MAX_PRIME_DRAWS == 10_000
 
 
 class TestRandomSemiprime:
