@@ -8,9 +8,9 @@ restart cap `exhausted`, a perfect square `success`, a bad factor `error`
 auto` runs pollard below DEFAULT_AUTO_THRESHOLD_BITS bits and the sieve
 from there.
 Every setting is on the command line, and no environment variable is read.
-`factor` and `bench` share --timeout and --seed, whose defaults are
-`BenchConfig`'s, as are `bench`'s other defaults and algorithm names;
-`gen-dataset` uses the spec's own seed unless --seed overrides it.
+`factor` and `bench` share --timeout and --seed, rho's seed, whose
+defaults are `BenchConfig`'s, as are `bench`'s other defaults and algorithm
+names. `gen-dataset` takes no seed: the spec's own fixes its dataset.
 `factor` checks n by `primegen.check_n` and, like `bench`, its budget by
 `BenchConfig`, so a rejection prints the library's own text. `factor` and
 `bench` run the sieve at `QsParams()`'s defaults; `report` renders every
@@ -107,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(handler=_cmd_gen_dataset)
     p_gen.add_argument("--spec", required=True, help="JSON dataset description")
     p_gen.add_argument("--out", required=True, help="output CSV path")
-    p_gen.add_argument("--seed", type=int, default=None, help="override the seed in the JSON file")
 
     p_bench = sub.add_parser("bench", parents=[run], help="run the algorithms over a dataset CSV")
     p_bench.set_defaults(handler=_cmd_bench)
@@ -154,7 +153,7 @@ def _cmd_factor(args) -> int:
 
 def _cmd_gen_dataset(args) -> int:
     with _usage_on(f"invalid dataset spec {args.spec}: ", OSError, ValueError):
-        spec = load_dataset_spec(args.spec, seed_override=args.seed)
+        spec = load_dataset_spec(args.spec)
     with _usage_on(f"cannot generate {args.spec}: ", errors.GenerationError):
         rows = generate_dataset(spec)
     with _usage_on(f"cannot write {args.out}: ", OSError):
@@ -231,7 +230,3 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -204,23 +204,26 @@ def generate_dataset(spec: DatasetSpec) -> list[Semiprime]:
         rng = random.Random(derive_seed(spec.seed, "group", gi))
         for _ in range(group.count):
             out.append(random_semiprime(group.p_bits, group.q_bits, group.n_bits, rng))
+    cap, pairs = None, []
     for gi, group in enumerate(spec.random_groups):
         rng = random.Random(derive_seed(spec.seed, "random", gi))
-        pairs = _admissible_pairs(group.max_product_bits)
+        if group.max_product_bits != cap:
+            # a run of groups at one cap shares its list, and only one is alive
+            cap, pairs = group.max_product_bits, _admissible_pairs(group.max_product_bits)
         for _ in range(group.count):
             pb, qb = pairs[rng.randrange(len(pairs))]
             out.append(random_semiprime(pb, qb, None, rng))
     return out
 
 
-def load_dataset_spec(path: str | Path, seed_override: int | None = None) -> DatasetSpec:
+def load_dataset_spec(path: str | Path) -> DatasetSpec:
     """Parse a DatasetSpec from its JSON document form."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except RecursionError:
             raise ValueError("JSON nests too deeply to parse") from None
-    return dataset_spec_from_dict(doc, seed_override=seed_override)
+    return dataset_spec_from_dict(doc)
 
 
 def _parse_groups(doc: dict, key: str, group_cls) -> tuple:
@@ -237,14 +240,14 @@ def _parse_groups(doc: dict, key: str, group_cls) -> tuple:
     return tuple(group_cls(**entry) for entry in entries)
 
 
-def dataset_spec_from_dict(doc: dict, seed_override: int | None = None) -> DatasetSpec:
+def dataset_spec_from_dict(doc: dict) -> DatasetSpec:
     """Validate a spec document; every rejection is a ValueError naming the field."""
     if not isinstance(doc, dict):
         raise ValueError("dataset spec must be a JSON object")
     unknown = set(doc) - {"seed", "groups", "random_groups"}
     if unknown:
         raise ValueError(f"unknown dataset spec keys: {sorted(unknown)}")
-    seed = seed_override if seed_override is not None else doc.get("seed")
+    seed = doc.get("seed")
     if type(seed) is not int:
         raise ValueError(f"dataset spec needs an integer 'seed', got {seed!r}")
     groups = _parse_groups(doc, "groups", FixedGroup)

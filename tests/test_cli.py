@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -13,7 +14,7 @@ import pytest
 import factorbench.bench
 import factorbench.cli
 from factorbench.bench import RESULTS_CSV_HEADER, STATUSES
-from factorbench.cli import EXIT_CODES, main
+from factorbench.cli import EXIT_CODES, build_parser, main
 from factorbench.pollard import RhoTrace
 
 
@@ -181,6 +182,17 @@ class TestGenDatasetCommand:
         assert code == 1
         assert out == ""
         assert "cannot generate" in err
+        assert not out_csv.exists()
+
+    def test_seed_flag_rejected(self, capsys, tmp_path):
+        # the spec's seed alone fixes the dataset
+        spec = _write_spec(tmp_path / "spec.json", 3, 8, 12, 20)
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "gen-dataset", "--spec", spec, "--out", str(out_csv), "--seed", "1"
+        )
+        assert (code, out) == (1, "")
+        assert err.endswith("error: unrecognized arguments: --seed 1\n")
         assert not out_csv.exists()
 
     def test_env_seed_ignored(self, capsys, tmp_path, monkeypatch):
@@ -378,6 +390,17 @@ class TestParser:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert out.startswith("usage: factorbench")
+
+    def test_seed_is_set_only_where_rho_runs(self):
+        (subcommands,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        with_seed = {
+            name
+            for name, parser in subcommands.choices.items()
+            if any("--seed" in action.option_strings for action in parser._actions)
+        }
+        assert with_seed == {"factor", "bench"}
 
     def test_module_entry_point(self):
         src = str(Path(factorbench.cli.__file__).resolve().parents[1])

@@ -1,9 +1,9 @@
 import hashlib
 import itertools
 import math
+from decimal import Decimal, localcontext
 from pathlib import Path
 
-import mpmath
 import pytest
 
 from factorbench.bench import BenchRecord, FactorOutcome, read_results_csv
@@ -48,12 +48,13 @@ def record(p, q, algorithm="qs", status="success", elapsed=0.1, factor="auto"):
     return BenchRecord(semiprime=sp, outcome=outcome)
 
 
-def mpmath_models(bits):
+def decimal_models(bits):
     """Oracle: the cost formulas at 50 decimal digits."""
-    mpmath.mp.dps = 50
-    ln_n = bits * mpmath.log(2)
-    pollard = mpmath.power(2, mpmath.mpf(bits) / 4)
-    qs = mpmath.exp(mpmath.sqrt(mpmath.mpf("1.125") * ln_n * mpmath.log(ln_n)))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ln_n = bits * Decimal(2).ln()
+        pollard = (ln_n / 4).exp()  # 2**(bits/4)
+        qs = (Decimal("1.125") * ln_n * ln_n.ln()).sqrt().exp()
     return float(pollard), float(qs)
 
 
@@ -203,14 +204,14 @@ class TestComplexityModels:
         assert row.pollard_cost == 1024.0  # 2**(40/4)
 
     def test_qs_at_64_bits_frozen(self):
-        # frozen from the mpmath oracle at 50 digits
+        # frozen from the 50-digit oracle
         row = complexity_models([64])[0]
         assert row.qs_cost == pytest.approx(943485.0883921132, rel=1e-12)
 
     def test_matches_high_precision_oracle(self):
         for bits in range(8, 161, 4):
             row = complexity_models([bits])[0]
-            pollard_ref, qs_ref = mpmath_models(bits)
+            pollard_ref, qs_ref = decimal_models(bits)
             assert row.pollard_cost == pytest.approx(pollard_ref, rel=1e-9)
             assert row.qs_cost == pytest.approx(qs_ref, rel=1e-9)
             assert row.ratio == pytest.approx(pollard_ref / qs_ref, rel=1e-9)
