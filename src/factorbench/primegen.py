@@ -204,12 +204,9 @@ def generate_dataset(spec: DatasetSpec) -> list[Semiprime]:
         rng = random.Random(derive_seed(spec.seed, "group", gi))
         for _ in range(group.count):
             out.append(random_semiprime(group.p_bits, group.q_bits, group.n_bits, rng))
-    cap, pairs = None, []
     for gi, group in enumerate(spec.random_groups):
         rng = random.Random(derive_seed(spec.seed, "random", gi))
-        if group.max_product_bits != cap:
-            # a run of groups at one cap shares its list, and only one is alive
-            cap, pairs = group.max_product_bits, _admissible_pairs(group.max_product_bits)
+        pairs = _admissible_pairs(group.max_product_bits)
         for _ in range(group.count):
             pb, qb = pairs[rng.randrange(len(pairs))]
             out.append(random_semiprime(pb, qb, None, rng))

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorbench import primegen
 from factorbench.arith import is_probable_prime
 from factorbench.errors import GenerationError
 from factorbench.primegen import (
@@ -213,19 +212,6 @@ class TestGenerateDataset:
     def test_smallest_random_cap(self):
         rows = generate_dataset(DatasetSpec(seed=0, random_groups=(RandomGroup(20, 5),)))
         assert all(r.n_bits <= 5 and r.p != r.q for r in rows)
-
-    def test_pair_list_built_once_per_run_of_one_cap(self, monkeypatch):
-        caps = []
-        build = primegen._admissible_pairs
-        monkeypatch.setattr(primegen, "_admissible_pairs", lambda cap: caps.append(cap) or build(cap))
-        groups = tuple(RandomGroup(2, cap) for cap in (30, 30, 30, 20, 20, 30))
-        rows = generate_dataset(DatasetSpec(seed=0, random_groups=groups))
-        assert caps == [30, 20, 30]
-        # the rows each group drew when it built its own list
-        text = "".join(f"{s.n},{s.p},{s.q}\n" for s in rows)
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "ac4f8a583f9f453620cc004fcc7671c31657640199559d263dadb3b8cd9dcda7"
-        )
 
     def test_random_cap_below_five_rejected(self):
         with pytest.raises(ValueError):
