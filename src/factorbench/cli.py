@@ -1,12 +1,16 @@
-"""Command-line entry point: factor, gen-dataset, bench, and report.
+"""Factor semiprimes by pollard-rho and the quadratic sieve, generate
+seeded semiprime datasets, race the two algorithms over one, and report
+the results. Exit codes: 0 success, 1 usage, I/O, generation or
+verification error, 2 prime input, 3 timeout or exhausted search.
 
-Exit codes: 0 success, 1 usage, I/O, generation or verification error,
-2 prime input, 3 timeout or exhausted search. `factor` exits by the status
-of its `bench.run_attempt` call: a spent budget is `timeout`, a round or
-restart cap `exhausted`, a perfect square `success`, a bad factor `error`
-(exit 1, one line on stderr); anything else propagates. `factor --algo
-auto` runs pollard below DEFAULT_AUTO_THRESHOLD_BITS bits and the sieve
-from there.
+A usage error, a flag or argument the parser rejects, prints the usage
+line of the subcommand given, or the top-level one when no subcommand
+parsed, then `<prog>: error: <message>`, and exits 1; `--help` exits 0.
+`factor` exits by the status of its `bench.run_attempt` call: a spent
+budget is `timeout`, a round or restart cap `exhausted`, a perfect square
+`success`, a bad factor `error` (exit 1, one line on stderr); anything
+else propagates. `factor --algo auto` runs pollard below
+DEFAULT_AUTO_THRESHOLD_BITS bits and the sieve from there.
 Every setting is on the command line, and no environment variable is read.
 `factor` and `bench` share --timeout and --seed, rho's seed, whose
 defaults are `BenchConfig`'s, as are `bench`'s other defaults and algorithm
@@ -15,13 +19,13 @@ names. `gen-dataset` takes no seed: the spec's own fixes its dataset.
 `BenchConfig`, so a rejection prints the library's own text. `factor` and
 `bench` run the sieve at `QsParams()`'s defaults; `report` renders every
 table.
-A usage, I/O, generation or verification failure is raised where it
-happens and reported once by `main`: its message on stderr, exit 1. A
-stdout closed by its reader ends the command at its next write with exit
-1 and no message. Every other exception propagates with its traceback.
-`report` renders its Markdown and the optional points CSV before it writes
-either, and removes what it wrote when a later write fails, so a failed
-call leaves no output.
+A value the library rejects, or an I/O, generation or verification
+failure, is raised where it happens and reported once by `main`: its
+message alone on stderr, exit 1. A stdout closed by its reader ends the
+command at its next write with exit 1 and no message. Every other
+exception propagates with its traceback. `report` renders its Markdown
+and the optional points CSV before it writes either, and removes what it
+wrote when a later write fails, so a failed call leaves no output.
 """
 
 from __future__ import annotations
@@ -62,14 +66,6 @@ EXIT_CODES = dict(success=EXIT_OK, timeout=EXIT_TIMEOUT, error=EXIT_USAGE, exhau
 DEFAULT_AUTO_THRESHOLD_BITS = 80
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad flags; the documented usage-error code is 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 class _Usage(Exception):
     """A usage, input or I/O failure: `main` prints the message to stderr
     and exits EXIT_USAGE."""
@@ -91,35 +87,38 @@ def _names(text: str) -> tuple[str, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="factorbench", description=__doc__)
+    # --help shows the docstring's first paragraph: what the tool does, and
+    # its exit codes (nothing under python -OO, which drops docstrings)
+    summary = (__doc__ or "").partition("\n\n")[0]
+    parser = argparse.ArgumentParser(prog="factorbench", description=summary)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = argparse.ArgumentParser(add_help=False)  # the settings factor and bench share
     run.add_argument("--timeout", type=float, default=BenchConfig.budget_seconds, help="seconds")
-    run.add_argument("--seed", type=int, default=BenchConfig.seed)
+    run.add_argument("--seed", type=int, default=BenchConfig.seed, help="the seed of pollard-rho's walks")
 
     p_factor = sub.add_parser("factor", parents=[run], help="factor one number")
-    p_factor.set_defaults(handler=_cmd_factor)
+    p_factor.set_defaults(handler=_cmd_factor, parser=p_factor)
     p_factor.add_argument("n", help="positive integer >= 2, base 10")
-    p_factor.add_argument("--algo", choices=[*ALGORITHMS, "auto"], default="auto")
+    p_factor.add_argument("--algo", choices=[*ALGORITHMS, "auto"], default="auto", help="auto picks by bit length")
 
     p_gen = sub.add_parser("gen-dataset", help="generate a semiprime dataset CSV")
-    p_gen.set_defaults(handler=_cmd_gen_dataset)
+    p_gen.set_defaults(handler=_cmd_gen_dataset, parser=p_gen)
     p_gen.add_argument("--spec", required=True, help="JSON dataset description")
     p_gen.add_argument("--out", required=True, help="output CSV path")
 
     p_bench = sub.add_parser("bench", parents=[run], help="run the algorithms over a dataset CSV")
-    p_bench.set_defaults(handler=_cmd_bench)
-    p_bench.add_argument("--dataset", required=True)
+    p_bench.set_defaults(handler=_cmd_bench, parser=p_bench)
+    p_bench.add_argument("--dataset", required=True, help="dataset CSV path")
     p_bench.add_argument("--out", required=True, help="results CSV path")
     algos = ",".join(ALGORITHMS)
     p_bench.add_argument("--algos", default=algos, help=f"comma-separated subset of: {algos}")
-    p_bench.add_argument("--workers", type=int, default=BenchConfig.workers)
+    p_bench.add_argument("--workers", type=int, default=BenchConfig.workers, help="parallel processes; timing runs use 1")
     p_bench.add_argument("--progress", action="store_true", help="print one line per attempt")
 
     p_report = sub.add_parser("report", help="render Markdown tables from results CSV")
-    p_report.set_defaults(handler=_cmd_report)
-    p_report.add_argument("--results", required=True)
+    p_report.set_defaults(handler=_cmd_report, parser=p_report)
+    p_report.add_argument("--results", required=True, help="results CSV path")
     p_report.add_argument("--out", required=True, help="Markdown output path")
     p_report.add_argument("--points-csv", default=None, help="optional scatter CSV path")
     return parser
@@ -214,9 +213,12 @@ def _cmd_report(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:  # reported by the subcommand's own parser, so with its usage line
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.handler(args)
     except _Usage as exc:

@@ -36,6 +36,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_unrecognized(err, command, flags):
+    """`err` is `command`'s own usage, then argparse's error naming `flags`."""
+    assert err.startswith(f"usage: factorbench {command} ")
+    assert err.endswith(f"\nfactorbench {command}: error: unrecognized arguments: {flags}\n")
+
+
+def subcommand_parsers():
+    """build_parser()'s parser of each subcommand, by name."""
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
 class TestFactorCommand:
     def test_pollard_8051(self, capsys):
         code, out, _ = run_cli(capsys, "factor", "8051", "--algo", "pollard", "--seed", "7")
@@ -121,7 +133,11 @@ class TestFactorCommand:
         for flags in (["--bogus"], ["--auto-threshold", "4"], ["--b", "7"], ["--m", "1"]):
             code, out, err = run_cli(capsys, "factor", "8051", *flags)
             assert (code, out) == (1, "")
-            assert f"unrecognized arguments: {' '.join(flags)}" in err
+            assert_unrecognized(err, "factor", " ".join(flags))
+        # an unknown flag before the subcommand is reported by the subcommand too
+        code, out, err = run_cli(capsys, "--bogus", "factor", "8051")
+        assert (code, out) == (1, "")
+        assert_unrecognized(err, "factor", "--bogus")
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_nonpositive_timeout_rejected(self, capsys, value):
@@ -192,7 +208,7 @@ class TestGenDatasetCommand:
             capsys, "gen-dataset", "--spec", spec, "--out", str(out_csv), "--seed", "1"
         )
         assert (code, out) == (1, "")
-        assert err.endswith("error: unrecognized arguments: --seed 1\n")
+        assert_unrecognized(err, "gen-dataset", "--seed 1")
         assert not out_csv.exists()
 
     def test_env_seed_ignored(self, capsys, tmp_path, monkeypatch):
@@ -295,6 +311,15 @@ class TestBenchCommand:
         assert message in err
         assert not results.exists()
 
+    def test_unknown_flag_rejected(self, capsys, tmp_path, dataset):
+        results = tmp_path / "r.csv"
+        code, out, err = run_cli(
+            capsys, "bench", "--dataset", dataset, "--out", str(results), "--bogus"
+        )
+        assert (code, out) == (1, "")
+        assert_unrecognized(err, "bench", "--bogus")
+        assert not results.exists()
+
     def test_violation_writes_nothing(self, capsys, tmp_path, dataset, monkeypatch):
         _violation(monkeypatch)
         results = tmp_path / "r.csv"
@@ -339,7 +364,7 @@ class TestReportCommand:
             capsys, "report", "--results", results, "--out", str(out_md), "--tables", "avg-runtime"
         )
         assert (code, out) == (1, "")
-        assert "unrecognized arguments: --tables avg-runtime" in err
+        assert_unrecognized(err, "report", "--tables avg-runtime")
         assert not out_md.exists()
 
     def test_points_csv_export(self, capsys, tmp_path, results):
@@ -386,18 +411,27 @@ class TestParser:
     def test_unknown_command_is_usage_error(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 1
 
-    def test_help_exits_zero(self, capsys):
-        code, out, _ = run_cli(capsys, "--help")
+    @pytest.mark.parametrize(
+        "command", ["", "factor", "gen-dataset", "bench", "report"], ids=lambda c: c or "root"
+    )
+    def test_help_exits_zero(self, capsys, command):
+        code, out, _ = run_cli(capsys, *command.split(), "--help")
         assert code == 0
-        assert out.startswith("usage: factorbench")
+        assert out.startswith(" ".join(["usage: factorbench", *command.split(), "[-h]"]))
+
+    def test_every_setting_has_help(self):
+        missing = [
+            f"{name} {action.dest}"
+            for name, parser in subcommand_parsers().items()
+            for action in parser._actions
+            if action.dest != "help" and not action.help
+        ]
+        assert missing == []
 
     def test_seed_is_set_only_where_rho_runs(self):
-        (subcommands,) = [
-            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-        ]
         with_seed = {
             name
-            for name, parser in subcommands.choices.items()
+            for name, parser in subcommand_parsers().items()
             if any("--seed" in action.option_strings for action in parser._actions)
         }
         assert with_seed == {"factor", "bench"}

@@ -87,22 +87,28 @@ def module_assignments(tree):
                     yield name.id, node
 
 
-def src_definitions_without_a_use():
-    """module.qualname of each non-dunder function, method, class and
-    module-level assigned name under src/factorbench whose name no ast.Name
-    or ast.Attribute in src/ reads, outside the definition itself."""
-    defs, uses = [], {}
+def src_definitions():
+    """(module, qualname, name, node) for each function, method, class and
+    module-level assigned name under src/factorbench."""
     for path in sorted((ROOT / "src" / "factorbench").glob("*.py")):
         tree = ast.parse(path.read_text())
-        defs += [(path.stem, qualname, node.name, node) for qualname, node in definitions(tree)]
-        defs += [(path.stem, name, name, node) for name, node in module_assignments(tree)]
-        for node in ast.walk(tree):
+        yield from ((path.stem, qualname, node.name, node) for qualname, node in definitions(tree))
+        yield from ((path.stem, name, name, node) for name, node in module_assignments(tree))
+
+
+def src_definitions_without_a_use():
+    """module.qualname of each non-dunder src_definitions() entry whose
+    name no ast.Name or ast.Attribute in src/ reads, outside the definition
+    itself."""
+    uses = {}
+    for path in sorted((ROOT / "src" / "factorbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.Name, ast.Attribute)):
                 name = node.id if isinstance(node, ast.Name) else node.attr
                 uses.setdefault(name, []).append((path.stem, node.lineno))
     return [
         f"{module}.{qualname}"
-        for module, qualname, name, node in defs
+        for module, qualname, name, node in src_definitions()
         if not (name.startswith("__") and name.endswith("__"))
         and all(
             where == module and node.lineno <= line <= node.end_lineno
@@ -112,13 +118,13 @@ def src_definitions_without_a_use():
 
 
 def test_every_src_definition_has_a_production_use():
-    # argparse calls _Parser.error, criterion 1 reads Relation.parity, and
-    # TIMEOUT_SLACK_SECONDS is the slack the timeout tests hold bench to
-    allowed = pinned_names() | {
-        "cli._Parser.error",
-        "sieve.Relation.parity",
-        "bench.TIMEOUT_SLACK_SECONDS",
-    }
+    # criterion 1 reads Relation.parity, and TIMEOUT_SLACK_SECONDS is the
+    # slack the timeout tests hold bench to
+    unpinned = {"sieve.Relation.parity", "bench.TIMEOUT_SLACK_SECONDS"}
+    # a deleted definition takes its allowance with it
+    defined = {f"{module}.{qualname}" for module, qualname, _, _ in src_definitions()}
+    assert sorted(unpinned - defined) == []
+    allowed = pinned_names() | unpinned
     assert {"pollard.pollard_factor", "report.avg_runtime_by_bitdiff"} <= allowed
     assert [name for name in src_definitions_without_a_use() if name not in allowed] == []
 
