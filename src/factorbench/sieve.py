@@ -16,13 +16,18 @@ runs the retry loop on top of `_RelationScanner`, a root-indexed sieve by
 bit credits kept between rounds: Pomerance's log approximation, made exact
 by confirming every candidate it flags. Each base prime's square roots of
 n are found once, when it is admitted, and lifted to its powers, so each
-power visits only the candidates whose a it divides and credits bits off
-a one-byte count per candidate. The sieved region grows in whole blocks,
-and every root is one entry in a bucket per block (the segmented bucket
-sieve of Aoki and Ueda), so a round's work follows the hits in its new
-blocks and of its new primes, not the size of the base. A candidate whose
-count reaches 0 is confirmed by exact division, in the first round whose
-window covers it. The per-round relation sets are identical to fresh
+power visits only the candidates whose a it divides and credits
+ceil(log2 p) bits off a one-byte count per candidate; past its last
+sieved power, a prime's hit takes the rest of its valuation of a. The
+sieved region grows in whole blocks, and every root is one entry in a
+bucket per block (the segmented bucket sieve of Aoki and Ueda), so a
+round's work follows the hits in its new blocks and of its new primes,
+not the size of the base. A candidate whose count reaches 0 is confirmed
+by exact division, in the first round whose window covers it, and few
+that reach 0 are not relations. A round confirms only what it can have
+changed: the candidates its new primes completed below the last window,
+noted as the walk makes them, and the window's new part, so it never
+rescans the window. The per-round relation sets are identical to fresh
 reference scans (the tests check this), only far cheaper. The sieve keeps
 each relation as just its candidate index, which gives b and a:
 extraction needs nothing more, and no mask or exponent vector is kept.
@@ -130,19 +135,23 @@ class QsTrace:
 # walk state, which files each root under its next hit index // BLOCK; a
 # walk over more candidates than this polls the deadline first. A prime's
 # first power p**k >= BLOCK with k >= 2 is its flag level, the last sieved:
-# it credits all 255 bits, so every candidate it hits is flagged.
+# at each candidate it hits, it takes p's valuation of a and credits the
+# powers of p that the levels below it did not.
 # 1024 was chosen when every candidate sieved past the window cost a trial
 # division; now those hits are C-level credits, and 2048 walks each root
 # half as often. It should not grow further: a faster sieve narrows the
 # acceptance suite's rho < qs margin at 50 bits, bit difference 0, which
 # read 1.31-1.47 at 1024, 1.15-1.41 at 2048 and 1.07-1.22 at 4096 (mean
-# seconds, qs over rho), too near 1 to hold against timing noise.
+# seconds, qs over rho), too near 1 to hold against timing noise; since
+# flag levels credit bits instead of zeroing bytes, it reads 1.08-1.24 at
+# 2048.
 BLOCK = 2048
-# The credit levels of a prime below this, like every flag level, credit
-# strided slices of the region; a larger prime's one credit level credits
-# hit by hit and notes its base index on each candidate it divides. It
-# bounds the trial divisions that confirm a flagged candidate, and find a
-# relation's mask, to the 31 primes below it.
+# The credit levels of a prime below this credit strided slices of the
+# region; a larger prime's one credit level credits hit by hit and notes its
+# base index on each candidate it divides. It bounds the trial divisions
+# that confirm a flagged candidate, and find a relation's mask, to the noted
+# primes and those of the 31 primes below it that have a root of n: a prime
+# with none divides no a.
 NOTE_MIN = 128
 # Bits per base index in a candidate's note of the primes at or above
 # NOTE_MIN that divide it, once each. Base indices stay far below 2**32, and
@@ -298,46 +307,58 @@ class _RelationScanner:
     small, of the candidate at each power-of-two index. p**k divides a only
     where b*b = n (mod p**k), so each prime is rooted once, in the call that
     admits it, into the levels of `_root_levels`; a prime with no root of n
-    is never kept. Each level below the flag level credits ceil(log2 p),
-    that is (p - 1).bit_length(), bits to the candidates it hits, through a
-    saturating `translate` table, and the flag level credits all 255 bits,
-    which zeroes their bytes.
+    is never kept. Each level below the flag level L, the last, credits
+    ceil(log2 p), that is (p - 1).bit_length(), bits to the candidates it
+    hits, through a saturating `translate` table. The flag level takes p's
+    valuation v of each a it hits and credits the rest of it, (v - (L - 1))
+    * ceil(log2 p) bits, capped at 255. So every power of p that divides a
+    credits ceil(log2 p) bits, and a byte reaches 0 only through credits.
 
     The sieved region, `need`'s length, grows to the first multiple of
     BLOCK at or past each call's window, in whole blocks. Every root of
     every level is one entry (next hit index, step, tag) filed in `buckets`
     under index // BLOCK. The tag is fixed when the prime is rooted: the
-    prime's base index j at level 1 of a prime at or above NOTE_MIN, the
-    only level such a prime credits, and otherwise minus the bits the level
-    credits, -ceil(log2 p) at a credit level of a smaller prime and -255 at
-    every flag level. One loop walks the entries popped for the new blocks,
-    and those of the new primes, from their next hit to the region's end,
-    and files each again under the block of its first hit past the region;
-    a new prime's entry whose first hit already lies past it is filed as it
-    is, in the same turn, so every bucket keeps the order of a full walk.
-    A call's work is thus the hits in its new blocks, not the size of the
-    base:
-    - an entry with a negative tag credits -tag bits to one strided slice,
-      in C;
-    - an entry with tag j credits its hits one by one, and notes j in
+    prime's base index j, or ~j at its flag level. One loop walks the
+    entries popped for the new blocks, and those of the new primes, from
+    their next hit to the region's end, and files each again under the
+    block of its first hit past the region; a new prime's entry whose first
+    hit already lies past it is filed as it is, in the same turn, so every
+    bucket keeps the order of a full walk. A call's work is thus the hits in
+    its new blocks, not the size of the base:
+    - an entry with tag j of a prime below NOTE_MIN credits one strided
+      slice, in C;
+    - an entry with tag j of a prime at or above NOTE_MIN, whose level 1 is
+      its one credit level, credits its hits one by one, and notes j in
       `notes[i]`, NOTE_BITS bits a prime. It holds j, not the mask bit
-      1 << j: kept bits would take memory quadratic in the base size.
+      1 << j: kept bits would take memory quadratic in the base size;
+    - an entry with tag ~j, at a flag level p**L >= BLOCK, takes p's
+      valuation at each of its hits, one by one, about 2 in p**L
+      candidates.
 
-    `relations` then confirms the window, and only it: each of its bytes
-    that is 0, found by `need.find`, goes to `_divide` once. A cofactor of
-    1 makes i a relation, its byte 255: no later prime divides a, and old
-    primes walk only new blocks, so nothing credits it again. Any other
-    cofactor c marks a false positive. c is prime to the whole base so
-    far, so the byte becomes floor(log2 c), which only later primes can
-    credit. A zero byte past the window stays 0, as credits saturate there,
-    until the first window that reaches it. A new prime walks the whole
-    region and an old one each new block, so by then every base prime has
-    walked and noted i, and `_divide` decides it over that round's base, as
+    `relations` confirms only the bytes that can have reached 0 since the
+    last call confirmed its window, the first `confirmed` candidates. Each
+    byte there was left nonzero, and old primes walk only new blocks, past
+    it, so only a new prime's hit can zero one; the walk appends each such
+    i to `fresh` as it zeroes it, hit by hit, or by searching a slice's hits
+    below `confirmed`. `relations` takes those in index order, then the zero
+    bytes of the window's new part, found by `need.find`, and sends each to
+    `_divide` once. A cofactor of 1 makes i a relation, its byte 255: no
+    later prime divides a, and old primes walk only new blocks, so nothing
+    credits it again. Any other cofactor c marks a false positive, which
+    needs the rounding up of log2 p to cover c's bits, so there are few. c
+    is prime to the whole base so far, so the byte becomes floor(log2 c),
+    which only later primes can credit. A zero byte past the window stays
+    0, as credits saturate there, until the first window that reaches it,
+    whose new part it is then in. A new prime walks the whole region and an
+    old one each new block, so by then every base prime has walked and
+    noted i, and `_divide` decides it over that round's base, as
     `collect_relations` would. No relation is missed: a smooth a is a
-    product of base prime powers p**e, and each of p's levels up to e
-    either credits ceil(log2 p) >= log2 p bits or flags i, so the credits
-    reach log2 a, at least the byte's start, or i is flagged. None is made
-    up, since only exact division confirms one.
+    product of base prime powers p**e, each crediting e * ceil(log2 p) >=
+    log2 p**e bits, so the credits reach log2 a, at least the byte's start,
+    and the byte reads 0 from the round its last prime walks i. If i lies
+    below `confirmed` then, that prime is new and noted i in `fresh`;
+    otherwise i is in a later window's new part. None is made up, since
+    only exact division confirms one.
 
     `smooth` holds relations by candidate index, in the order confirmed,
     and only grows, so a relation's position in it is a stable id; each
@@ -361,10 +382,13 @@ class _RelationScanner:
         self.primes: list[int] = []
         self.need = bytearray()  # bits of a still to credit, one byte per candidate
         self.notes: list[int] = []  # base indices of the primes >= NOTE_MIN hitting it, NOTE_BITS each
-        # block -> (next hit index, step, tag) of each root; tag is the base index
-        # to credit and note, or minus the bits to credit as a slice
+        # block -> (next hit index, step, tag) of each root; tag is the prime's
+        # base index, or its complement at the prime's flag level
         self.buckets: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
         self.smooth: list[int] = []  # indices of the relations, in the order found
+        self.small: list[int] = []  # base indices of the primes below NOTE_MIN with a root
+        self.confirmed = 0  # the window the last `relations` confirmed
+        self.fresh: list[int] = []  # candidates below it that a new prime zeroed since
 
     def advance(self, new_primes: tuple[int, ...], m_count: int) -> None:
         """Append `new_primes`, the base primes above the last call's, to the
@@ -372,7 +396,7 @@ class _RelationScanner:
         every root over what it has not walked yet."""
         n, s, need, notes, buckets = self.n, self.start_b, self.need, self.notes, self.buckets
         check = self.deadline.check
-        primes = self.primes
+        primes, done = self.primes, self.confirmed
         old_primes, lo = len(primes), len(need)
         primes.extend(new_primes)
         walks = []  # entries as in buckets; a new prime's entries walk the whole region
@@ -387,19 +411,50 @@ class _RelationScanner:
         for j in range(old_primes, len(primes)):
             check()
             p = primes[j]
-            tag = j if p >= NOTE_MIN else -(p - 1).bit_length()
-            for q, roots, flag in _root_levels(n, p):
-                walks += [((r - s) % q, q, -255 if flag else tag) for r in roots]
+            levels = _root_levels(n, p)
+            if levels and p < NOTE_MIN:
+                self.small.append(j)
+            for q, roots, flag in levels:
+                walks += [((r - s) % q, q, ~j if flag else j) for r in roots]
+        small, fresh = bisect.bisect_left(primes, NOTE_MIN), self.fresh
         for entry in walks:
             i, q, tag = entry
             if i < m:  # a new prime's root may first hit past the region
                 if m - i > BLOCK:
                     check()
-                if tag < 0:
-                    need[i::q] = need[i::q].translate(_CREDIT[-tag])
+                if tag < 0:  # the flag level: p**L divides each a it hits
+                    p = primes[~tag]
+                    bits = (p - 1).bit_length()
+                    power = p * p
+                    while power < BLOCK:
+                        power *= p
+                    while i < m:
+                        a, credit = ((s + i) ** 2 - n) // power, bits
+                        while a % p == 0:
+                            a //= p
+                            credit += bits
+                        need[i] = c = _CREDIT[min(credit, 255)][need[i]]
+                        if not c and i < done:
+                            fresh.append(i)
+                        i += q
+                elif tag < small:
+                    table = _CREDIT[(primes[tag] - 1).bit_length()]
+                    need[i::q] = hits = need[i::q].translate(table)
+                    if i < done:
+                        stop = -(-(done - i) // q)  # the hits below done
+                        k = hits.find(0, 0, stop)
+                        while k >= 0:
+                            fresh.append(i + k * q)
+                            k = hits.find(0, k + 1, stop)
                     i = m + (i - m) % q
                 else:
                     table = _CREDIT[(q - 1).bit_length()]
+                    while i < done:  # only a new prime's walk starts below done
+                        need[i] = c = table[need[i]]
+                        if not c:
+                            fresh.append(i)
+                        notes[i] = notes[i] << NOTE_BITS | tag
+                        i += q
                     while i < m:
                         need[i] = table[need[i]]
                         notes[i] = notes[i] << NOTE_BITS | tag
@@ -408,12 +463,19 @@ class _RelationScanner:
             buckets[i // BLOCK].append(entry)
 
     def relations(self, m_count: int) -> Iterator[tuple[int, int]]:
-        """Confirm the flagged candidates of the first m_count, after an
-        `advance` over that window, and yield (i, parity mask of a) for each
-        new relation i, in b order, once it is appended to `smooth`."""
-        need, check = self.need, self.deadline.check
-        i = need.find(0, 0, m_count)
+        """Confirm the candidates of the first m_count flagged since the
+        last call, after an `advance` over that window, and yield (i, parity
+        mask of a) for each new relation i, in b order, once it is appended
+        to `smooth`. m_count is at least the last call's."""
+        need, check, done = self.need, self.deadline.check, self.confirmed
+        flagged = sorted(self.fresh)
+        i = need.find(0, done, m_count)
         while i >= 0:
+            flagged.append(i)
+            i = need.find(0, i + 1, m_count)
+        for i in flagged:
+            if need[i]:  # noted twice in fresh, and confirmed already
+                continue
             check()
             c, mask = self._divide(i)
             if c == 1:
@@ -422,13 +484,14 @@ class _RelationScanner:
                 yield i, mask
             else:
                 need[i] = _log2_byte(c)
-            i = need.find(0, i + 1, m_count)
+        self.fresh.clear()
+        self.confirmed = m_count
 
     def _divide(self, i: int) -> tuple[int, int]:
-        """Candidate i's a divided by each noted prime and each base prime
-        below NOTE_MIN as often as it divides: the cofactor left, and the
-        parity mask, bit j set for each base index j whose prime divided it
-        an odd number of times. Once every base prime has walked i, the
+        """Candidate i's a divided by each noted prime and each rooted base
+        prime below NOTE_MIN as often as it divides: the cofactor left, and
+        the parity mask, bit j set for each base index j whose prime divided
+        it an odd number of times. Once every base prime has walked i, the
         cofactor is 1 exactly when a is smooth."""
         primes, note, r = self.primes, self.notes[i], self.pair(i)[1]
         noted = []
@@ -436,7 +499,7 @@ class _RelationScanner:
             noted.append(note & _NOTE_MASK)
             note >>= NOTE_BITS
         mask = 0
-        for j in itertools.chain(noted, range(bisect.bisect_left(primes, NOTE_MIN))):
+        for j in itertools.chain(noted, self.small):
             if r == 1:
                 break
             p = primes[j]

@@ -151,8 +151,12 @@ WHILE_BOUNDS = {
     ("gf2", "XorBasis.add", "combo"): "each pass clears combo's lowest set bit",
     ("sieve", "smooth_decompose", "rem % p == 0"): "rem //= p with p >= 2, and rem >= 1",
     ("sieve", "_root_levels", "roots"): "q grows by p each pass, and the flag level, q >= BLOCK, breaks",
+    ("sieve", "_RelationScanner.advance", "power < BLOCK"): "power *= p with p >= 2",
+    ("sieve", "_RelationScanner.advance", "i < done"): "i += q with q >= 2",
     ("sieve", "_RelationScanner.advance", "i < m"): "i += q with q >= 2",
-    ("sieve", "_RelationScanner.relations", "i >= 0"): "need.find searches an m_count-byte window from i + 1",
+    ("sieve", "_RelationScanner.advance", "k >= 0"): "hits.find searches a slice's hits below done from k + 1",
+    ("sieve", "_RelationScanner.advance", "a % p == 0"): "a //= p with p >= 2, and a >= 1 as n is no square",
+    ("sieve", "_RelationScanner.relations", "i >= 0"): "need.find searches the window's new part from i + 1",
     ("sieve", "_RelationScanner._divide", "note"): "note >>= NOTE_BITS each pass",
     ("sieve", "_RelationScanner._divide", "r % p == 0"): "r //= p with p >= 2, and r >= 1",
 }

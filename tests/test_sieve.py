@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 import sys
@@ -471,6 +470,89 @@ class TestBlockSize:
         )
 
 
+class TestConfirmationWork:
+    """A round reads only the bytes it can have zeroed, and nearly every
+    candidate it divides is a relation."""
+
+    def test_relations_reads_the_new_window_and_the_new_primes_hits(self):
+        class CountingBytes(bytearray):
+            """A need that counts the bytes its finds, slices and indexing
+            read while `counting` is set."""
+
+            counting = False
+            read = 0
+
+            def find(self, sub, start=0, end=None):
+                k = super().find(sub, start, end)
+                if self.counting:
+                    end = len(self) if end is None else min(end, len(self))
+                    self.read += max(0, (k + 1 if k >= 0 else end) - start)
+                return k
+
+            def __getitem__(self, key):
+                item = super().__getitem__(key)
+                if self.counting:
+                    self.read += len(item) if isinstance(key, slice) else 1
+                return item
+
+        # 3000 rounds of qs_factor's schedule: the windows sum to about
+        # 4.5 * 10**8 candidates, the last one 300 000
+        n = 946613331739179941
+        scanner = _RelationScanner(n, Deadline(None))
+        scanner.need = need = CountingBytes()
+        bound, m_count, done, hits = 10, 100, 0, 0
+        for _ in range(3000):
+            new_primes = build_factor_base(bound).primes[len(scanner.primes) :]
+            for p in new_primes:  # each level hits a subset of level 1's hits
+                levels = sieve._root_levels(n, p)
+                roots = levels[0][1] if levels else ()
+                hits += sum(len(range((r - scanner.start_b) % p, done, p)) for r in roots)
+            scanner.advance(new_primes, m_count)
+            need.counting = True
+            for _ in scanner.relations(m_count):
+                pass
+            need.counting = False
+            done = m_count
+            bound += sieve.B_INCREMENT
+            m_count += sieve.M_INCREMENT
+        assert len(scanner.smooth) > 1000
+        assert need.read < 2 * done + hits
+
+    def test_divisions_are_nearly_all_relations(self, monkeypatch):
+        # a byte reaches 0 only when the powers of the base primes dividing
+        # a, each credited ceil(log2 p) bits, cover its start
+        calls = Counter()
+        count_calls(monkeypatch, _RelationScanner, "_divide", calls)
+        relations = sum(qs_factor(n)[1].relations_found for n in TestBlockSize.NUMBERS)
+        assert calls["_divide"] <= 1.05 * relations
+
+    def test_divide_tries_no_small_prime_without_a_root(self):
+        # a prime with no square root of n divides no a = b*b - n
+        tried = set()
+
+        class TracedInt(int):
+            """An a that records each modulus taken of it and its quotients."""
+
+            def __mod__(self, p):
+                tried.add(p)
+                return int(self) % p
+
+            def __floordiv__(self, p):
+                return TracedInt(int(self) // p)
+
+        n = 946613331739179941
+        scanner = _RelationScanner(n, Deadline(None))
+        real_pair = scanner.pair
+        scanner.pair = lambda i: tuple(map(TracedInt, real_pair(i)))
+        fb = build_factor_base(2000)
+        scanner.advance(fb.primes, 20000)
+        assert len(relation_triples(scanner, 20000, [])) > 50
+        small = {p for p in fb.primes if p < sieve.NOTE_MIN}
+        rootless = {p for p in small if not sieve._root_levels(n, p)}
+        assert len(rootless) > 10
+        assert tried & small and not tried & rootless
+
+
 class TestScannerMatchesReference:
     """The incremental scanner must reproduce fresh rescans exactly."""
 
@@ -697,8 +779,9 @@ class TestScannerMatchesReference:
         self.check(19034063, [(300, 1200), (1100, 1300)])
 
     def test_relation_with_a_high_power_of_two(self):
-        # b = 2719 gives a = 2**15 * 5**2: the levels of 2 credit 9 bits and
-        # then flag it, which alone brings it to confirmation
+        # b = 2719 gives a = 2**15 * 5**2: the ten levels of 2 below its flag
+        # level 2**11 credit 10 bits, the flag level the other 5, and 5**2
+        # credits 6, which together bring it to confirmation
         self.check(6573761, [(30, 300)])
         self.check(6573761, [(10, 100), (30, 300), (40, 400)])
 
@@ -716,31 +799,23 @@ class TestScannerMatchesReference:
         ],
     )
     def test_bytes_match_the_valuation_oracle(self, n, bound):
-        # after one advance, each byte is 0 where a prime's flag-level power
-        # p**K divides a, K the first k >= 2 with p**k >= BLOCK, and
-        # otherwise its start less ceil(log2 p) bits for each power of p
-        # below p**K that divides a, saturating at 0; n = 1 (mod 8) lets 2
-        # reach its flag level 2**10 inside the three blocks
+        # after one advance, each byte is its start less ceil(log2 p) bits
+        # for each power of each base prime p that divides a, saturating at
+        # 0, flag levels included; n = 1 (mod 8) lets 2 reach its flag level
+        # 2**11 inside the three blocks
         fb = build_factor_base(bound)
         m_count = 2 * sieve.BLOCK + 100
         scanner, twin = _RelationScanner(n, Deadline(None)), _RelationScanner(n, Deadline(None))
         scanner.advance(fb.primes, m_count)
         twin.advance((), m_count)  # the bytes before any credit
-        flag_levels = {p: next(k for k in itertools.count(2) if p**k >= sieve.BLOCK) for p in fb.primes}
         expected = bytearray()
         for i, start in enumerate(twin.need):
             a, credits = scanner.pair(i)[1], 0
-            for p, flag_level in flag_levels.items():
-                v = 0
-                while v < flag_level and a % p == 0:
+            for p in fb.primes:
+                while a % p == 0:
                     a //= p
-                    v += 1
-                if v == flag_level:
-                    expected.append(0)
-                    break
-                credits += v * (p - 1).bit_length()
-            else:
-                expected.append(max(0, start - credits))
+                    credits += (p - 1).bit_length()
+            expected.append(max(0, start - credits))
         assert len(scanner.need) == 3 * sieve.BLOCK
         assert scanner.need == expected
         assert 0 in expected and any(0 < e < s for e, s in zip(expected, twin.need))
